@@ -37,6 +37,7 @@ from .errors import (
     DuplicateSymbol,
     EnumerationTooLarge,
     IndexOutOfRange,
+    InternalInvariantError,
     InvalidScale,
     MatrixTooLarge,
     MissingSymbol,

@@ -42,6 +42,7 @@ from .errors import (
     CertificateViolation,
     DimensionMismatch,
     IndexOutOfRange,
+    InternalInvariantError,
     InvalidScale,
     NotNested,
     SlopechainError,
@@ -55,7 +56,7 @@ from .model import (
     rank_profile,
     span_contains,
 )
-from .polys import Poly, SymbolicScalar, as_fraction
+from .polys import as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +109,12 @@ class SlopeValue:
 
 def compare_slopes(model: GroupModel, a: SlopeValue, b: SlopeValue) -> int:
     """-1 / 0 / +1 as a < b, a = b, a > b; exact."""
+    return _slope_cmp(model.scales, a, b)
+
+
+def _slope_cmp(scales, a: SlopeValue, b: SlopeValue) -> int:
     diff = a.numerator.scaled(b.denominator) - b.numerator.scaled(a.denominator)
-    return phi_sign(model.scales, diff)
+    return phi_sign(scales, diff)
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def phi_from_profile(model: GroupModel, profile: RankProfile) -> PhiValue:
         if j < model.l:
             alt[j] -= ranks[j]
     if tuple(alt) != jumps:
-        raise AssertionError("the two phi computations disagree")
+        raise InternalInvariantError("the two phi computations disagree")
     return PhiValue(jumps)
 
 
@@ -203,7 +208,7 @@ def _frak(model, node_lo: ChainNode, node_hi: ChainNode,
     radicand = power_product(model.scales, jumps)
     via_slope = power_product(model.scales, (node_hi.phi - node_lo.phi).exponents)
     if radicand != via_slope:
-        raise AssertionError("frak_S formulas disagree")
+        raise InternalInvariantError("frak_S formulas disagree")
     return RootedRational(radicand, root)
 
 
@@ -218,12 +223,12 @@ def _assemble(model: GroupModel, subgroups) -> Chain:
     for i in range(len(nodes) - 1):
         lo, hi = nodes[i], nodes[i + 1]
         if hi.dim <= lo.dim:
-            raise AssertionError("chain dimensions must strictly increase")
+            raise InternalInvariantError("chain dimensions must strictly increase")
         slope = SlopeValue(hi.phi - lo.phi, hi.dim - lo.dim)
         steps.append(ChainStep(_frak(model, lo, hi, profiles[i], profiles[i + 1]), slope))
     for i in range(len(steps) - 1):
         if compare_slopes(model, steps[i].slope, steps[i + 1].slope) <= 0:
-            raise AssertionError("chain slopes must strictly decrease")
+            raise InternalInvariantError("chain slopes must strictly decrease")
     return Chain(tuple(nodes), tuple(steps))
 
 
@@ -266,12 +271,13 @@ def _build_chain_fast(model: GroupModel) -> Chain:
             )
             vertex = closure(model, model.prefix_lattice(j))
             if vertex.dim != d:
-                raise AssertionError("prefix closure has unexpected dimension")
+                raise InternalInvariantError("prefix closure has unexpected dimension")
             subgroups.append(vertex)
     return _assemble(model, subgroups)
 
 
 def _prefix_candidates(model: GroupModel):
+    """Distinct prefix closures (the zero subgroup first) and the full group."""
     seen = {}
     for j in range(model.l + 1):
         sub = closure(model, model.prefix_lattice(j))
@@ -281,11 +287,46 @@ def _prefix_candidates(model: GroupModel):
     return list(seen.values())
 
 
+def _greedy_tower(n, scales, info):
+    """The definitional construction over (candidate, PhiValue) pairs whose
+    values are exponent vectors over `scales`, with the zero subgroup first:
+    from H_i pick the candidate of larger dimension with maximal slope,
+    breaking ties by maximal dimension, until dimension n.  Returns the
+    positions of the tower members in `info`.  Raises AmbiguousCandidates
+    when two distinct subgroups survive both criteria, which would contradict
+    uniqueness and must reach the caller."""
+    tower = [0]
+    while info[tower[-1]][0].dim < n:
+        current, current_phi = info[tower[-1]]
+        best = []
+        best_slope = None
+        for pos, (cand, cand_phi) in enumerate(info):
+            if cand.dim <= current.dim:
+                continue
+            slope = SlopeValue(cand_phi - current_phi, cand.dim - current.dim)
+            if best_slope is None:
+                best, best_slope = [pos], slope
+                continue
+            cmp = _slope_cmp(scales, slope, best_slope)
+            if cmp > 0:
+                best, best_slope = [pos], slope
+            elif cmp == 0:
+                best.append(pos)
+        dmax = max(info[pos][0].dim for pos in best)
+        top = [pos for pos in best if info[pos][0].dim == dmax]
+        lattices = [info[pos][0].coeff.rows for pos in top]
+        if len(set(lattices)) > 1:
+            raise AmbiguousCandidates(
+                "two distinct maximal-dimension slope maximizers", lattices[0], lattices[1]
+            )
+        tower.append(top[0])
+    return tower
+
+
 def build_chain_greedy(model: GroupModel, extra_candidates=()) -> Chain:
-    """The definitional construction: from H_i pick the candidate of larger
-    dimension with maximal slope, breaking ties by maximal dimension.  Raises
-    AmbiguousCandidates when two distinct subgroups survive both criteria,
-    which would contradict uniqueness and must reach the caller."""
+    """The greedy maximal-slope tower over the prefix closures, the full
+    group and `extra_candidates`; raises AmbiguousCandidates as
+    `_greedy_tower` does."""
     candidates = _prefix_candidates(model)
     for sub in extra_candidates:
         if all(
@@ -293,37 +334,7 @@ def build_chain_greedy(model: GroupModel, extra_candidates=()) -> Chain:
         ):
             candidates.append(sub)
     info = [(c, phi(model, c)) for c in candidates]
-
-    current = model.zero_subgroup()
-    current_phi = phi(model, current)
-    subgroups = [current]
-    while current.dim < model.n:
-        best = []
-        best_slope = None
-        for cand, cand_phi in info:
-            if cand.dim <= current.dim:
-                continue
-            slope = SlopeValue(cand_phi - current_phi, cand.dim - current.dim)
-            if best_slope is None:
-                best, best_slope = [(cand, cand_phi)], slope
-                continue
-            cmp = compare_slopes(model, slope, best_slope)
-            if cmp > 0:
-                best, best_slope = [(cand, cand_phi)], slope
-            elif cmp == 0:
-                best.append((cand, cand_phi))
-        dmax = max(c.dim for c, _ in best)
-        top = [(c, p) for c, p in best if c.dim == dmax]
-        distinct = {(c.dim, c.coeff.rows) for c, _ in top}
-        if len(distinct) > 1:
-            raise AmbiguousCandidates(
-                "two distinct maximal-dimension slope maximizers",
-                top[0][0].coeff.rows,
-                top[1][0].coeff.rows,
-            )
-        current, current_phi = top[0]
-        subgroups.append(current)
-    return _assemble(model, subgroups)
+    return _assemble(model, [candidates[i] for i in _greedy_tower(model.n, model.scales, info)])
 
 
 def build_chain(model: GroupModel) -> Chain:
@@ -613,25 +624,10 @@ def phi_st(model: GroupModel, subgroup: Subgroup, derivations, t_orders) -> PhiS
     if t_orders and t_orders[-1] < 1:
         raise InvalidScale("derivation orders must be >= 1")
 
-    def to_matrix(vecs):
-        if model.m == 0:
-            return [[as_fraction(x) for x in v] for v in vecs]
-        out = []
-        for v in vecs:
-            out.append(
-                [
-                    x if isinstance(x, Poly)
-                    else x.to_poly(model.m) if isinstance(x, SymbolicScalar)
-                    else Poly.const(x, model.m)
-                    for x in v
-                ]
-            )
-        return out
-
-    span_rows = to_matrix(subgroup.span) if subgroup.dim < model.n else None
+    span_rows = model.point_matrix(subgroup.span) if subgroup.dim < model.n else None
     inter_dims = [0]
     for j in range(1, len(rows) + 1):
-        w = to_matrix(rows[:j])
+        w = model.point_matrix(rows[:j])
         rank_w = linalg.rank(w)
         if subgroup.dim == model.n:
             inter = rank_w
@@ -671,45 +667,13 @@ def build_chain_st(model: GroupModel, derivations, t_orders, experimental=False)
         )
     rows = _flag_rows(model, derivations)
     t_orders = tuple(as_fraction(t) for t in t_orders)
-    scales_ext = model.scales + t_orders
     candidates = _prefix_candidates(model)
-    info = [(c, phi_st(model, c, rows, t_orders)) for c in candidates]
-
-    def combined(v: PhiST):
-        return PhiValue(v.s_exponents + v.t_exponents)
-
-    current = model.zero_subgroup()
-    current_val = combined(phi_st(model, current, rows, t_orders))
-    nodes = [STNode(current, 0, phi_st(model, current, rows, t_orders))]
-    while current.dim < model.n:
-        best = []
-        best_slope = None
-        for cand, val in info:
-            if cand.dim <= current.dim:
-                continue
-            slope = SlopeValue(combined(val) - current_val, cand.dim - current.dim)
-            if best_slope is None:
-                best, best_slope = [(cand, val)], slope
-                continue
-            diff = slope.numerator.scaled(best_slope.denominator) - best_slope.numerator.scaled(slope.denominator)
-            cmp = phi_sign(scales_ext, diff)
-            if cmp > 0:
-                best, best_slope = [(cand, val)], slope
-            elif cmp == 0:
-                best.append((cand, val))
-        dmax = max(c.dim for c, _ in best)
-        top = [(c, v) for c, v in best if c.dim == dmax]
-        distinct = {(c.dim, c.coeff.rows) for c, _ in top}
-        if len(distinct) > 1:
-            raise AmbiguousCandidates(
-                "two distinct maximal-dimension slope maximizers",
-                top[0][0].coeff.rows,
-                top[1][0].coeff.rows,
-            )
-        cand, val = top[0]
-        current, current_val = cand, combined(val)
-        nodes.append(STNode(cand, cand.dim, val))
-    return STChain(tuple(nodes))
+    values = [phi_st(model, c, rows, t_orders) for c in candidates]
+    info = [
+        (c, PhiValue(v.s_exponents + v.t_exponents)) for c, v in zip(candidates, values)
+    ]
+    tower = _greedy_tower(model.n, model.scales + t_orders, info)
+    return STChain(tuple(STNode(candidates[i], candidates[i].dim, values[i]) for i in tower))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gamma import card_mod, counting_check, enumerate_gamma
 from .locus import eval_rank, locus_probe, threshold_sweep
-from .model import GroupModel, ModelConfig, build_model, closure
+from .model import GroupModel, ModelConfig, _parse_coordinate, build_model, closure
 from .polys import SymbolicScalar, as_fraction
 
 SCHEMA = "slopechain-report/1"
@@ -88,6 +88,17 @@ def _exact(name, value):
         _fail(name, str(exc))
 
 
+def _exact_list(name, value):
+    if not isinstance(value, list):
+        _fail(name, "must be a list of rationals")
+    return [_exact(name, v) for v in value]
+
+
+def _is_int(value):
+    """A JSON integer; true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_config(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
@@ -102,34 +113,35 @@ def parse_config(text: str) -> RunConfig:
     for required in ("n", "generators", "scales"):
         if required not in raw:
             _fail(required, "missing required key")
-    if not isinstance(raw["n"], int):
+    if not _is_int(raw["n"]):
         _fail("n", "must be an integer")
-    symbols = tuple(raw.get("symbols", ()))
+    symbols = raw.get("symbols", [])
+    if not isinstance(symbols, list) or not all(isinstance(t, str) for t in symbols):
+        _fail("symbols", "must be a list of names")
     generators = raw["generators"]
     if not isinstance(generators, list) or not all(isinstance(g, list) for g in generators):
         _fail("generators", "must be a list of coordinate lists")
-    scales = [_exact("scales", s) for s in raw["scales"]]
     model_cfg = ModelConfig(
         n=raw["n"],
-        generators=tuple(tuple(g) for g in generators),
-        scales=tuple(scales),
-        symbols=symbols,
+        generators=tuple(tuple(_parse_coordinate(c) for c in g) for g in generators),
+        scales=tuple(_exact_list("scales", raw["scales"])),
+        symbols=tuple(symbols),
     )
 
     cfg = RunConfig(model=model_cfg)
     if "T" in raw:
-        if not isinstance(raw["T"], int) or raw["T"] < 1:
+        if not _is_int(raw["T"]) or raw["T"] < 1:
             _fail("T", "must be an integer >= 1")
         cfg.T = raw["T"]
     if "D" in raw:
-        if not isinstance(raw["D"], int) or raw["D"] < 1:
+        if not _is_int(raw["D"]) or raw["D"] < 1:
             _fail("D", "must be an integer >= 1")
         cfg.D = raw["D"]
     if "D_range" in raw:
         rng = raw["D_range"]
         if (
             not isinstance(rng, list) or len(rng) != 2
-            or not all(isinstance(x, int) for x in rng) or rng[0] < 1 or rng[1] < rng[0]
+            or not all(_is_int(x) for x in rng) or rng[0] < 1 or rng[1] < rng[0]
         ):
             _fail("D_range", "must be [lo, hi] with 1 <= lo <= hi")
         cfg.D_range = (rng[0], rng[1])
@@ -139,7 +151,7 @@ def parse_config(text: str) -> RunConfig:
             _fail("epsilon", f"must lie strictly between 0 and 1, got {eps}")
         cfg.epsilon = eps
     if "seed" in raw:
-        if not isinstance(raw["seed"], int) or not -(2 ** 63) <= raw["seed"] < 2 ** 64:
+        if not _is_int(raw["seed"]) or not -(2 ** 63) <= raw["seed"] < 2 ** 64:
             _fail("seed", "must be a 64-bit integer")
         cfg.seed = raw["seed"]
     if "limits" in raw:
@@ -148,7 +160,7 @@ def parse_config(text: str) -> RunConfig:
         for key, value in raw["limits"].items():
             if key not in _LIMIT_KEYS:
                 _fail(f"limits.{key}", "unknown limit")
-            if not isinstance(value, int) or value <= 0:
+            if not _is_int(value) or value <= 0:
                 _fail(f"limits.{key}", "must be a positive integer")
             setattr(cfg.limits, key, value)
     if "lambda" in raw:
@@ -157,7 +169,7 @@ def parse_config(text: str) -> RunConfig:
             _fail("lambda", "must be positive")
         cfg.lam = lam
     if "lambdas" in raw:
-        vals = [_exact("lambdas", v) for v in raw["lambdas"]]
+        vals = _exact_list("lambdas", raw["lambdas"])
         if not vals or any(v <= 0 for v in vals):
             _fail("lambdas", "must be a non-empty list of positive rationals")
         cfg.lambdas = tuple(vals)
@@ -165,7 +177,7 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             rows = raw[key]
             if not isinstance(rows, list) or not all(
-                isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows
+                isinstance(r, list) and all(_is_int(x) for x in r) for r in rows
             ):
                 _fail(key, "must be a list of integer vectors")
             setattr(cfg, key, tuple(tuple(r) for r in rows))
@@ -175,7 +187,7 @@ def parse_config(text: str) -> RunConfig:
                 _fail(key, "must be a path string")
             setattr(cfg, key, raw[key])
 
-    cfg.echo = _echo_config(raw)
+    cfg.echo = _echo_config(raw, model_cfg)
     return cfg
 
 
@@ -190,7 +202,7 @@ def _scalar_json(value):
     return str(as_fraction(value))
 
 
-def _echo_config(raw):
+def _echo_config(raw, model_cfg):
     echo = {}
     for key, value in raw.items():
         if key in ("scales", "lambdas"):
@@ -198,22 +210,10 @@ def _echo_config(raw):
         elif key in ("epsilon", "lambda"):
             echo[key] = str(_exact(key, value))
         elif key == "generators":
-            echo[key] = [
-                [_scalar_json(_coerce_scalar(c)) for c in gen] for gen in value
-            ]
+            echo[key] = [[_scalar_json(c) for c in gen] for gen in model_cfg.generators]
         else:
             echo[key] = value
     return echo
-
-
-def _coerce_scalar(c):
-    if isinstance(c, dict):
-        return SymbolicScalar(
-            c.get("const", 0),
-            {int(k[1:]) if isinstance(k, str) else int(k): as_fraction(v)
-             for k, v in (c.get("coeffs") or {}).items()},
-        )
-    return SymbolicScalar(c)
 
 
 def _point_json(point):

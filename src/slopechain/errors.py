@@ -29,6 +29,11 @@ class IndexOutOfRange(SlopechainError, IndexError):
     pass
 
 
+class InternalInvariantError(SlopechainError):
+    """An internal self-check failed: two routes to the same exact quantity
+    disagree.  Always a bug in the package, never a property of the input."""
+
+
 class AmbiguousCandidates(SlopechainError):
     """Two distinct maximal-dimension slope maximizers; the candidate set is
     inconsistent with chain uniqueness and the caller must see the witnesses."""

@@ -61,33 +61,33 @@ def enumerate_gamma(model: GroupModel, lam=Fraction(1), limit=10 ** 7) -> GammaS
         raise EnumerationTooLarge(
             f"box of {size} tuples exceeds the limit {limit}"
         )
-    kernel = model.kernel_lattice()
-    seen = {}
-    for witness in product(*(range(-b, b + 1) for b in bounds)):
-        rep = kernel.reduce(witness)
-        if rep not in seen:
-            seen[rep] = witness
-    entries = tuple(
-        (rep, witness, model.point_of(witness))
-        for rep, witness in sorted(seen.items())
-    )
-    return GammaSet(lam, model.scales, entries)
+    return _gamma_set(model, lam, product(*(range(-b, b + 1) for b in bounds)))
 
 
 def gamma_from_vectors(model: GroupModel, vectors, lam=Fraction(1)) -> GammaSet:
     """Build a GammaSet from explicit coefficient tuples (mostly for tests)."""
-    kernel = model.kernel_lattice()
+    witnesses = (tuple(int(x) for x in v) for v in vectors)
+    return _gamma_set(model, as_fraction(lam), witnesses)
+
+
+def _first_witnesses(model: GroupModel, witnesses) -> dict:
+    """{canonical representative mod iota^{-1}(0): first witness reducing
+    to it}, so each group point is kept once with its first witness."""
+    reduce = model.kernel_lattice().reduce
     seen = {}
-    for witness in vectors:
-        witness = tuple(int(x) for x in witness)
-        rep = kernel.reduce(witness)
+    for witness in witnesses:
+        rep = reduce(witness)
         if rep not in seen:
             seen[rep] = witness
+    return seen
+
+
+def _gamma_set(model: GroupModel, lam, witnesses) -> GammaSet:
     entries = tuple(
         (rep, witness, model.point_of(witness))
-        for rep, witness in sorted(seen.items())
+        for rep, witness in sorted(_first_witnesses(model, witnesses).items())
     )
-    return GammaSet(as_fraction(lam), model.scales, entries)
+    return GammaSet(lam, model.scales, entries)
 
 
 def card_mod(model: GroupModel, omega: GammaSet, h_prime: Subgroup, h_dprime: Subgroup) -> int:
@@ -125,27 +125,20 @@ def combine(model: GroupModel, omega: GammaSet, count: int, mode: str, limit=10 
     n_sums = math.comb(base + count - 1, count) if base else 0
     if n_sums > limit:
         raise EnumerationTooLarge(f"{n_sums} sums exceed the limit {limit}")
-    kernel = model.kernel_lattice()
-    sums = {}
-    for combo in combinations_with_replacement(omega.witnesses, count):
-        total = tuple(sum(col) for col in zip(*combo)) if combo else ()
-        rep = kernel.reduce(total)
-        if rep not in sums:
-            sums[rep] = total
-    if mode == "sumset":
-        return tuple(model.point_of(w) for _, w in sorted(sums.items()))
-    if len(sums) ** 2 > limit:
-        raise EnumerationTooLarge(
-            f"{len(sums) ** 2} differences exceed the limit {limit}"
-        )
-    diffs = {}
-    for wa in sums.values():
-        for wb in sums.values():
-            d = tuple(a - b for a, b in zip(wa, wb))
-            rep = kernel.reduce(d)
-            if rep not in diffs:
-                diffs[rep] = d
-    return tuple(model.point_of(w) for _, w in sorted(diffs.items()))
+    sums = _first_witnesses(model, (
+        tuple(sum(col) for col in zip(*combo))
+        for combo in combinations_with_replacement(omega.witnesses, count)
+    ))
+    if mode == "diffset":
+        if len(sums) ** 2 > limit:
+            raise EnumerationTooLarge(
+                f"{len(sums) ** 2} differences exceed the limit {limit}"
+            )
+        kept = list(sums.values())
+        sums = _first_witnesses(model, (
+            tuple(a - b for a, b in zip(wa, wb)) for wa in kept for wb in kept
+        ))
+    return tuple(model.point_of(w) for _, w in sorted(sums.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import InternalInvariantError
 from .polys import Poly
 
 
@@ -82,9 +83,7 @@ def rank(rows) -> int:
 
 
 def _poly_entry(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly.const(x, 0) if not isinstance(x, Poly) else x
+    return x if isinstance(x, Poly) else Poly.const(x, 0)
 
 
 def _bareiss(rows):
@@ -124,61 +123,44 @@ def poly_rank(rows) -> int:
     return len(_bareiss(rows)[1])
 
 
-def _det_expand(rows) -> Poly:
-    n = len(rows)
-    if n == 0:
-        return Poly.const(1, 0)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Poly()
-    sign = 1
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry.is_zero():
-            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-            term = entry * _det_expand(minor)
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
-
-
 def poly_nullspace(rows):
-    """Basis of the right kernel of a polynomial matrix, via Cramer minors.
+    """Basis of the right kernel of a polynomial matrix, one vector per free
+    column, by fraction-free back substitution on the Bareiss echelon.
 
-    Vectors are polynomial (a common multiplier det(pivot block) clears the
-    fraction field); each is checked to annihilate every row.
+    The free entry is the last Bareiss pivot, the determinant of the pivot
+    block, so by Cramer's rule every pivot entry is a polynomial and each
+    back-substitution division is exact; the last pivot row needs none, its
+    pivot being that determinant.  Each vector is checked to annihilate
+    every row.
     """
     rows = [[_poly_entry(e) for e in row] for row in rows]
     if not rows:
         return []
     ncols = len(rows[0])
-    _, pivots = _bareiss(rows)
-    pivot_rows = [r for r, _ in pivots]
-    pivot_cols = [c for _, c in pivots]
-    pivot_col_set = set(pivot_cols)
-    block = [[rows[r][c] for c in pivot_cols] for r in pivot_rows]
-    d = _det_expand(block)
+    echelon, pivots = _bareiss(rows)
+    pivot_cols = {c for _, c in pivots}
+    det = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else Poly.const(1, 0)
     basis = []
     for free in range(ncols):
-        if free in pivot_col_set:
+        if free in pivot_cols:
             continue
         vec = [Poly() for _ in range(ncols)]
-        vec[free] = d
-        for i in range(len(pivot_cols)):
-            col = [[-rows[r][free]] for r in pivot_rows]
-            replaced = [
-                [block[a][b] if b != i else col[a][0] for b in range(len(pivot_cols))]
-                for a in range(len(pivot_rows))
-            ]
-            vec[pivot_cols[i]] = _det_expand(replaced)
+        vec[free] = det
+        if pivots:
+            r, c = pivots[-1]
+            vec[c] = -echelon[r][free]
+        for r, c in reversed(pivots[:-1]):
+            acc = Poly()
+            for e, v in zip(echelon[r][c + 1:], vec[c + 1:]):
+                if not (e.is_zero() or v.is_zero()):
+                    acc = acc + e * v
+            vec[c] = (-acc).exact_div(echelon[r][c])
         for row in rows:
             acc = Poly()
             for e, v in zip(row, vec):
                 acc = acc + e * v
             if not acc.is_zero():
-                raise AssertionError("poly_nullspace produced a non-kernel vector")
+                raise InternalInvariantError("poly_nullspace produced a non-kernel vector")
         basis.append(tuple(vec))
     return basis
 

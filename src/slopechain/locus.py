@@ -24,6 +24,7 @@ from . import linalg
 from .chain import Chain, RootedRational
 from .errors import (
     CertificateViolation,
+    InternalInvariantError,
     MatrixTooLarge,
     SamplingExhausted,
     SymbolicModelNotSpecialized,
@@ -138,7 +139,7 @@ def kernel_basis(model: GroupModel, points, order: int, degree: int,
     for vec in vectors:
         for row in jm.rows:
             if sum(a * b for a, b in zip(row, vec)):
-                raise AssertionError("kernel vector fails a jet constraint")
+                raise InternalInvariantError("kernel vector fails a jet constraint")
     return KernelBasis(jm.basis, jm.points, order, degree, tuple(vectors))
 
 
@@ -298,7 +299,7 @@ class _ProbeSamples:
 
         self.lower = []
         self.upper = []
-        for node_idx, sub in enumerate(s.subgroup for s in _chain_nodes(chain)):
+        for node_idx, sub in enumerate(node.subgroup for node in chain.nodes):
             span_rows = [[as_fraction(c) for c in p] for p in sub.span]
             pts = []
             for _ in range(samples):
@@ -337,46 +338,57 @@ class _ProbeSamples:
             self.upper.append(tuple(outside))
 
 
-def _chain_nodes(chain: Chain):
-    return chain.nodes
+def _witness(kernel, points, inside_wanted, memory, key):
+    """The first sample whose base-locus membership is not `inside_wanted`,
+    or None.  Without `memory` it stops at that witness; with it (a sweep's
+    record of earlier memberships, by `key` and sample position) it
+    evaluates every sample and checks that none re-enters the base locus."""
+    witness = None
+    for p_idx, p in enumerate(points):
+        inside = in_base_locus(kernel, p)
+        if memory is not None:
+            if memory.get(key + (p_idx,)) is False and inside:
+                raise CertificateViolation(
+                    "locus_monotonicity",
+                    f"point re-entered the base locus at D={kernel.degree}",
+                )
+            memory[key + (p_idx,)] = inside
+        if inside != inside_wanted and witness is None:
+            witness = p
+            if memory is None:
+                break
+    return witness
+
+
+def _probe(sampler, chain, kernel, memory):
+    """One LocusEntry per chain index, from the sampler's fixed points."""
+    entries = []
+    for idx, node in enumerate(chain.nodes):
+        lower_witness = _witness(kernel, sampler.lower[idx], True, memory, ("lower", idx))
+        outside = sampler.upper[idx]
+        if outside is None:
+            upper, upper_witness = None, None
+        else:
+            upper_witness = _witness(kernel, outside, False, memory, ("upper", idx))
+            upper = upper_witness is None
+        entries.append(LocusEntry(
+            idx, node.dim, lower_witness is None, upper, lower_witness, upper_witness,
+            0 if outside is None else len(outside),
+        ))
+    return tuple(entries)
 
 
 def locus_probe(model: GroupModel, chain: Chain, order: int, degree: int,
                 epsilon, samples=100, seed=0, limit=10 ** 6,
-                enum_limit=10 ** 7, _samples_cache=None):
+                enum_limit=10 ** 7):
     """Verdict pair per chain index i: whether every sampled point of
     Gamma((1-eps)S) + H_i lies in the base locus, and whether every sampled
     point outside Gamma(S) + H_i lies outside it.  For the full group the
     upper test is vacuous and reported as None."""
     _require_rational(model)
-    sampler = _samples_cache or _ProbeSamples(model, chain, epsilon, samples, seed, enum_limit)
+    sampler = _ProbeSamples(model, chain, epsilon, samples, seed, enum_limit)
     kernel = kernel_basis(model, sampler.omega.points, order, degree, limit)
-    entries = []
-    for idx, node in enumerate(chain.nodes):
-        lower_witness = None
-        lower = True
-        for p in sampler.lower[idx]:
-            if not in_base_locus(kernel, p):
-                lower = False
-                lower_witness = p
-                break
-        if sampler.upper[idx] is None:
-            upper = None
-            upper_witness = None
-            n_outside = 0
-        else:
-            upper = True
-            upper_witness = None
-            n_outside = len(sampler.upper[idx])
-            for p in sampler.upper[idx]:
-                if in_base_locus(kernel, p):
-                    upper = False
-                    upper_witness = p
-                    break
-        entries.append(
-            LocusEntry(idx, node.dim, lower, upper, lower_witness, upper_witness, n_outside)
-        )
-    return tuple(entries)
+    return _probe(sampler, chain, kernel, None)
 
 
 def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
@@ -408,34 +420,9 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
                 "locus_monotonicity", f"nullity dropped at D={degree}"
             )
         prev_nullity = nullity
-        verdicts = []
-        for idx in range(len(chain.nodes)):
-            lower = True
-            for p_idx, p in enumerate(sampler.lower[idx]):
-                inside = in_base_locus(kernel, p)
-                key = ("lower", idx, p_idx)
-                if prev_members.get(key) is False and inside:
-                    raise CertificateViolation(
-                        "locus_monotonicity",
-                        f"point re-entered the base locus at D={degree}",
-                    )
-                prev_members[key] = inside
-                lower = lower and inside
-            if sampler.upper[idx] is None:
-                upper = None
-            else:
-                upper = True
-                for p_idx, p in enumerate(sampler.upper[idx]):
-                    inside = in_base_locus(kernel, p)
-                    key = ("upper", idx, p_idx)
-                    if prev_members.get(key) is False and inside:
-                        raise CertificateViolation(
-                            "locus_monotonicity",
-                            f"point re-entered the base locus at D={degree}",
-                        )
-                    prev_members[key] = inside
-                    upper = upper and not inside
-            verdicts.append((lower, upper))
+        verdicts = [
+            (e.lower, e.upper) for e in _probe(sampler, chain, kernel, prev_members)
+        ]
         both = [
             idx
             for idx, (lo, up) in enumerate(verdicts)

@@ -236,21 +236,28 @@ def _scalar_poly(x, m) -> Poly:
     return Poly.const(x, m)
 
 
-def _parse_coordinate(raw, m):
-    """Accept Fraction/int/"p/q"/SymbolicScalar/{"const":..,"coeffs":{..}}."""
+def _parse_coordinate(raw):
+    """Accept Fraction/int/"p/q"/SymbolicScalar/{"const":..,"coeffs":{"t<k>":..}}
+    with k >= 1; anything else is a ValidationError on "generators"."""
     if isinstance(raw, SymbolicScalar):
         return raw
-    if isinstance(raw, dict):
-        const = raw.get("const", 0)
-        coeffs = {}
-        for key, val in (raw.get("coeffs") or {}).items():
-            if isinstance(key, str):
-                if not key.startswith("t"):
-                    raise ValidationError("generators", f"bad symbol name {key!r}")
-                key = int(key[1:])
-            coeffs[int(key)] = as_fraction(val)
-        return SymbolicScalar(const, coeffs)
-    return SymbolicScalar(raw)
+    try:
+        if not isinstance(raw, dict):
+            return SymbolicScalar(raw)
+        coeffs = raw.get("coeffs") or {}
+        if not isinstance(coeffs, dict):
+            raise TypeError(f"coeffs must be an object, got {coeffs!r}")
+        parsed = {}
+        for key, val in coeffs.items():
+            index = key
+            if isinstance(key, str) and key[:1] == "t" and key[1:].isdigit():
+                index = int(key[1:])
+            if isinstance(index, bool) or not isinstance(index, int) or index < 1:
+                raise ValueError(f"bad symbol name {key!r}")
+            parsed[index] = as_fraction(val)
+        return SymbolicScalar(raw.get("const", 0), parsed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("generators", str(exc)) from None
 
 
 def build_model(config: ModelConfig, provenance=None) -> GroupModel:
@@ -267,7 +274,7 @@ def build_model(config: ModelConfig, provenance=None) -> GroupModel:
 
     gens = []
     for idx, gen in enumerate(config.generators):
-        coords = tuple(_parse_coordinate(c, m) for c in gen)
+        coords = tuple(_parse_coordinate(c) for c in gen)
         if len(coords) != n:
             raise DimensionMismatch(
                 f"generator {idx + 1} has {len(coords)} coordinates, expected {n}"
@@ -360,22 +367,6 @@ def _make_subgroup(model: GroupModel, dim: int, coeff_rows) -> Subgroup:
     return Subgroup(dim, Sublattice(model.l, tuple(coeff_rows)), tuple(span))
 
 
-def _closure_rational(model: GroupModel, image_rows) -> Subgroup:
-    n = model.n
-    rref, _ = linalg.rat_rref(image_rows, n)
-    dim = len(rref)
-    if dim == n:
-        return model.full_subgroup()
-    kernel_dirs = linalg.nullspace(rref, n)
-    cond = []
-    for w in kernel_dirs:
-        cond.append(
-            [sum(g * wi for g, wi in zip(gen, w)) for gen in model.generators]
-        )
-    coeff = linalg.right_kernel_rational(cond, model.l)
-    return _make_subgroup(model, dim, coeff)
-
-
 def _closure_symbolic(model: GroupModel, points) -> Subgroup:
     rows = model.point_matrix(points)
     dim = linalg.poly_rank(rows) if rows else 0
@@ -413,7 +404,7 @@ def closure(model: GroupModel, lattice) -> Subgroup:
             )
     points = [model.point_of(r) for r in rows]
     if model.m == 0:
-        return _closure_rational(model, [list(p) for p in points])
+        return _subgroup_from_echelon(model, linalg.rat_rref(points, model.n)[0])
     return _closure_symbolic(model, points)
 
 
@@ -508,6 +499,8 @@ def image_lines(model, height):
 
 
 def _subgroup_from_echelon(model, ech) -> Subgroup:
+    """The subgroup whose span has the echelon rows `ech` as a basis (a
+    rational RREF or a scaled integer echelon); rational models only."""
     dim = len(ech)
     if dim == model.n:
         return model.full_subgroup()
@@ -579,7 +572,3 @@ def span_contains(model: GroupModel, container: Subgroup, contained: Subgroup) -
         return True
     rows = model.point_matrix(container.span + contained.span)
     return linalg.rank(rows) == container.dim
-
-
-def subgroups_equal(model: GroupModel, a: Subgroup, b: Subgroup) -> bool:
-    return a.dim == b.dim and a.coeff == b.coeff

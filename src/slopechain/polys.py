@@ -20,13 +20,18 @@ Monomial = tuple[int, ...]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int / str("p/q") / Fraction to Fraction.  Floats are rejected."""
+    """Coerce int / str("p/q") / Fraction to Fraction.  Floats and bools are
+    rejected (TypeError), as are malformed strings and zero denominators
+    (ValueError)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 

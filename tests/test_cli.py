@@ -1,8 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from slopechain import cli
+from slopechain import cli, linalg, locus
 from slopechain.errors import CertificateViolation, ParseError, ValidationError
 
 
@@ -60,6 +61,46 @@ class TestParseConfig:
     def test_limit_validation(self):
         with pytest.raises(ValidationError):
             cli.parse_config(json.dumps(dict(BASE, limits={"sample_count": 0})))
+
+    @pytest.mark.parametrize("extra, field", [
+        pytest.param({"generators": [[1.5, "0"], ["0", "1"]]}, "generators", id="float"),
+        pytest.param({"generators": [[{"const": 1.5}, "0"], ["0", "1"]]}, "generators",
+                     id="float-const"),
+        pytest.param({"generators": [["abc", "0"], ["0", "1"]]}, "generators", id="word"),
+        pytest.param({"generators": [[{"coeffs": {"tt": 1}}, "0"], ["0", "1"]],
+                      "symbols": ["t1"]}, "generators", id="symbol-tt"),
+        pytest.param({"generators": [[{"coeffs": {"t0": 1}}, "0"], ["0", "1"]],
+                      "symbols": ["t1"]}, "generators", id="symbol-t0"),
+        pytest.param({"generators": [[{"coeffs": [1]}, "0"], ["0", "1"]]}, "generators",
+                     id="coeffs-list"),
+        pytest.param({"generators": [[True, "0"], ["0", "1"]]}, "generators",
+                     id="bool-coordinate"),
+        pytest.param({"scales": 3}, "scales", id="scales-number"),
+        pytest.param({"scales": ["1/0", 2]}, "scales", id="scales-zero-denominator"),
+        pytest.param({"scales": [True, 2]}, "scales", id="scales-bool"),
+        pytest.param({"symbols": 5}, "symbols", id="symbols-number"),
+        pytest.param({"lambdas": ["1/0"]}, "lambdas", id="lambdas-zero-denominator"),
+        pytest.param({"lambdas": "2"}, "lambdas", id="lambdas-string"),
+        pytest.param({"lambda": False}, "lambda", id="lambda-bool"),
+        pytest.param({"epsilon": "1/0"}, "epsilon", id="epsilon-zero-denominator"),
+        pytest.param({"epsilon": True}, "epsilon", id="epsilon-bool"),
+        pytest.param({"n": True}, "n", id="n-bool"),
+        pytest.param({"T": True}, "T", id="T-bool"),
+        pytest.param({"D_range": [True, 3]}, "D_range", id="D_range-bool"),
+        pytest.param({"seed": False}, "seed", id="seed-bool"),
+        pytest.param({"limits": {"sample_count": True}}, "limits.sample_count",
+                     id="limit-bool"),
+        pytest.param({"h_prime": [[True, 0]]}, "h_prime", id="lattice-bool"),
+    ])
+    def test_invalid_input_is_a_json_validation_error(self, tmp_path, capsys, extra, field):
+        with pytest.raises(ValidationError) as err:
+            cli.parse_config(json.dumps(dict(BASE, **extra)))
+        assert err.value.field == field
+        path = write_config(tmp_path, extra)
+        assert cli.run(["chain", "build", "-c", path]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "ValidationError"
+        assert error["message"].startswith(f"{field}: ")
 
 
 class TestCommands:
@@ -135,6 +176,18 @@ class TestCommands:
         assert lines[0] == "dim,phi_approx,e_1,e_2"
         assert lines[1].startswith("0,") and lines[3].startswith("2,")
 
+    def test_symbolic_chain_with_zero_generator_matches_rational(self, tmp_path):
+        gens = {"generators": [[0, 0], [1, 0], [-1, 1]], "scales": ["15", "13", "2"]}
+        rational = write_config(tmp_path, gens, name="rational.json")
+        symbolic = write_config(tmp_path, dict(gens, symbols=["t1"]), name="symbolic.json")
+        _, want = run_to_file(tmp_path, ["chain", "build", "-c", rational], name="a.txt")
+        code, got = run_to_file(tmp_path, ["chain", "build", "-c", symbolic], name="b.txt")
+        assert code == 0
+        nodes = json.loads(got)["chain"]["nodes"]
+        assert nodes == json.loads(want)["chain"]["nodes"]
+        assert nodes[1]["dim"] == 1
+        assert nodes[1]["coeff_lattice"] == [[1, 0, 0], [0, 1, 0]]
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)
         code, body = run_to_file(tmp_path, ["mu", "-c", cfg, "--seed", "77"])
@@ -180,6 +233,20 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "chi_positive"
+
+    def test_internal_self_check_maps_to_one(self, tmp_path, monkeypatch, capsys):
+        # the jet lab's own linalg reference returns a non-kernel vector
+        def bogus_kernel(rows, ncols):
+            return [tuple([1] * ncols)]
+        monkeypatch.setattr(
+            locus, "linalg", SimpleNamespace(**dict(vars(linalg), nullspace=bogus_kernel))
+        )
+        cfg = write_config(tmp_path)
+        code = cli.run(["locus", "probe", "-c", cfg])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "InternalInvariantError"
+        assert "jet constraint" in error["message"]
 
     def test_validation_error_maps_to_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

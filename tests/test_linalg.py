@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from slopechain import linalg
 from slopechain.polys import Poly
 
@@ -75,6 +77,38 @@ class TestPolyNullspace:
         basis = linalg.poly_nullspace(m)
         assert len(basis) == 2
         for vec in basis:
+            for row in m:
+                acc = Poly()
+                for e, v in zip(row, vec):
+                    acc = acc + e * v
+                assert acc.is_zero()
+
+    def test_dependent_row_before_pivot_row(self):
+        # Bareiss swaps the zero row below the pivot row; the kernel is the
+        # line spanned by (0, 1), never the zero vector
+        (vec,) = linalg.poly_nullspace([[0, 0], [1, 0]])
+        assert vec[0].is_zero() and not vec[1].is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_kernel_basis_properties(self, data):
+        # entries a + b*t1; zero rows and zero leading columns force swaps
+        nrows = data.draw(st.integers(1, 4))
+        ncols = data.draw(st.integers(1, 4))
+        affine = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        m = []
+        for _ in range(nrows):
+            entries = data.draw(st.lists(affine, min_size=ncols, max_size=ncols))
+            row = [P(a) + T * b for a, b in entries]
+            if data.draw(st.booleans()):
+                row[0] = Poly()
+            if data.draw(st.integers(0, 4)) == 0:
+                row = [Poly() for _ in range(ncols)]
+            m.append(row)
+        basis = linalg.poly_nullspace(m)
+        assert len(basis) == ncols - linalg.poly_rank(m)
+        for vec in basis:
+            assert any(not v.is_zero() for v in vec)
             for row in m:
                 acc = Poly()
                 for e, v in zip(row, vec):
