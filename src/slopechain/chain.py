@@ -433,7 +433,6 @@ class VerifyOptions:
     random_count: int = 0
     seed: int = 0
     alphas: tuple[int, ...] = (2, 3)
-    max_candidates: int | None = None
 
 
 def _chi(dim_k: int, phi_k: PhiValue, lo: ChainNode, hi: ChainNode) -> PhiValue:
@@ -475,7 +474,7 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     models, a candidate family the prefix-closure construction missed.
     """
     options = options or VerifyOptions()
-    pool = list(enumerate_closures(model, options.height, options.max_candidates))
+    pool = list(enumerate_closures(model, options.height))
     pool.extend(_random_lattice_closures(model, options))
     pool.extend(chain.subgroups)
     pool.append(model.full_subgroup())
@@ -488,7 +487,6 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
 
     checks = []
     equality_witnesses = []
-    psi_ok = True
     for key, cand in sorted(candidates.items()):
         profile = rank_profile(model, cand)
         phi_k = phi_from_profile(model, profile)
@@ -524,7 +522,6 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
                 equality_witnesses.append((i, key[1]))
         for idx, (ck, cp) in enumerate(zip(chain_keys, chain_profiles)):
             if profile == cp and key != ck:
-                psi_ok = False
                 raise CertificateViolation(
                     "psi_injectivity",
                     f"candidate {key[1]} shares the rank profile of chain "
@@ -581,7 +578,7 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
         candidates=tuple(checks),
         equality_witnesses=tuple(equality_witnesses),
         scaling_alphas=tuple(options.alphas),
-        psi_injective=psi_ok,
+        psi_injective=True,
         telescoping_ok=True,
         slopes_strictly_decreasing=True,
     )

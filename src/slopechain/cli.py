@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
@@ -27,6 +27,7 @@ from .chain import (
 )
 from .errors import (
     CertificateViolation,
+    EnumerationTooLarge,
     ParseError,
     SlopechainError,
     ValidationError,
@@ -44,10 +45,6 @@ _TOP_KEYS = {
     "lambda", "lambdas", "h_prime", "h_dprime",
     "out", "csv_out",
 }
-_LIMIT_KEYS = {
-    "enumeration_max", "matrix_max", "candidate_height",
-    "random_candidates", "sample_count",
-}
 
 
 @dataclass
@@ -57,6 +54,9 @@ class Limits:
     candidate_height: int = 2
     random_candidates: int = 0
     sample_count: int = 100
+
+
+_LIMIT_KEYS = {f.name for f in fields(Limits)}
 
 
 @dataclass
@@ -251,9 +251,15 @@ def _cmd_chain_build(cfg, model):
 
 
 def _cmd_chain_verify(cfg, model):
+    height, limit = cfg.limits.candidate_height, cfg.limits.enumeration_max
+    box = (2 * height + 1) ** model.l
+    if box > limit:
+        raise EnumerationTooLarge(
+            f"{box} candidate vectors of height {height} exceed the limit {limit}"
+        )
     chain = build_chain(model)
     options = VerifyOptions(
-        height=cfg.limits.candidate_height,
+        height=height,
         random_count=cfg.limits.random_candidates,
         seed=cfg.seed,
     )

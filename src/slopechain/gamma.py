@@ -317,7 +317,6 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
                 best = e.ratio
         return best
 
-    ok = True
     base_upper, base_lower = per_alpha[1]
     pow_upper, pow_lower = per_alpha[scale_factor]
     for i in base_upper:
@@ -326,7 +325,6 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
         if a is None or b is None:
             continue
         if _compare_scaled(b, bracket, a) > 0 or _compare_scaled(a, bracket, b) > 0:
-            ok = False
             raise CertificateViolation(
                 "distribution_bracket",
                 f"upper ratio at step {i} moved beyond the bracket {bracket}",
@@ -343,7 +341,6 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
                 step=i,
             )
         if _compare_scaled(b, bracket, a) > 0 or _compare_scaled(a, bracket, b) > 0:
-            ok = False
             raise CertificateViolation(
                 "distribution_bracket",
                 f"lower ratio at step {i} moved beyond the bracket {bracket}",
@@ -353,5 +350,5 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
         upper={alpha: per_alpha[alpha][0] for alpha in alphas},
         lower={alpha: per_alpha[alpha][1] for alpha in alphas},
         bracket=bracket,
-        bracket_ok=ok,
+        bracket_ok=True,
     )

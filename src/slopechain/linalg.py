@@ -1,6 +1,8 @@
 """Exact dense linear algebra over Q and Q[t1..tm], and integer row lattices.
 
-Matrices are sequences of rows.  Rational routines use Fractions; polynomial
+Matrices are sequences of rows.  Rational routines share one fraction-free
+integer echelon (`_echelon_insert`): rows are cleared of denominators, and
+Fractions appear only when the RREF is read off the echelon.  Polynomial
 routines use fraction-free (Bareiss) elimination so intermediate entries stay
 polynomial.  Lattice routines return canonical row-style Hermite normal forms
 (pivots positive, entries above a pivot reduced into [0, pivot), zero rows
@@ -21,29 +23,51 @@ from .polys import Poly
 # rational matrices
 
 
+def _echelon_insert(rows, vec):
+    """Insert an integer vector into a canonical integer echelon (scaled RREF:
+    pivot columns strictly increasing, each row primitive with positive lead,
+    pivot columns eliminated everywhere else).  None if dependent.
+
+    All arithmetic is fraction-free, which is what makes exhaustive span
+    enumeration affordable; it is the one elimination over Q, and rat_rref
+    reads the RREF off it.
+    """
+    v = list(vec)
+    for row in rows:
+        c = next(j for j, x in enumerate(row) if x)
+        if v[c]:
+            f, g = row[c], v[c]
+            v = [f * a - g * b for a, b in zip(v, row)]
+    if not any(v):
+        return None
+    v = primitive(v)
+    lead = next(j for j, x in enumerate(v) if x)
+    out = []
+    for row in rows:
+        if row[lead]:
+            f, g = v[lead], row[lead]
+            row = primitive([f * a - g * b for a, b in zip(row, v)])
+        out.append(row)
+    out.append(v)
+    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
+    return tuple(out)
+
+
 def rat_rref(rows, ncols):
-    """Reduced row echelon form over Q.  Returns (rref rows, pivot columns)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in work[:r]], tuple(pivots)
+    """Reduced row echelon form over Q of rows of ints or Fractions.  Returns
+    (rref rows, pivot columns).
+
+    Each row is cleared of denominators and folded into the integer echelon;
+    the RREF is canonical, so dividing each echelon row by its pivot gives it.
+    """
+    ech = ()
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        cleared = [x.numerator * (scale // x.denominator) for x in row]
+        ech = _echelon_insert(ech, cleared) or ech
+    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in ech)
+    rref = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ech, pivots)]
+    return rref, pivots
 
 
 def rat_rank(rows, ncols) -> int:
@@ -234,51 +258,11 @@ def left_kernel_rational(rows, ncols):
     cleared = []
     mults = []
     for c in range(ncols):
-        mult = lcm(*(Fraction(row[c]).denominator for row in rows)) if rows else 1
+        mult = lcm(*(Fraction(row[c]).denominator for row in rows))
         mults.append(mult)
     for row in rows:
         cleared.append([int(Fraction(x) * mult) for x, mult in zip(row, mults)])
     return left_kernel(cleared, ncols)
-
-
-def right_kernel_rational(rows, ncols):
-    """HNF basis of {v in Z^ncols : A v = 0} for a rational matrix A."""
-    if not rows:
-        return tuple(tuple(r) for r in _ident(ncols))
-    transposed = [[rows[i][c] for i in range(len(rows))] for c in range(ncols)]
-    return left_kernel_rational(transposed, len(rows))
-
-
-def saturate(rows, ncols):
-    """HNF basis of (row-span over Q) intersect Z^ncols."""
-    rows = [list(row) for row in rows]
-    if not rows:
-        return ()
-    kernel = nullspace(rows, ncols)     # right kernel over Q
-    if not kernel:
-        return tuple(tuple(r) for r in _ident(ncols))
-    # v lies in the rational row span iff v is orthogonal to the right kernel.
-    cols = [[vec[i] for vec in kernel] for i in range(ncols)]
-    return left_kernel_rational(cols, len(kernel))
-
-
-def lattice_intersect(rows_a, rows_b, ncols):
-    """HNF basis of the intersection of two integer row lattices."""
-    rows_a = [tuple(r) for r in rows_a]
-    rows_b = [tuple(r) for r in rows_b]
-    if not rows_a or not rows_b:
-        return ()
-    stacked = rows_a + rows_b
-    combos = left_kernel(stacked, ncols)
-    gens = []
-    for combo in combos:
-        vec = [0] * ncols
-        for coeff, row in zip(combo[: len(rows_a)], rows_a):
-            if coeff:
-                for j in range(ncols):
-                    vec[j] += coeff * row[j]
-        gens.append(vec)
-    return hnf(gens, ncols)
 
 
 def lattice_contains(hnf_rows, vector) -> bool:
@@ -296,30 +280,6 @@ def lattice_reduce(hnf_rows, vector):
             for j in range(c, len(vec)):
                 vec[j] -= q * row[j]
     return tuple(vec)
-
-
-def prefix_sublattice(hnf_rows, ncols, j):
-    """HNF basis of {v in L : v[j:] = 0}, i.e. L intersected with Z^j x 0.
-
-    Same value as lattice_intersect(L, prefix identity) but computed from the
-    tail coordinates directly.
-    """
-    rows = [tuple(r) for r in hnf_rows]
-    if not rows:
-        return ()
-    if j >= ncols:
-        return hnf(rows, ncols)
-    tails = [row[j:] for row in rows]
-    combos = left_kernel(tails, ncols - j)
-    gens = []
-    for combo in combos:
-        vec = [0] * ncols
-        for coeff, row in zip(combo, rows):
-            if coeff:
-                for k in range(ncols):
-                    vec[k] += coeff * row[k]
-        gens.append(vec)
-    return hnf(gens, ncols)
 
 
 def primitive(vector):

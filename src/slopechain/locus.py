@@ -116,11 +116,12 @@ def jet_matrix(model: GroupModel, points, order: int, degree: int,
     if order < 1 or degree < 1:
         raise ValueError("order and degree must be >= 1")
     points = tuple(tuple(as_fraction(c) for c in p) for p in points)
-    basis = monomial_basis(model.n, degree)
-    sigmas = _jet_orders(model.n, order)
-    size = len(basis) * len(points) * len(sigmas)
+    n = model.n
+    size = math.comb(n + degree, n) * len(points) * math.comb(n + order - 1, n)
     if size > limit:
         raise MatrixTooLarge(f"jet matrix with {size} entries exceeds {limit}")
+    basis = monomial_basis(n, degree)
+    sigmas = _jet_orders(n, order)
     rows = []
     row_index = []
     for p_idx, point in enumerate(points):

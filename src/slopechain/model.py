@@ -27,7 +27,6 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     DuplicateSymbol,
-    EnumerationTooLarge,
     InvalidScale,
     MissingSymbol,
     ValidationError,
@@ -178,11 +177,7 @@ class GroupModel:
 
     def kernel_prefix_ranks(self):
         if "kernel_prefix" not in self._cache:
-            kern = self.kernel_lattice()
-            self._cache["kernel_prefix"] = tuple(
-                len(linalg.prefix_sublattice(kern.rows, self.l, j))
-                for j in range(self.l + 1)
-            )
+            self._cache["kernel_prefix"] = _prefix_ranks(self.kernel_lattice().rows, self.l)
         return self._cache["kernel_prefix"]
 
     def powered(self, alpha: int) -> "GroupModel":
@@ -375,7 +370,7 @@ def _closure_symbolic(model: GroupModel, points) -> Subgroup:
     if dim == 0:
         return model.zero_subgroup()
     kernel_dirs = linalg.poly_nullspace(rows)
-    cond = []
+    cond = [[] for _ in model.generators]
     for w in kernel_dirs:
         exprs = []
         for gen in model.generators:
@@ -384,9 +379,9 @@ def _closure_symbolic(model: GroupModel, points) -> Subgroup:
                 acc = acc + _scalar_poly(c, model.m) * wi
             exprs.append(acc)
         monomials = sorted({mon for e in exprs for mon in e.terms})
-        for mon in monomials:
-            cond.append([e.terms.get(mon, Fraction(0)) for e in exprs])
-    coeff = linalg.right_kernel_rational(cond, model.l)
+        for row, e in zip(cond, exprs):
+            row.extend(e.terms.get(mon, Fraction(0)) for mon in monomials)
+    coeff = linalg.left_kernel_rational(cond, len(cond[0]) if cond else 0)
     return _make_subgroup(model, dim, coeff)
 
 
@@ -408,16 +403,30 @@ def closure(model: GroupModel, lattice) -> Subgroup:
     return _closure_symbolic(model, points)
 
 
+def _prefix_ranks(rows, l):
+    """Entry j (0 <= j <= l) is rk(L intersect Z^j x 0) for the lattice L
+    spanned by the integer `rows`.
+
+    That intersection is the kernel of cutting L to coordinates j..l-1, so its
+    rank is rk L minus the rank of the cut rows.  One echelon of the
+    column-reversed rows gives every cut at once: its rank is the number of
+    pivots below l - j.
+    """
+    ech = ()
+    for row in rows:
+        ech = linalg._echelon_insert(ech, row[::-1]) or ech
+    leads = [next(c for c, x in enumerate(row) if x) for row in ech]
+    return tuple(len(ech) - sum(c < l - j for c in leads) for j in range(l + 1))
+
+
 def rank_profile(model: GroupModel, subgroup: Subgroup) -> RankProfile:
     """Entry j is rk(Gamma_j intersect H): the rank of the coefficient
     vectors supported on the first j slots that land in H, minus the rank of
     those that map to zero."""
     kern_prefix = model.kernel_prefix_ranks()
-    ranks = []
-    for j in range(1, model.l + 1):
-        a = len(linalg.prefix_sublattice(subgroup.coeff.rows, model.l, j))
-        ranks.append(a - kern_prefix[j])
-    return RankProfile(subgroup.dim, tuple(ranks))
+    prefix = _prefix_ranks(subgroup.coeff.rows, model.l)
+    ranks = tuple(a - k for a, k in zip(prefix[1:], kern_prefix[1:]))
+    return RankProfile(subgroup.dim, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +443,7 @@ def box_primitives(l, height):
     return out
 
 
-def enumerate_closures(model: GroupModel, height=2, max_count=None):
+def enumerate_closures(model: GroupModel, height=2):
     """All distinct closures of sublattices generated by vectors of entry
     height <= `height`, found by growing spans one generator at a time.
 
@@ -442,44 +451,8 @@ def enumerate_closures(model: GroupModel, height=2, max_count=None):
     is what the dedup keys use.
     """
     if model.m == 0:
-        return _enumerate_closures_rational(model, height, max_count)
-    return _enumerate_closures_symbolic(model, height, max_count)
-
-
-def _check_count(count, max_count):
-    if max_count is not None and count > max_count:
-        raise EnumerationTooLarge(
-            f"closure enumeration exceeded max_count={max_count}"
-        )
-
-
-def _echelon_insert(rows, vec):
-    """Insert an integer vector into a canonical integer echelon (scaled RREF:
-    pivot columns strictly increasing, each row primitive with positive lead,
-    pivot columns eliminated everywhere else).  None if dependent.
-
-    All arithmetic is fraction-free, which is what makes exhaustive span
-    enumeration affordable.
-    """
-    v = list(vec)
-    for row in rows:
-        c = next(j for j, x in enumerate(row) if x)
-        if v[c]:
-            f, g = row[c], v[c]
-            v = [f * a - g * b for a, b in zip(v, row)]
-    if not any(v):
-        return None
-    v = linalg.primitive(v)
-    lead = next(j for j, x in enumerate(v) if x)
-    out = []
-    for row in rows:
-        if row[lead]:
-            f, g = v[lead], row[lead]
-            row = linalg.primitive([f * a - g * b for a, b in zip(row, v)])
-        out.append(row)
-    out.append(v)
-    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
-    return tuple(out)
+        return _enumerate_closures_rational(model, height)
+    return _enumerate_closures_symbolic(model, height)
 
 
 def image_lines(model, height):
@@ -506,14 +479,14 @@ def _subgroup_from_echelon(model, ech) -> Subgroup:
         return model.full_subgroup()
     kernel_dirs = linalg.nullspace(ech, model.n)
     cond = [
-        [sum(g * wi for g, wi in zip(gen, w)) for gen in model.generators]
-        for w in kernel_dirs
+        [sum(g * wi for g, wi in zip(gen, w)) for w in kernel_dirs]
+        for gen in model.generators
     ]
-    coeff = linalg.right_kernel_rational(cond, model.l)
+    coeff = linalg.left_kernel_rational(cond, len(kernel_dirs))
     return _make_subgroup(model, dim, coeff)
 
 
-def _enumerate_closures_rational(model, height, max_count):
+def _enumerate_closures_rational(model, height):
     n = model.n
     lines = image_lines(model, height)
     seen = {(): None}
@@ -524,10 +497,9 @@ def _enumerate_closures_rational(model, height, max_count):
             if len(ech) == n:
                 continue
             for rep in lines:
-                grown = _echelon_insert(ech, rep)
+                grown = linalg._echelon_insert(ech, rep)
                 if grown is not None and grown not in seen:
                     seen[grown] = None
-                    _check_count(len(seen), max_count)
                     nxt.append(grown)
         frontier = nxt
     subgroups = [_subgroup_from_echelon(model, ech) for ech in seen]
@@ -535,7 +507,7 @@ def _enumerate_closures_rational(model, height, max_count):
     return tuple(subgroups)
 
 
-def _enumerate_closures_symbolic(model, height, max_count):
+def _enumerate_closures_symbolic(model, height):
     vectors = box_primitives(model.l, height)
     zero = model.zero_subgroup()
     seen = {(zero.dim, zero.coeff.rows): zero}
@@ -552,7 +524,6 @@ def _enumerate_closures_symbolic(model, height, max_count):
                 key = (grown.dim, grown.coeff.rows)
                 if key not in seen:
                     seen[key] = grown
-                    _check_count(len(seen), max_count)
                     nxt.append(grown)
         frontier = nxt
     subgroups = sorted(seen.values(), key=lambda s: (s.dim, s.coeff.rows))

@@ -144,15 +144,6 @@ class Poly:
             rem = rem - Poly({qmon: qcoeff}) * divisor
         return Poly(quotient)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        (mon, coeff), = self.terms.items()
-        if any(mon):
-            raise ValueError("polynomial is not constant")
-        return coeff
-
     def evaluate(self, values) -> Fraction:
         total = Fraction(0)
         for mon, coeff in self.terms.items():
@@ -162,11 +153,6 @@ class Poly:
                     prod *= v ** e
             total += prod
         return total
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grade(t[0]))

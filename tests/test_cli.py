@@ -248,6 +248,19 @@ class TestExitCodes:
         assert error["code"] == "InternalInvariantError"
         assert "jet constraint" in error["message"]
 
+    def test_candidate_box_over_enumeration_max_maps_to_one(self, tmp_path, capsys):
+        # 7^3 = 343 box vectors of height 3 exceed enumeration_max = 100
+        cfg = write_config(tmp_path, {
+            "generators": [["1", "0"], ["0", "1"], ["1", "1"]],
+            "scales": ["5", "3", "2"],
+            "limits": {"candidate_height": 3, "enumeration_max": 100},
+        })
+        code = cli.run(["chain", "verify", "-c", cfg])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "EnumerationTooLarge"
+        assert "343" in error["message"]
+
     def test_validation_error_maps_to_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(BASE, epsilon="2")))

@@ -50,6 +50,58 @@ class TestRank:
             assert linalg.rank(m) + len(kernel) == cols
 
 
+def _rref_reference(rows, ncols):
+    """Fraction Gauss-Jordan elimination: the oracle for rat_rref."""
+    work = [[F(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in work[:r]], tuple(pivots)
+
+
+class TestRatRref:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_gauss_jordan(self, data):
+        # zero rows, repeated rows, zero columns and large denominators
+        nrows = data.draw(st.integers(0, 6))
+        ncols = data.draw(st.integers(0, 6))
+        entry = st.one_of(
+            st.just(F(0)),
+            st.integers(-9, 9).map(F),
+            st.fractions(-100, 100, max_denominator=10 ** 6),
+        )
+        m = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+             for _ in range(nrows)]
+        for i in range(nrows):
+            kind = data.draw(st.sampled_from(["keep", "keep", "zero", "repeat"]))
+            if kind == "zero":
+                m[i] = [F(0)] * ncols
+            elif kind == "repeat":
+                m[i] = list(m[data.draw(st.integers(0, nrows - 1))])
+        for c in range(ncols):
+            if data.draw(st.integers(0, 3)) == 0:
+                for row in m:
+                    row[c] = F(0)
+        assert linalg.rat_rref(m, ncols) == _rref_reference(m, ncols)
+
+
 class TestNullspace:
     def test_single_row(self):
         basis = linalg.nullspace([[1, 1]], 2)
@@ -183,51 +235,6 @@ def _in_integer_span(rows, target, cols):
     return not any(vec)
 
 
-class TestSaturate:
-    def test_examples(self):
-        assert linalg.saturate([[2, 0]], 2) == ((1, 0),)
-        assert linalg.saturate([[2, 2]], 2) == ((1, 1),)
-        assert linalg.saturate([[1, 1], [1, -1]], 2) == ((1, 0), (0, 1))
-
-    def test_idempotent_rank_preserving(self):
-        rng = random.Random(15)
-        for _ in range(30):
-            cols = rng.randint(1, 4)
-            rows = [
-                [rng.randint(-4, 4) for _ in range(cols)]
-                for _ in range(rng.randint(1, 3))
-            ]
-            sat = linalg.saturate(rows, cols)
-            assert linalg.saturate(sat, cols) == sat
-            assert len(sat) == linalg.rank([[F(x) for x in r] for r in rows] or [[F(0)] * cols])
-
-
-class TestLatticeIntersect:
-    def test_full_lattice(self):
-        ident = [[1, 0], [0, 1]]
-        other = [[1, 0], [0, 2]]
-        assert linalg.lattice_intersect(ident, other, 2) == ((1, 0), (0, 2))
-
-    def test_transverse_lines(self):
-        assert linalg.lattice_intersect([[1, 0]], [[0, 1]], 2) == ()
-
-    def test_skew_lines(self):
-        # a(1,1) = b(1,-1) forces a = b = 0
-        assert linalg.lattice_intersect([[1, 1]], [[1, -1]], 2) == ()
-
-    def test_contained_in_both(self):
-        rng = random.Random(16)
-        for _ in range(20):
-            cols = rng.randint(1, 4)
-            a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(2)]
-            b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(2)]
-            inter = linalg.lattice_intersect(a, b, cols)
-            ha, hb = linalg.hnf(a, cols), linalg.hnf(b, cols)
-            for row in inter:
-                assert linalg.lattice_contains(ha, row)
-                assert linalg.lattice_contains(hb, row)
-
-
 class TestLeftKernel:
     def test_annihilates_and_counts(self):
         rng = random.Random(17)
@@ -244,26 +251,7 @@ class TestLeftKernel:
             assert len(kernel) == rows - linalg.rank([[F(x) for x in r] for r in m])
 
 
-class TestPrefixSublattice:
-    def test_matches_intersection_with_prefix(self):
-        rng = random.Random(18)
-        for _ in range(25):
-            cols = rng.randint(1, 4)
-            rows = linalg.hnf(
-                [[rng.randint(-4, 4) for _ in range(cols)]
-                 for _ in range(rng.randint(1, 3))],
-                cols,
-            )
-            for j in range(cols + 1):
-                prefix = [
-                    [1 if k == i else 0 for k in range(cols)] for i in range(j)
-                ]
-                assert linalg.prefix_sublattice(rows, cols, j) == \
-                    linalg.lattice_intersect(rows, prefix, cols)
-
-
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         rows = [[3, -1, 4], [1, 5, -9], [2, 6, 5]]
         assert linalg.hnf(rows, 3) == linalg.hnf([r[:] for r in rows], 3)
-        assert linalg.saturate(rows, 3) == linalg.saturate([r[:] for r in rows], 3)

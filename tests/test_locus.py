@@ -19,6 +19,7 @@ from slopechain import (
     threshold_sweep,
     translate_section,
 )
+from slopechain import locus
 from slopechain.locus import evaluate_section
 
 
@@ -77,6 +78,15 @@ class TestJetMatrix:
         m = line_model(2)
         with pytest.raises(MatrixTooLarge):
             jet_matrix(m, [(F(i),) for i in range(10)], 3, 12, limit=50)
+
+    def test_size_guard_before_basis(self, monkeypatch):
+        # D = 1500 in the plane is 1.1M monomials: refuse before building them
+        def no_basis(n, degree):
+            raise AssertionError("monomial basis built before the size check")
+        monkeypatch.setattr(locus, "monomial_basis", no_basis)
+        m = rational_model(2, [(1, 0), (0, 1)], (2, 2))
+        with pytest.raises(MatrixTooLarge):
+            jet_matrix(m, [(F(0), F(0))], 1, 1500)
 
 
 class TestKernelBasis:

@@ -17,6 +17,7 @@ from slopechain import (
     specialize,
 )
 from slopechain import linalg
+from slopechain.model import _prefix_ranks
 
 
 def rational_model(n, gens, scales):
@@ -174,6 +175,62 @@ class TestRankProfile:
                     stacked = span_gj + span_h
                     inter = rk_g + sub.dim - (linalg.rank(stacked) if stacked else 0)
                     assert ranks[j - 1] == inter
+
+
+def _prefix_sublattice(hnf_rows, ncols, j):
+    """HNF basis of {v in L : v[j:] = 0}, i.e. L intersected with Z^j x 0,
+    from the left kernel of the tail coordinates: the oracle for the rank
+    identity behind rank_profile."""
+    rows = [tuple(r) for r in hnf_rows]
+    if not rows:
+        return ()
+    if j >= ncols:
+        return linalg.hnf(rows, ncols)
+    combos = linalg.left_kernel([row[j:] for row in rows], ncols - j)
+    gens = []
+    for combo in combos:
+        vec = [0] * ncols
+        for coeff, row in zip(combo, rows):
+            for k in range(ncols):
+                vec[k] += coeff * row[k]
+        gens.append(vec)
+    return linalg.hnf(gens, ncols)
+
+
+class TestPrefixRanks:
+    def test_lattice_prefix_ranks_match_prefix_sublattice(self):
+        rng = random.Random(18)
+        for _ in range(60):
+            cols = rng.randint(1, 5)
+            rows = linalg.hnf(
+                [[rng.randint(-4, 4) for _ in range(cols)]
+                 for _ in range(rng.randint(0, 4))],
+                cols,
+            )
+            expected = tuple(
+                len(_prefix_sublattice(rows, cols, j)) for j in range(cols + 1)
+            )
+            assert _prefix_ranks(rows, cols) == expected
+
+    def test_rank_profile_matches_prefix_sublattice(self):
+        rng = random.Random(24)
+        for _ in range(15):
+            n = rng.randint(1, 3)
+            l = rng.randint(1, 4)
+            m = rational_model(
+                n,
+                [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(l)],
+                tuple(rng.randint(1, 9) for _ in range(l)),
+            )
+            kern = m.kernel_lattice().rows
+            kern_prefix = [len(_prefix_sublattice(kern, l, j)) for j in range(l + 1)]
+            assert m.kernel_prefix_ranks() == tuple(kern_prefix)
+            for sub in enumerate_closures(m, 1):
+                expected = tuple(
+                    len(_prefix_sublattice(sub.coeff.rows, l, j)) - kern_prefix[j]
+                    for j in range(1, l + 1)
+                )
+                assert rank_profile(m, sub).gamma_ranks == expected
 
 
 class TestPointMembership:
