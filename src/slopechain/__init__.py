@@ -86,4 +86,4 @@ from .model import (
     span_contains,
     specialize,
 )
-from .polys import Poly, SymbolicScalar, as_fraction
+from .polys import Poly, as_fraction

@@ -323,16 +323,10 @@ def _greedy_tower(n, scales, info):
     return tower
 
 
-def build_chain_greedy(model: GroupModel, extra_candidates=()) -> Chain:
-    """The greedy maximal-slope tower over the prefix closures, the full
-    group and `extra_candidates`; raises AmbiguousCandidates as
-    `_greedy_tower` does."""
+def build_chain_greedy(model: GroupModel) -> Chain:
+    """The greedy maximal-slope tower over the prefix closures and the full
+    group; raises AmbiguousCandidates as `_greedy_tower` does."""
     candidates = _prefix_candidates(model)
-    for sub in extra_candidates:
-        if all(
-            (sub.dim, sub.coeff.rows) != (c.dim, c.coeff.rows) for c in candidates
-        ):
-            candidates.append(sub)
     info = [(c, phi(model, c)) for c in candidates]
     return _assemble(model, [candidates[i] for i in _greedy_tower(model.n, model.scales, info)])
 
@@ -432,7 +426,10 @@ class VerifyOptions:
     height: int = 2
     random_count: int = 0
     seed: int = 0
-    alphas: tuple[int, ...] = (2, 3)
+
+
+# the powers alpha of the scaling check S_j -> S_j^alpha
+SCALING_ALPHAS = (2, 3)
 
 
 def _chi(dim_k: int, phi_k: PhiValue, lo: ChainNode, hi: ChainNode) -> PhiValue:
@@ -553,7 +550,7 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     if chain.steps and chain.steps[-1].frak_s.compare_fraction(Fraction(1)) < 0:
         raise CertificateViolation("frak_order", "last frak_S is below 1", step=chain.r - 1)
 
-    for alpha in options.alphas:
+    for alpha in SCALING_ALPHAS:
         rebuilt = build_chain(model.powered(alpha))
         if [(s.dim, s.coeff.rows) for s in rebuilt.subgroups] != chain_keys:
             raise CertificateViolation(
@@ -577,7 +574,7 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     return ChainCertificate(
         candidates=tuple(checks),
         equality_witnesses=tuple(equality_witnesses),
-        scaling_alphas=tuple(options.alphas),
+        scaling_alphas=SCALING_ALPHAS,
         psi_injective=True,
         telescoping_ok=True,
         slopes_strictly_decreasing=True,

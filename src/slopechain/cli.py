@@ -35,7 +35,7 @@ from .errors import (
 from .gamma import card_mod, counting_check, enumerate_gamma
 from .locus import eval_rank, locus_probe, threshold_sweep
 from .model import GroupModel, ModelConfig, _parse_coordinate, build_model, closure
-from .polys import SymbolicScalar, as_fraction
+from .polys import Poly, as_fraction
 
 SCHEMA = "slopechain-report/1"
 
@@ -192,14 +192,20 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _scalar_json(value):
-    if isinstance(value, SymbolicScalar):
-        if value.is_rational():
-            return str(value.const)
-        return {
-            "const": str(value.const),
-            "coeffs": {f"t{i}": str(c) for i, c in sorted(value.coeffs.items())},
-        }
-    return str(as_fraction(value))
+    """A rational as "p/q"; an affine-linear Poly with a symbol term as
+    {"const": "p/q", "coeffs": {"t<k>": "p/q"}}."""
+    if not isinstance(value, Poly):
+        return str(as_fraction(value))
+    const = Fraction(0)
+    coeffs = {}
+    for mon, c in value.terms.items():
+        if any(mon):
+            coeffs[mon.index(1) + 1] = c
+        else:
+            const = c
+    if not coeffs:
+        return str(const)
+    return {"const": str(const), "coeffs": {f"t{i}": str(c) for i, c in sorted(coeffs.items())}}
 
 
 def _echo_config(raw, model_cfg):

@@ -243,20 +243,23 @@ def _compare_scaled(a: RootedRational, factor: Fraction, b: RootedRational) -> i
     return (left > right) - (left < right)
 
 
+# the multiplicative bracket both distribution ratios must stay within
+DISTRIBUTION_BRACKET = Fraction(8)
+
+
 def distribution_checks(model: GroupModel, chain: Chain, epsilon,
-                        scale_factor=2, height=2, bracket=Fraction(8),
-                        limit=10 ** 7) -> DistributionReport:
+                        scale_factor=2, height=2, limit=10 ** 7) -> DistributionReport:
     """Empirical form of the two distribution estimates.
 
     Upper side, per step i and candidate H strictly above H_i: the count of
     Gamma(2n S) in H mod H_i, divided by frak_S_i to the dimension gap, must
-    stay within a fixed multiplicative bracket when S is replaced by
-    S^scale_factor.  Lower side, per step i and candidate H strictly below
-    H_i: same for Gamma(eps/dim H_i * S) in H_i mod H, against
-    frak_S_{i-1}, reported as a minimum and required positive.
+    stay within DISTRIBUTION_BRACKET when S is replaced by S^scale_factor.
+    Lower side, per step i and candidate H strictly below H_i: same for
+    Gamma(eps/dim H_i * S) in H_i mod H, against frak_S_{i-1}, reported as a
+    minimum and required positive.
     """
     epsilon = as_fraction(epsilon)
-    bracket = as_fraction(bracket)
+    bracket = DISTRIBUTION_BRACKET
     # Z^0 has no sublattices, so a generator-free model has no candidates
     candidates = enumerate_closures(model, height) if model.l else ()
     alphas = (1, scale_factor)

@@ -12,6 +12,7 @@ deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -33,8 +34,10 @@ def _echelon_insert(rows, vec):
     reads the RREF off it.
     """
     v = list(vec)
+    leads = []
     for row in rows:
         c = next(j for j, x in enumerate(row) if x)
+        leads.append(c)
         if v[c]:
             f, g = row[c], v[c]
             v = [f * a - g * b for a, b in zip(v, row)]
@@ -48,8 +51,8 @@ def _echelon_insert(rows, vec):
             f, g = v[lead], row[lead]
             row = primitive([f * a - g * b for a, b in zip(row, v)])
         out.append(row)
-    out.append(v)
-    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
+    # clearing column `lead` moves no other row's lead, so only v needs placing
+    out.insert(bisect(leads, lead), v)
     return tuple(out)
 
 
@@ -75,8 +78,11 @@ def rat_rank(rows, ncols) -> int:
 
 
 def nullspace(rows, ncols):
-    """Canonical basis of the right kernel {v : M v = 0}, one row per free
-    column: entry 1 at the free column, pivot entries read off the RREF."""
+    """Basis of the right kernel {v : M v = 0}, one vector per free column.
+    Over Q it is canonical: entry 1 at the free column, pivot entries read
+    off the RREF.  Matrices with `Poly` entries go to `poly_nullspace`."""
+    if any(isinstance(e, Poly) for row in rows for e in row):
+        return poly_nullspace(rows)
     rref, pivots = rat_rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []

@@ -48,15 +48,26 @@ class MonomialBasis:
 
 
 def monomial_basis(n: int, degree: int) -> MonomialBasis:
-    """Multi-indices of total degree <= degree, graded lexicographic."""
-    def gen(prefix, remaining, slots):
-        if slots == 0:
-            yield prefix
-            return
-        for e in range(remaining + 1):
-            yield from gen(prefix + (e,), remaining - e, slots - 1)
+    """Multi-indices of total degree <= degree, graded lexicographic.
 
-    exps = sorted(gen((), degree, n), key=lambda e: (sum(e), e))
+    They are walked in plain lexicographic order, without recursion, so any
+    n works: the successor of e bumps its last entry while the degree allows,
+    and otherwise clears the last nonzero entry and bumps the one before it.
+    """
+    exps = []
+    e, total = [0] * n, 0
+    while True:
+        exps.append(tuple(e))
+        if total < degree:
+            i = n - 1
+        else:
+            i = next((k for k in reversed(range(n)) if e[k]), 0) - 1
+        if i < 0:
+            break
+        total += 1 - sum(e[i + 1:])
+        e[i + 1:] = [0] * (n - i - 1)
+        e[i] += 1
+    exps.sort(key=lambda e: (sum(e), e))
     return MonomialBasis(n, degree, tuple(exps))
 
 

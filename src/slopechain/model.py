@@ -2,10 +2,10 @@
 
 A model is the vector group of dimension n together with generators
 gamma_1..gamma_l and box scales S_1 >= ... >= S_l >= 1.  Coordinates are
-rational (m = 0) or live in the Q-span of formal symbols t1..tm that stand
-for algebraically independent transcendentals; the second kind is what makes
-the group-theoretic ranks differ from plain linear algebra over Q (a line can
-carry a rank-2 subgroup).
+rational (m = 0, `Fraction`s) or affine-linear `Poly`s in formal symbols
+t1..tm that stand for algebraically independent transcendentals; the second
+kind is what makes the group-theoretic ranks differ from plain linear algebra
+over Q (a line can carry a rank-2 subgroup).
 
 Connected algebraic subgroups of a vector group are exactly the linear
 subspaces.  A subgroup H is carried as (dimension, coefficient lattice
@@ -20,8 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
+from operator import add, mul
 
 from . import linalg
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     MissingSymbol,
     ValidationError,
 )
-from .polys import Poly, SymbolicScalar, as_fraction
+from .polys import Poly, as_fraction
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,8 @@ class GroupModel:
     def l(self) -> int:
         return len(self.generators)
 
-    def zero_scalar(self):
-        return Fraction(0) if self.m == 0 else SymbolicScalar(0)
-
     def zero_point(self):
-        z = self.zero_scalar()
-        return tuple(z for _ in range(self.n))
+        return (Fraction(0) if self.m == 0 else Poly(),) * self.n
 
     def point_of(self, vector):
         """iota(v) = sum v_j gamma_j."""
@@ -126,29 +124,16 @@ class GroupModel:
         return tuple(coords)
 
     def point_matrix(self, points):
-        """Rows suitable for rank computations: Fractions when rational,
-        polynomials otherwise."""
+        """Rows suitable for rank computations: Fractions when rational;
+        otherwise Polys in m symbols, Poly coordinates passed through."""
         if self.m == 0:
-            return [[_scalar_fraction(c) for c in p] for p in points]
-        return [[_scalar_poly(c, self.m) for c in p] for p in points]
+            return [[as_fraction(c) for c in p] for p in points]
+        return [[c if isinstance(c, Poly) else Poly.const(c, self.m) for c in p] for p in points]
 
     def kernel_lattice(self) -> Sublattice:
         """iota^{-1}(0): integer relations among the generators."""
         if "kernel" not in self._cache:
-            rows = []
-            for gen in self.generators:
-                flat = []
-                for coord in gen:
-                    if self.m == 0:
-                        flat.append(_scalar_fraction(coord))
-                    else:
-                        s = coord if isinstance(coord, SymbolicScalar) else SymbolicScalar(coord)
-                        flat.append(s.const)
-                        flat.extend(s.coeffs.get(t, Fraction(0)) for t in range(1, self.m + 1))
-                rows.append(flat)
-            width = len(rows[0]) if rows else 0
-            kernel = linalg.left_kernel_rational(rows, width) if rows else ()
-            self._cache["kernel"] = Sublattice(self.l, kernel)
+            self._cache["kernel"] = Sublattice(self.l, _relations(self.generators))
         return self._cache["kernel"]
 
     def zero_subgroup(self) -> Subgroup:
@@ -161,12 +146,10 @@ class GroupModel:
             ident = tuple(
                 tuple(1 if i == j else 0 for j in range(self.l)) for i in range(self.l)
             )
-            span = []
-            one = Fraction(1) if self.m == 0 else SymbolicScalar(1)
-            zero = self.zero_scalar()
-            for i in range(self.n):
-                span.append(tuple(one if j == i else zero for j in range(self.n)))
-            self._cache["full"] = Subgroup(self.n, Sublattice(self.l, ident), tuple(span))
+            one = Fraction(1) if self.m == 0 else Poly.const(1, self.m)
+            zero = self.zero_point()
+            span = tuple(zero[:i] + (one,) + zero[i + 1:] for i in range(self.n))
+            self._cache["full"] = Subgroup(self.n, Sublattice(self.l, ident), span)
         return self._cache["full"]
 
     def prefix_lattice(self, j) -> Sublattice:
@@ -194,20 +177,17 @@ class GroupModel:
             dict(self.provenance, powered=alpha),
         )
 
-    def equal_scale_model(self, scale=Fraction(2)) -> "GroupModel":
-        """All box scales set to one common value; the chain of this model is
-        scale-free, which is what the mu exponents are read off from."""
-        scale = as_fraction(scale)
-        if scale < 1:
-            raise InvalidScale(f"scale {scale} must be >= 1")
+    def equal_scale_model(self) -> "GroupModel":
+        """All box scales set to 2; the chain of this model is scale-free,
+        which is what the mu exponents are read off from."""
         return GroupModel(
             self.n,
             self.m,
             self.symbols,
             self.generators,
-            tuple(scale for _ in range(self.l)),
+            (Fraction(2),) * self.l,
             tuple(range(1, self.l + 1)),
-            dict(self.provenance, equal_scale=str(scale)),
+            dict(self.provenance, equal_scale="2"),
         )
 
     def __repr__(self):
@@ -217,28 +197,18 @@ class GroupModel:
         )
 
 
-def _scalar_fraction(x) -> Fraction:
-    if isinstance(x, SymbolicScalar):
-        return x.as_fraction()
-    return as_fraction(x)
-
-
-def _scalar_poly(x, m) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, SymbolicScalar):
-        return x.to_poly(m)
-    return Poly.const(x, m)
-
-
-def _parse_coordinate(raw):
-    """Accept Fraction/int/"p/q"/SymbolicScalar/{"const":..,"coeffs":{"t<k>":..}}
-    with k >= 1; anything else is a ValidationError on "generators"."""
-    if isinstance(raw, SymbolicScalar):
+def _parse_coordinate(raw) -> Poly:
+    """Accept Fraction/int/"p/q"/Poly/{"const":..,"coeffs":{"t<k>":..}} with
+    k >= 1 and return an affine-linear Poly as wide as the largest symbol
+    index it names; anything else, including a Poly term of degree > 1, is a
+    ValidationError on "generators"."""
+    if isinstance(raw, Poly):
+        if any(sum(mon) > 1 for mon in raw.terms):
+            raise ValidationError("generators", f"{raw!r} is not affine-linear")
         return raw
     try:
         if not isinstance(raw, dict):
-            return SymbolicScalar(raw)
+            return Poly.const(raw, 0)
         coeffs = raw.get("coeffs") or {}
         if not isinstance(coeffs, dict):
             raise TypeError(f"coeffs must be an object, got {coeffs!r}")
@@ -250,9 +220,24 @@ def _parse_coordinate(raw):
             if isinstance(index, bool) or not isinstance(index, int) or index < 1:
                 raise ValueError(f"bad symbol name {key!r}")
             parsed[index] = as_fraction(val)
-        return SymbolicScalar(raw.get("const", 0), parsed)
+        width = max(parsed, default=0)
+        terms = {(0,) * width: as_fraction(raw.get("const", 0))}
+        for index, c in parsed.items():
+            terms[tuple(int(i == index - 1) for i in range(width))] = c
+        return Poly(terms)
     except (TypeError, ValueError) as exc:
         raise ValidationError("generators", str(exc)) from None
+
+
+def _max_symbol(poly: Poly) -> int:
+    return max((i + 1 for mon in poly.terms for i, e in enumerate(mon) if e), default=0)
+
+
+def _coordinate(poly: Poly, m: int):
+    """A parsed coordinate as the model stores it: a Fraction when m = 0,
+    else a Poly over exactly m symbols (none beyond t_m may occur)."""
+    terms = {mon[:m] + (0,) * (m - len(mon)): c for mon, c in poly.terms.items()}
+    return terms.get((), Fraction(0)) if m == 0 else Poly(terms)
 
 
 def build_model(config: ModelConfig, provenance=None) -> GroupModel:
@@ -275,12 +260,12 @@ def build_model(config: ModelConfig, provenance=None) -> GroupModel:
                 f"generator {idx + 1} has {len(coords)} coordinates, expected {n}"
             )
         for c in coords:
-            if c.max_symbol() > m:
+            if _max_symbol(c) > m:
                 raise MissingSymbol(
-                    f"generator {idx + 1} references t{c.max_symbol()} "
+                    f"generator {idx + 1} references t{_max_symbol(c)} "
                     f"but only {m} symbols are declared"
                 )
-        gens.append(coords)
+        gens.append(tuple(_coordinate(c, m) for c in coords))
 
     scales = [as_fraction(s) for s in config.scales]
     if len(scales) != len(gens):
@@ -295,11 +280,6 @@ def build_model(config: ModelConfig, provenance=None) -> GroupModel:
     generators = tuple(gens[i] for i in order)
     sorted_scales = tuple(scales[i] for i in order)
     permutation = tuple(i + 1 for i in order)
-
-    if m == 0:
-        generators = tuple(
-            tuple(c.as_fraction() for c in gen) for gen in generators
-        )
     return GroupModel(n, m, symbols, generators, sorted_scales, permutation, provenance)
 
 
@@ -331,7 +311,7 @@ def specialize(model: GroupModel, assignment=None, seed=None) -> GroupModel:
         ]
     generators = tuple(
         tuple(
-            (c.evaluate(values) if isinstance(c, SymbolicScalar) else as_fraction(c))
+            (c.evaluate(values) if isinstance(c, Poly) else c)
             for c in gen
         )
         for gen in model.generators
@@ -349,40 +329,38 @@ def specialize(model: GroupModel, assignment=None, seed=None) -> GroupModel:
 # closures
 
 
-def _make_subgroup(model: GroupModel, dim: int, coeff_rows) -> Subgroup:
+def _relations(values):
+    """HNF basis of the integer relations among per-generator values: the
+    v in Z^l with sum_j v_j values[j] = 0, for rows of Fractions or of Polys.
+    A Poly column counts as one column per monomial coefficient."""
+    cond = [[] for _ in values]
+    for col in zip(*values):
+        if isinstance(col[0], Poly):
+            for mon in sorted({mon for p in col for mon in p.terms}):
+                for row, p in zip(cond, col):
+                    row.append(p.terms.get(mon, 0))
+        else:
+            for row, x in zip(cond, col):
+                row.append(x)
+    return linalg.left_kernel_rational(cond, len(cond[0]) if cond else 0)
+
+
+def _subgroup(model: GroupModel, dim: int, rows) -> Subgroup:
+    """The subgroup of dimension `dim` spanned by the points `rows` (over Q
+    or Q[t1..tm]).  A coefficient vector lands in it exactly when its image
+    is annihilated by every kernel direction of the rows, which makes the
+    coefficient lattice the relations among the generators' pairings with
+    those directions."""
     if dim == model.n:
         return model.full_subgroup()
     if dim == 0:
         return model.zero_subgroup()
-    span = []
-    for row in coeff_rows:
-        pt = model.point_of(row)
-        if any(not (c == 0) for c in pt):
-            span.append(pt)
-    return Subgroup(dim, Sublattice(model.l, tuple(coeff_rows)), tuple(span))
-
-
-def _closure_symbolic(model: GroupModel, points) -> Subgroup:
-    rows = model.point_matrix(points)
-    dim = linalg.poly_rank(rows) if rows else 0
-    if dim == model.n:
-        return model.full_subgroup()
-    if dim == 0:
-        return model.zero_subgroup()
-    kernel_dirs = linalg.poly_nullspace(rows)
-    cond = [[] for _ in model.generators]
-    for w in kernel_dirs:
-        exprs = []
-        for gen in model.generators:
-            acc = Poly()
-            for c, wi in zip(gen, w):
-                acc = acc + _scalar_poly(c, model.m) * wi
-            exprs.append(acc)
-        monomials = sorted({mon for e in exprs for mon in e.terms})
-        for row, e in zip(cond, exprs):
-            row.extend(e.terms.get(mon, Fraction(0)) for mon in monomials)
-    coeff = linalg.left_kernel_rational(cond, len(cond[0]) if cond else 0)
-    return _make_subgroup(model, dim, coeff)
+    kernel_dirs = linalg.nullspace(rows, model.n)
+    coeff = _relations(
+        [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
+    )
+    span = tuple(pt for pt in map(model.point_of, coeff) if any(pt))
+    return Subgroup(dim, Sublattice(model.l, coeff), span)
 
 
 def closure(model: GroupModel, lattice) -> Subgroup:
@@ -399,8 +377,9 @@ def closure(model: GroupModel, lattice) -> Subgroup:
             )
     points = [model.point_of(r) for r in rows]
     if model.m == 0:
-        return _subgroup_from_echelon(model, linalg.rat_rref(points, model.n)[0])
-    return _closure_symbolic(model, points)
+        ech = linalg.rat_rref(points, model.n)[0]
+        return _subgroup(model, len(ech), ech)
+    return _subgroup(model, linalg.rank(points), points)
 
 
 def _prefix_ranks(rows, l):
@@ -471,21 +450,6 @@ def image_lines(model, height):
     return lines
 
 
-def _subgroup_from_echelon(model, ech) -> Subgroup:
-    """The subgroup whose span has the echelon rows `ech` as a basis (a
-    rational RREF or a scaled integer echelon); rational models only."""
-    dim = len(ech)
-    if dim == model.n:
-        return model.full_subgroup()
-    kernel_dirs = linalg.nullspace(ech, model.n)
-    cond = [
-        [sum(g * wi for g, wi in zip(gen, w)) for w in kernel_dirs]
-        for gen in model.generators
-    ]
-    coeff = linalg.left_kernel_rational(cond, len(kernel_dirs))
-    return _make_subgroup(model, dim, coeff)
-
-
 def _enumerate_closures_rational(model, height):
     n = model.n
     lines = image_lines(model, height)
@@ -502,7 +466,7 @@ def _enumerate_closures_rational(model, height):
                     seen[grown] = None
                     nxt.append(grown)
         frontier = nxt
-    subgroups = [_subgroup_from_echelon(model, ech) for ech in seen]
+    subgroups = [_subgroup(model, len(ech), ech) for ech in seen]
     subgroups.sort(key=lambda s: (s.dim, s.coeff.rows))
     return tuple(subgroups)
 
@@ -541,5 +505,4 @@ def span_contains(model: GroupModel, container: Subgroup, contained: Subgroup) -
         return True
     if contained.dim == 0:
         return True
-    rows = model.point_matrix(container.span + contained.span)
-    return linalg.rank(rows) == container.dim
+    return linalg.rank(container.span + contained.span) == container.dim

@@ -1,10 +1,10 @@
-"""Exact scalar types: rationals, affine-linear symbolic values, polynomials.
+"""Exact scalar types: rationals and polynomials.
 
 Every coefficient in this package is a `fractions.Fraction`; floats are never
-accepted.  A `SymbolicScalar` is an affine-linear combination of formal
-symbols t1..tm with rational coefficients (the coordinate type of group
-elements).  A `Poly` is a full multivariate polynomial in the same symbols,
-needed because elimination multiplies pivots and leaves the degree-1 world.
+accepted.  A `Poly` is a multivariate polynomial in formal symbols t1..tm
+with rational coefficients.  It is the one scalar type over Q[t1..tm]: the
+coordinates of group elements in a symbolic model are affine-linear `Poly`s,
+and elimination multiplies pivots into higher degrees in the same type.
 
 Monomials are exponent tuples of fixed width m; the zero polynomial has no
 terms and is width-agnostic.  Term order is graded lexicographic, which is
@@ -175,106 +175,3 @@ class Poly:
             )
             parts.append(f"{coeff}" + (f"*{syms}" if syms else ""))
         return "Poly(" + " + ".join(parts) + ")"
-
-
-class SymbolicScalar:
-    """const + sum of coeff_t * t over symbols; zero coefficients are dropped."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=0, coeffs=None):
-        object.__setattr__(self, "const", as_fraction(const))
-        cleaned = {}
-        if coeffs:
-            for idx, c in coeffs.items():
-                c = as_fraction(c)
-                if c:
-                    cleaned[int(idx)] = c
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolicScalar is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.const and not self.coeffs
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def is_rational(self) -> bool:
-        return not self.coeffs
-
-    def as_fraction(self) -> Fraction:
-        if self.coeffs:
-            raise ValueError(f"{self!r} is not rational")
-        return self.const
-
-    def max_symbol(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def to_poly(self, nvars: int) -> Poly:
-        terms = {}
-        if self.const:
-            terms[(0,) * nvars] = self.const
-        for idx, c in self.coeffs.items():
-            mon = tuple(1 if i == idx - 1 else 0 for i in range(nvars))
-            terms[mon] = c
-        return Poly(terms)
-
-    def evaluate(self, values) -> Fraction:
-        total = self.const
-        for idx, c in self.coeffs.items():
-            total += c * values[idx - 1]
-        return total
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymbolicScalar(other)
-        coeffs = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = coeffs.get(idx, 0) + c
-            if s:
-                coeffs[idx] = s
-            else:
-                coeffs.pop(idx, None)
-        return SymbolicScalar(self.const + other.const, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymbolicScalar(-self.const, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymbolicScalar(other)
-        return self + (-other)
-
-    def __mul__(self, factor):
-        factor = as_fraction(factor)
-        if not factor:
-            return SymbolicScalar(0)
-        return SymbolicScalar(self.const * factor, {i: c * factor for i, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def _key(self):
-        return (self.const, tuple(sorted(self.coeffs.items())))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.const == other
-        return isinstance(other, SymbolicScalar) and self._key() == other._key()
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.const)
-        return hash(self._key())
-
-    def __repr__(self):
-        parts = []
-        if self.const or not self.coeffs:
-            parts.append(str(self.const))
-        for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            parts.append(f"{c}*t{idx}")
-        return " + ".join(parts)

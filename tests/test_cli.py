@@ -3,8 +3,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from slopechain import cli, linalg, locus
+from slopechain import ModelConfig, build_model, cli, linalg, locus
 from slopechain.errors import CertificateViolation, ParseError, ValidationError
+from slopechain.model import _parse_coordinate
 
 
 BASE = {
@@ -188,11 +189,43 @@ class TestCommands:
         assert nodes[1]["dim"] == 1
         assert nodes[1]["coeff_lattice"] == [[1, 0, 0], [0, 1, 0]]
 
+    def test_locus_rank_with_many_coordinates(self, tmp_path):
+        # the monomial basis takes no recursion level per coordinate
+        n = 1500
+        cfg = write_config(tmp_path, {"n": n, "generators": [[0] * n], "scales": [1], "D": 1})
+        code, body = run_to_file(tmp_path, ["locus", "rank", "-c", cfg])
+        assert code == 0
+        report = json.loads(body)
+        assert (report["rows"], report["cols"], report["rank"]) == (1, n + 1, 1)
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path)
         code, body = run_to_file(tmp_path, ["mu", "-c", cfg, "--seed", "77"])
         assert code == 0
         assert json.loads(body)["provenance"]["seed"] == 77
+
+
+class TestScalarJson:
+    @staticmethod
+    def model_coordinate(raw):
+        model = build_model(ModelConfig(
+            n=1, generators=((raw,),), scales=(2,), symbols=tuple(f"s{k}" for k in range(10))
+        ))
+        return model.generators[0][0]
+
+    @pytest.mark.parametrize("raw, want", [
+        ("3/4", "3/4"),
+        ({"const": "1/2", "coeffs": {"t10": "3", "t2": "0"}},
+         {"const": "1/2", "coeffs": {"t10": "3"}}),
+        ({"coeffs": {"t10": -1, "t1": 2}}, {"const": "0", "coeffs": {"t1": "2", "t10": "-1"}}),
+        ({"const": 5, "coeffs": {"t1": 0, "t10": 0}}, "5"),
+        ({"const": 0}, "0"),
+    ])
+    def test_round_trip(self, raw, want):
+        # as parsed (the config echo) and as stored in a 10-symbol model
+        assert cli._scalar_json(_parse_coordinate(raw)) == want
+        assert cli._scalar_json(self.model_coordinate(raw)) == want
+        assert self.model_coordinate(want) == self.model_coordinate(raw)
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slopechain import (
     DimensionMismatch,
@@ -9,6 +11,8 @@ from slopechain import (
     InvalidScale,
     MissingSymbol,
     ModelConfig,
+    Poly,
+    ValidationError,
     build_model,
     closure,
     enumerate_closures,
@@ -58,6 +62,33 @@ class TestBuildModel:
             build_model(ModelConfig(
                 n=1, generators=((1,),), scales=("2",), symbols=("t", "t")
             ))
+
+    def test_undeclared_symbol_message(self):
+        def build(coeffs):
+            return build_model(ModelConfig(
+                n=1, generators=((1,), ({"coeffs": coeffs},)), scales=(2, 2),
+                symbols=("a", "b"),
+            ))
+
+        with pytest.raises(
+            MissingSymbol, match=r"^generator 2 references t3 but only 2 symbols are declared$"
+        ):
+            build({"t1": 1, "t3": 1})
+        # a zero coefficient names no symbol
+        assert build({"t1": 1, "t3": 0}).generators == build({"t1": 1}).generators
+
+    def test_poly_coordinates(self):
+        t = Poly.symbol(1, 1)
+
+        def build(coord):
+            return build_model(ModelConfig(
+                n=1, generators=((coord,),), scales=(2,), symbols=("a",)
+            ))
+
+        affine = build(t * 2 + Poly.const(1, 1))
+        assert affine.generators == build({"const": 1, "coeffs": {"t1": 2}}).generators
+        with pytest.raises(ValidationError, match=r"^generators: .*not affine-linear"):
+            build(t * t)
 
 
 class TestKernelLattice:
@@ -248,6 +279,54 @@ class TestPointMembership:
                     stacked = span + [list(point)]
                     in_span = linalg.rank(stacked) == sub.dim
                     assert in_span == sub.coeff.contains((v1, v2))
+
+
+@st.composite
+def models_with_lattice(draw):
+    """A model with n, l <= 3 and m <= 2 symbols (small integer coordinates,
+    many of them zero) and one to three coefficient vectors of height <= 2."""
+    n, l, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    small = st.integers(-2, 2)
+    entry = st.sampled_from((0, 1, -1, 2, -2))
+
+    def coordinate():
+        return {"const": draw(entry), "coeffs": {f"t{k}": draw(entry) for k in range(1, m + 1)}}
+
+    model = build_model(ModelConfig(
+        n=n,
+        generators=tuple(tuple(coordinate() for _ in range(n)) for _ in range(l)),
+        scales=(2,) * l,
+        symbols=tuple(f"s{k}" for k in range(m)),
+    ))
+    return model, draw(st.lists(st.tuples(*[small] * l), min_size=1, max_size=3))
+
+
+class TestClosureOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(models_with_lattice())
+    @example((  # a line in dimension 3 needs both kernel directions
+        build_model(ModelConfig(
+            n=3,
+            generators=((1, 0, 0), ({"coeffs": {"t1": 1}}, 0, 0), (0, 0, 1)),
+            scales=(2, 2, 2),
+            symbols=("tau",),
+        )),
+        [(1, 0, 0)],
+    ))
+    def test_box_membership_matches_rank(self, case):
+        # for every v of height <= 2: v is a relation iff iota(v) is zero, and
+        # iota(v) lies in the closure of each prefix of the drawn vectors iff
+        # adding it keeps the rank of the closure's span
+        model, rows = case
+        kernel = model.kernel_lattice()
+        box = [(v, model.point_of(v)) for v in product(range(-2, 3), repeat=model.l)]
+        for v, point in box:
+            assert kernel.contains(v) == (not any(point))
+        for k in range(len(rows) + 1):
+            sub = closure(model, rows[:k])
+            assert linalg.rank(sub.span) == sub.dim
+            for v, point in box:
+                assert sub.coeff.contains(v) == (linalg.rank(sub.span + (point,)) == sub.dim)
 
 
 class TestSpecialize:
