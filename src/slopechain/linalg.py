@@ -24,6 +24,24 @@ from .polys import Poly
 # rational matrices
 
 
+def _lead(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _echelon_reduce(rows, vec):
+    """The primitive remainder of an integer vector modulo a canonical integer
+    echelon (its pivot columns cleared), or None if the vector lies in the
+    echelon's span over Q.  Two vectors have equal remainders exactly when
+    they extend the span to the same space."""
+    v = list(vec)
+    for row in rows:
+        c = _lead(row)
+        if v[c]:
+            f, g = row[c], v[c]
+            v = [f * a - g * b for a, b in zip(v, row)]
+    return primitive(v) if any(v) else None
+
+
 def _echelon_insert(rows, vec):
     """Insert an integer vector into a canonical integer echelon (scaled RREF:
     pivot columns strictly increasing, each row primitive with positive lead,
@@ -33,18 +51,10 @@ def _echelon_insert(rows, vec):
     enumeration affordable; it is the one elimination over Q, and rat_rref
     reads the RREF off it.
     """
-    v = list(vec)
-    leads = []
-    for row in rows:
-        c = next(j for j, x in enumerate(row) if x)
-        leads.append(c)
-        if v[c]:
-            f, g = row[c], v[c]
-            v = [f * a - g * b for a, b in zip(v, row)]
-    if not any(v):
+    v = _echelon_reduce(rows, vec)
+    if v is None:
         return None
-    v = primitive(v)
-    lead = next(j for j, x in enumerate(v) if x)
+    lead = _lead(v)
     out = []
     for row in rows:
         if row[lead]:
@@ -52,8 +62,21 @@ def _echelon_insert(rows, vec):
             row = primitive([f * a - g * b for a, b in zip(row, v)])
         out.append(row)
     # clearing column `lead` moves no other row's lead, so only v needs placing
-    out.insert(bisect(leads, lead), v)
+    out.insert(bisect(out, lead, key=_lead), v)
     return tuple(out)
+
+
+def _echelon(rows):
+    """The canonical integer echelon of the span of integer rows."""
+    ech = ()
+    for row in rows:
+        ech = _echelon_insert(ech, row) or ech
+    return ech
+
+
+def _cleared(row):
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def rat_rref(rows, ncols):
@@ -63,12 +86,8 @@ def rat_rref(rows, ncols):
     Each row is cleared of denominators and folded into the integer echelon;
     the RREF is canonical, so dividing each echelon row by its pivot gives it.
     """
-    ech = ()
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        cleared = [x.numerator * (scale // x.denominator) for x in row]
-        ech = _echelon_insert(ech, cleared) or ech
-    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in ech)
+    ech = _echelon(map(_cleared, rows))
+    pivots = tuple(map(_lead, ech))
     rref = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ech, pivots)]
     return rref, pivots
 

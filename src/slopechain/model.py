@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import lcm
 from operator import add, mul
 
 from . import linalg
@@ -345,22 +344,22 @@ def _relations(values):
     return linalg.left_kernel_rational(cond, len(cond[0]) if cond else 0)
 
 
-def _subgroup(model: GroupModel, dim: int, rows) -> Subgroup:
-    """The subgroup of dimension `dim` spanned by the points `rows` (over Q
-    or Q[t1..tm]).  A coefficient vector lands in it exactly when its image
-    is annihilated by every kernel direction of the rows, which makes the
-    coefficient lattice the relations among the generators' pairings with
-    those directions."""
-    if dim == model.n:
+def _subgroup(model: GroupModel, points) -> Subgroup:
+    """The subgroup spanned by `points` (over Q or Q[t1..tm]), from one
+    elimination: its dimension is n minus the number of kernel directions of
+    the points, and a coefficient vector lands in it exactly when its image is
+    annihilated by every kernel direction, which makes the coefficient lattice
+    the relations among the generators' pairings with those directions."""
+    kernel_dirs = linalg.nullspace(points, model.n)
+    if not kernel_dirs:
         return model.full_subgroup()
-    if dim == 0:
+    if len(kernel_dirs) == model.n:
         return model.zero_subgroup()
-    kernel_dirs = linalg.nullspace(rows, model.n)
     coeff = _relations(
         [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
     )
     span = tuple(pt for pt in map(model.point_of, coeff) if any(pt))
-    return Subgroup(dim, Sublattice(model.l, coeff), span)
+    return Subgroup(model.n - len(kernel_dirs), Sublattice(model.l, coeff), span)
 
 
 def closure(model: GroupModel, lattice) -> Subgroup:
@@ -375,11 +374,7 @@ def closure(model: GroupModel, lattice) -> Subgroup:
             raise DimensionMismatch(
                 f"lattice vector has {len(row)} entries, expected {model.l}"
             )
-    points = [model.point_of(r) for r in rows]
-    if model.m == 0:
-        ech = linalg.rat_rref(points, model.n)[0]
-        return _subgroup(model, len(ech), ech)
-    return _subgroup(model, linalg.rank(points), points)
+    return _subgroup(model, [model.point_of(r) for r in rows])
 
 
 def _prefix_ranks(rows, l):
@@ -391,10 +386,8 @@ def _prefix_ranks(rows, l):
     column-reversed rows gives every cut at once: its rank is the number of
     pivots below l - j.
     """
-    ech = ()
-    for row in rows:
-        ech = linalg._echelon_insert(ech, row[::-1]) or ech
-    leads = [next(c for c, x in enumerate(row) if x) for row in ech]
+    ech = linalg._echelon(row[::-1] for row in rows)
+    leads = [linalg._lead(row) for row in ech]
     return tuple(len(ech) - sum(c < l - j for c in leads) for j in range(l + 1))
 
 
@@ -424,14 +417,44 @@ def box_primitives(l, height):
 
 def enumerate_closures(model: GroupModel, height=2):
     """All distinct closures of sublattices generated by vectors of entry
-    height <= `height`, found by growing spans one generator at a time.
+    height <= `height`, each computed once.
 
-    Distinct closures are in bijection with their coefficient lattices, which
-    is what the dedup keys use.
+    The walk grows coefficient spans from the echelon of the kernel lattice
+    L0, trying one box vector per distinct Q.L0 + Q.v (over Q, one per image
+    line).  A closure H, L = iota^{-1}(H), grows by each v outside L to
+    Q.L + Q.v, named by the primitive remainder of v; each distinct grown
+    echelon is closed once, from the span of H and iota(v).  Over Q,
+    iota^{-1}(H + Q.iota(v)) = Q.L + Q.v, so a grown echelon is already
+    closed; with symbols the closure can be larger, and the memo of grown
+    echelons keeps it from being computed again.  Closures are keyed by the
+    echelon of their coefficient lattice, with which they are in bijection.
     """
-    if model.m == 0:
-        return _enumerate_closures_rational(model, height)
-    return _enumerate_closures_symbolic(model, height)
+    zero = model.zero_subgroup()
+    start = linalg._echelon(zero.coeff.rows)
+    vectors = {}
+    for v in box_primitives(model.l, height):
+        rem = linalg._echelon_reduce(start, v)
+        if rem is not None:
+            vectors.setdefault(rem, v)
+    seen = {start}
+    nodes = [(start, zero)]
+    for ech, node in nodes:  # breadth first: found closures are appended
+        tried = set()
+        for v in vectors.values():
+            rem = linalg._echelon_reduce(ech, v)
+            if rem is None or rem in tried:
+                continue
+            tried.add(rem)
+            grown = linalg._echelon_insert(ech, rem)
+            if grown in seen:
+                continue
+            sub = (model.full_subgroup() if node.dim + 1 == model.n
+                   else _subgroup(model, node.span + (model.point_of(v),)))
+            key = linalg._echelon(sub.coeff.rows)
+            if key not in seen:
+                nodes.append((key, sub))
+            seen.update((grown, key))
+    return tuple(sorted((sub for _, sub in nodes), key=lambda s: (s.dim, s.coeff.rows)))
 
 
 def image_lines(model, height):
@@ -442,56 +465,11 @@ def image_lines(model, height):
         img = model.point_of(v)
         if not any(img):
             continue
-        scale = lcm(*(x.denominator for x in img))
-        key = linalg.primitive([int(x * scale) for x in img])
+        key = linalg.primitive(linalg._cleared(img))
         if key not in seen:
             seen.add(key)
             lines.append(key)
     return lines
-
-
-def _enumerate_closures_rational(model, height):
-    n = model.n
-    lines = image_lines(model, height)
-    seen = {(): None}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for ech in frontier:
-            if len(ech) == n:
-                continue
-            for rep in lines:
-                grown = linalg._echelon_insert(ech, rep)
-                if grown is not None and grown not in seen:
-                    seen[grown] = None
-                    nxt.append(grown)
-        frontier = nxt
-    subgroups = [_subgroup(model, len(ech), ech) for ech in seen]
-    subgroups.sort(key=lambda s: (s.dim, s.coeff.rows))
-    return tuple(subgroups)
-
-
-def _enumerate_closures_symbolic(model, height):
-    vectors = box_primitives(model.l, height)
-    zero = model.zero_subgroup()
-    seen = {(zero.dim, zero.coeff.rows): zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            if node.dim == model.n:
-                continue
-            for v in vectors:
-                if node.coeff.contains(v):
-                    continue
-                grown = closure(model, node.coeff.rows + (v,))
-                key = (grown.dim, grown.coeff.rows)
-                if key not in seen:
-                    seen[key] = grown
-                    nxt.append(grown)
-        frontier = nxt
-    subgroups = sorted(seen.values(), key=lambda s: (s.dim, s.coeff.rows))
-    return tuple(subgroups)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 from itertools import product
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +23,14 @@ from slopechain import (
     specialize,
 )
 from slopechain import linalg
-from slopechain.model import _prefix_ranks
+from slopechain.model import (
+    Subgroup,
+    Sublattice,
+    _prefix_ranks,
+    _relations,
+    box_primitives,
+    image_lines,
+)
 
 
 def rational_model(n, gens, scales):
@@ -383,3 +392,137 @@ class TestEnumerateClosures:
         assert span_contains(m, m.full_subgroup(), x_axis)
         assert span_contains(m, x_axis, m.zero_subgroup())
         assert not span_contains(m, x_axis, m.full_subgroup())
+
+
+def _old_subgroup(model, dim, rows):
+    """`_subgroup` as it was when the caller supplied the dimension."""
+    if dim == model.n:
+        return model.full_subgroup()
+    if dim == 0:
+        return model.zero_subgroup()
+    kernel_dirs = linalg.nullspace(rows, model.n)
+    coeff = _relations(
+        [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
+    )
+    span = tuple(pt for pt in map(model.point_of, coeff) if any(pt))
+    return Subgroup(dim, Sublattice(model.l, coeff), span)
+
+
+def _old_closure(model, rows):
+    """`closure` as it was, with one path per ring."""
+    points = [model.point_of(r) for r in rows]
+    if model.m == 0:
+        ech = linalg.rat_rref(points, model.n)[0]
+        return _old_subgroup(model, len(ech), ech)
+    return _old_subgroup(model, linalg.rank(points), points)
+
+
+def _old_enumerate_closures_rational(model, height):
+    """The rational walk: every image line against every span of lines."""
+    n = model.n
+    lines = image_lines(model, height)
+    seen = {(): None}
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for ech in frontier:
+            if len(ech) == n:
+                continue
+            for rep in lines:
+                grown = linalg._echelon_insert(ech, rep)
+                if grown is not None and grown not in seen:
+                    seen[grown] = None
+                    nxt.append(grown)
+        frontier = nxt
+    subgroups = [_old_subgroup(model, len(ech), ech) for ech in seen]
+    subgroups.sort(key=lambda s: (s.dim, s.coeff.rows))
+    return tuple(subgroups)
+
+
+def _old_enumerate_closures_symbolic(model, height):
+    """The symbolic walk: every box vector outside each closure, closed from
+    the closure's coefficient rows."""
+    vectors = box_primitives(model.l, height)
+    zero = model.zero_subgroup()
+    seen = {(zero.dim, zero.coeff.rows): zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            if node.dim == model.n:
+                continue
+            for v in vectors:
+                if node.coeff.contains(v):
+                    continue
+                grown = _old_closure(model, node.coeff.rows + (v,))
+                key = (grown.dim, grown.coeff.rows)
+                if key not in seen:
+                    seen[key] = grown
+                    nxt.append(grown)
+        frontier = nxt
+    subgroups = sorted(seen.values(), key=lambda s: (s.dim, s.coeff.rows))
+    return tuple(subgroups)
+
+
+def _as_tuples(subgroups):
+    return [(s.dim, s.coeff.rows, s.span) for s in subgroups]
+
+
+@st.composite
+def rational_enumeration_cases(draw):
+    """n, l <= 4 with zero generators and generators that are integer
+    combinations of earlier ones; height 2 only for l <= 3, where the box
+    stays small."""
+    n, l = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.sampled_from((0, 1, -1, 2, F(1, 2)))
+    gens = []
+    for _ in range(l):
+        kind = draw(st.sampled_from(("fresh", "zero", "dependent")))
+        if kind == "zero":
+            gens.append((0,) * n)
+        elif kind == "dependent" and gens:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            gens.append(tuple(x * p + y * q for p, q in zip(a, b)))
+        else:
+            gens.append(tuple(draw(entry) for _ in range(n)))
+    height = draw(st.integers(1, 2 if l <= 3 else 1))
+    return rational_model(n, gens, (2,) * l), height
+
+
+class TestEnumerateClosuresOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(rational_enumeration_cases())
+    @example((  # planes grow into 3-spaces only when n = 4
+        rational_model(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)], (2,) * 4), 1,
+    ))
+    def test_rational_matches_image_line_walk(self, case):
+        model, height = case
+        assert _as_tuples(enumerate_closures(model, height)) == _as_tuples(
+            _old_enumerate_closures_rational(model, height)
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(models_with_lattice())
+    def test_symbolic_matches_closure_walk(self, case):
+        # n, l <= 3 and up to two symbols, height 1
+        model, _ = case
+        assert _as_tuples(enumerate_closures(model, 1)) == _as_tuples(
+            _old_enumerate_closures_symbolic(model, 1)
+        )
+
+    def test_closure_larger_than_grown_span(self):
+        # (1, 0) and (t1, 0) span the same line over Q(t1), so closing
+        # Q.(1, 0, 0) swallows (0, 1, 0): the closure is larger than the
+        # grown coefficient span
+        model = build_model(ModelConfig(
+            n=2,
+            generators=((1, 0), ({"coeffs": {"t1": 1}}, 0), (0, 1)),
+            scales=(2, 2, 2),
+            symbols=("tau",),
+        ))
+        subs = enumerate_closures(model, 1)
+        assert _as_tuples(subs) == _as_tuples(_old_enumerate_closures_symbolic(model, 1))
+        x_axis = closure(model, [(1, 0, 0)])
+        assert x_axis.coeff.rows == ((1, 0, 0), (0, 1, 0))
+        assert x_axis in subs
