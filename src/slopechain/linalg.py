@@ -2,17 +2,18 @@
 
 Matrices are sequences of rows.  Rational routines share one fraction-free
 integer echelon (`_echelon_insert`): rows are cleared of denominators, and
-Fractions appear only when the RREF is read off the echelon.  Polynomial
-routines use fraction-free (Bareiss) elimination so intermediate entries stay
-polynomial.  Lattice routines return canonical row-style Hermite normal forms
-(pivots positive, entries above a pivot reduced into [0, pivot), zero rows
-dropped), so lattice equality is plain tuple equality.  Everything is pure and
-deterministic.
+Fractions appear only when the RREF is read off the echelon.  Kernels are
+read off the RREF by `_rref_kernel`, for all columns or for any prefix.
+Polynomial routines use fraction-free (Bareiss) elimination so intermediate
+entries stay polynomial.  Lattice routines return canonical row-style Hermite
+normal forms (pivots positive, entries above a pivot reduced into [0, pivot),
+zero rows dropped), so lattice equality is plain tuple equality.  Everything
+is pure and deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -102,16 +103,25 @@ def nullspace(rows, ncols):
     off the RREF.  Matrices with `Poly` entries go to `poly_nullspace`."""
     if any(isinstance(e, Poly) for row in rows for e in row):
         return poly_nullspace(rows)
-    rref, pivots = rat_rref(rows, ncols)
-    pivot_set = set(pivots)
+    return _rref_kernel(*rat_rref(rows, ncols), ncols)
+
+
+def _rref_kernel(rref, pivots, ncols):
+    """Canonical kernel basis of the first `ncols` columns of an RREF: one
+    vector per free column, entry 1 there and minus the RREF entries of that
+    column at the pivots.  The RREF of a column prefix is the RREF cut to the
+    prefix (rows with a later pivot vanish), so one RREF serves every
+    prefix."""
+    k = bisect_left(pivots, ncols)
+    pivot_set = set(pivots[:k])
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rref[i][free]
+        for row, pc in zip(rref[:k], pivots):
+            vec[pc] = -row[free]
         basis.append(tuple(vec))
     return basis
 

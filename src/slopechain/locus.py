@@ -7,10 +7,24 @@ multi-index s) has entry binom(a, s) * w^(a-s) at monomial a.  Binomials
 rather than falling factorials keep the integers small; over characteristic
 zero the vanishing conditions are the same.
 
+Rows are integers.  A point is written p/q, with q the lcm of its coordinate
+denominators, and the row for (p/q, s) is the Hasse row times q^(D-|s|):
+binom(a, s) * p^(a-s) * q^(D-|a|) at monomial a, the Hasse derivative of the
+homogenized monomial q^(D-|a|) x^a at the integer point (q, p).  A nonzero
+multiple of a row imposes the same condition.
+
+The graded basis of degree D is a prefix of the basis of any larger degree
+E, and the degree-E rows cut to that prefix are the degree-D rows times
+q^(E-D).  The RREF of a column prefix is the prefix of the RREF, so one
+elimination at the largest degree gives the rank and the canonical kernel of
+every degree of a sweep.  Each kernel vector, with its denominators cleared,
+is still re-checked against every jet row of its degree in integers.
+
 The base locus of (points, T, D) is the common zero set of the kernel of the
 jet matrix.  Membership is tested by evaluating the kernel basis (computed
 once), never by re-running eliminations per point, because probe loops
-evaluate thousands of points.
+evaluate thousands of points: the cleared kernel vectors are evaluated at
+the homogenized point (q, p), which vanishes exactly where the section does.
 """
 
 from __future__ import annotations
@@ -19,6 +33,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import linalg
 from .chain import Chain, RootedRational
@@ -81,7 +98,7 @@ class JetMatrix:
     basis: MonomialBasis
     points: tuple
     order: int
-    rows: tuple
+    rows: tuple            # integer rows: Hasse row of (p/q, s) times q^(D-|s|)
     row_index: tuple       # (point position, derivative multi-index) per row
 
 
@@ -93,6 +110,21 @@ class KernelBasis:
     degree: int
     vectors: tuple
 
+    @cached_property
+    def _exponents(self):
+        return _homogenized_exponents(self.basis)
+
+    @cached_property
+    def _terms(self):
+        """Each vector with its denominators cleared, as (columns, integer
+        coefficients) of its nonzero entries."""
+        terms = []
+        for vec in self.vectors:
+            cleared = linalg._cleared(vec)
+            cols = tuple(j for j, c in enumerate(cleared) if c)
+            terms.append((cols, tuple(cleared[j] for j in cols)))
+        return tuple(terms)
+
 
 def _require_rational(model: GroupModel):
     if model.m != 0:
@@ -101,58 +133,105 @@ def _require_rational(model: GroupModel):
         )
 
 
-def _hasse_row(point, sigma, basis: MonomialBasis):
+def _check_jet(model: GroupModel, npoints: int, order: int, degree: int, limit):
+    """Refuse a symbolic model, a degree or order below 1, or a jet matrix of
+    more than `limit` entries, before anything is built."""
+    _require_rational(model)
+    if order < 1 or degree < 1:
+        raise ValueError("order and degree must be >= 1")
+    n = model.n
+    size = math.comb(n + degree, n) * npoints * math.comb(n + order - 1, n)
+    if size > limit:
+        raise MatrixTooLarge(f"jet matrix with {size} entries exceeds {limit}")
+
+
+def _homogenized_exponents(basis: MonomialBasis):
+    """Exponents (D - |a|, a) of the basis monomials homogenized at degree D."""
+    return tuple((basis.degree - sum(a),) + a for a in basis.exponents)
+
+
+def _homogenized_powers(point, degree):
+    """Powers 0..degree of each coordinate of the integer point (q, p), where
+    point = p/q and q is the lcm of its coordinate denominators."""
+    q = math.lcm(*(x.denominator for x in point))
+    coords = (q,) + tuple(x.numerator * (q // x.denominator) for x in point)
+    return [list(accumulate(repeat(c, degree), mul, initial=1)) for c in coords]
+
+
+def _jet_row(powers, sigma, exponents):
+    """binom(e, sigma) * (q, p)^(e - sigma) at each homogenized exponent e;
+    sigma carries a leading 0 for the q coordinate."""
     row = []
-    for alpha in basis.exponents:
-        if any(s > a for s, a in zip(sigma, alpha)):
-            row.append(Fraction(0))
-            continue
-        coeff = 1
-        for a, s in zip(alpha, sigma):
-            if s:
-                coeff *= math.comb(a, s)
-        value = Fraction(coeff)
-        for w, a, s in zip(point, alpha, sigma):
-            if a - s:
-                value *= w ** (a - s)
+    for alpha in exponents:
+        value = 1
+        for pw, a, s in zip(powers, alpha, sigma):
+            if a < s:
+                value = 0
+                break
+            value *= math.comb(a, s) * pw[a - s] if s else pw[a]
         row.append(value)
-    return tuple(row)
+    return row
+
+
+def _dot(row, terms) -> int:
+    cols, coeffs = terms
+    return sum(map(mul, map(row.__getitem__, cols), coeffs))
 
 
 def jet_matrix(model: GroupModel, points, order: int, degree: int,
                limit=10 ** 6) -> JetMatrix:
     """Evaluation-with-derivatives matrix of the degree-D basis at `points`,
-    one row per (point, derivative multi-index of total degree < order)."""
-    _require_rational(model)
-    if order < 1 or degree < 1:
-        raise ValueError("order and degree must be >= 1")
+    one integer row per (point, derivative multi-index of total degree <
+    order): the Hasse row of the point p/q times q^(D - |s|)."""
+    points = tuple(points)
+    _check_jet(model, len(points), order, degree, limit)
     points = tuple(tuple(as_fraction(c) for c in p) for p in points)
-    n = model.n
-    size = math.comb(n + degree, n) * len(points) * math.comb(n + order - 1, n)
-    if size > limit:
-        raise MatrixTooLarge(f"jet matrix with {size} entries exceeds {limit}")
-    basis = monomial_basis(n, degree)
-    sigmas = _jet_orders(n, order)
+    basis = monomial_basis(model.n, degree)
+    exponents = _homogenized_exponents(basis)
+    sigmas = _jet_orders(model.n, order)
     rows = []
     row_index = []
     for p_idx, point in enumerate(points):
+        powers = _homogenized_powers(point, degree)
         for sigma in sigmas:
-            rows.append(_hasse_row(point, sigma, basis))
+            rows.append(tuple(_jet_row(powers, (0,) + sigma, exponents)))
             row_index.append((p_idx, sigma))
     return JetMatrix(basis, points, order, tuple(rows), tuple(row_index))
+
+
+def _kernels(model: GroupModel, points, order: int, degrees, limit):
+    """The jet matrix at the largest of the ascending `degrees` and the
+    canonical KernelBasis of every degree, from one elimination.
+
+    Every size is checked before anything is built, so an oversized range
+    fails at its first oversized degree.  Each degree's kernel is read off
+    the prefix of the RREF, and each of its cleared vectors is re-checked
+    against every row cut to that prefix: the degree's jet rows up to
+    nonzero factors.
+    """
+    points = tuple(points)
+    for degree in degrees:
+        _check_jet(model, len(points), order, degree, limit)
+    jm = jet_matrix(model, points, order, degrees[-1], limit)
+    rref, pivots = linalg.rat_rref(jm.rows, len(jm.basis))
+    kernels = []
+    for degree in degrees:
+        ncols = math.comb(model.n + degree, model.n)
+        basis = MonomialBasis(model.n, degree, jm.basis.exponents[:ncols])
+        vectors = linalg._rref_kernel(rref, pivots, ncols)
+        kernel = KernelBasis(basis, jm.points, order, degree, tuple(vectors))
+        for terms in kernel._terms:
+            if any(_dot(row, terms) for row in jm.rows):
+                raise InternalInvariantError("kernel vector fails a jet constraint")
+        kernels.append(kernel)
+    return jm, kernels
 
 
 def kernel_basis(model: GroupModel, points, order: int, degree: int,
                  limit=10 ** 6) -> KernelBasis:
     """Canonical basis of sections vanishing to order `order` at all points.
     Every basis vector is re-checked against every jet constraint."""
-    jm = jet_matrix(model, points, order, degree, limit)
-    vectors = linalg.nullspace(jm.rows, len(jm.basis))
-    for vec in vectors:
-        for row in jm.rows:
-            if sum(a * b for a, b in zip(row, vec)):
-                raise InternalInvariantError("kernel vector fails a jet constraint")
-    return KernelBasis(jm.basis, jm.points, order, degree, tuple(vectors))
+    return _kernels(model, points, order, (degree,), limit)[1][0]
 
 
 def evaluate_section(basis: MonomialBasis, coeffs, point) -> Fraction:
@@ -170,11 +249,16 @@ def evaluate_section(basis: MonomialBasis, coeffs, point) -> Fraction:
 
 def in_base_locus(kernel: KernelBasis, point) -> bool:
     """Whether every kernel section vanishes at the point; an empty kernel
-    means the base locus is everything."""
+    means the base locus is everything.  The cleared sections are evaluated
+    at the homogenized integer point, in integers."""
     point = tuple(as_fraction(c) for c in point)
-    return all(
-        evaluate_section(kernel.basis, vec, point) == 0 for vec in kernel.vectors
+    if not kernel.vectors:
+        return True
+    values = _jet_row(
+        _homogenized_powers(point, kernel.degree), (0,) * (len(point) + 1),
+        kernel._exponents,
     )
+    return not any(_dot(values, terms) for terms in kernel._terms)
 
 
 @dataclass(frozen=True)
@@ -190,8 +274,8 @@ def eval_rank(model: GroupModel, points, order: int, degree: int,
               limit=10 ** 6) -> EvalRank:
     """Rank of the jet evaluation map; injectivity certifies a trivial base
     locus regime, surjectivity the interpolation regime."""
-    jm = jet_matrix(model, points, order, degree, limit)
-    rank = linalg.rat_rank(jm.rows, len(jm.basis))
+    jm, (kernel,) = _kernels(model, points, order, (degree,), limit)
+    rank = len(kernel.basis) - len(kernel.vectors)
     return EvalRank(
         rank=rank,
         injective=(rank == len(jm.basis)),
@@ -239,18 +323,14 @@ class _TranslateMembership:
         self.points = omega.points
         self.point_set = set(omega.points) if subgroup.dim == 0 else None
         if 0 < subgroup.dim < model.n:
-            rows = [[as_fraction(c) for c in p] for p in subgroup.span]
-            self.rref, self.pivots = linalg.rat_rref(rows, model.n)
+            self.echelon = linalg._echelon(
+                linalg._cleared([as_fraction(c) for c in p]) for p in subgroup.span
+            )
         else:
-            self.rref, self.pivots = (), ()
+            self.echelon = ()
 
     def _in_span(self, vec):
-        v = list(vec)
-        for row, c in zip(self.rref, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        return linalg._echelon_reduce(self.echelon, linalg._cleared(vec)) is None
 
     def __contains__(self, x):
         if self.dim == self.n:
@@ -413,7 +493,9 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     never back, and the index achieving the both-true verdict pair can only
     decrease; both are asserted exactly.  Empirical transition degrees are
     reported beside the exact step thresholds T * frak_S_i for comparison
-    (display only: the proportionality constants are not effective).
+    (display only: the proportionality constants are not effective).  The
+    kernels of all degrees come from one jet matrix at the largest degree and
+    one elimination.
     """
     _require_rational(model)
     degrees = sorted(int(d) for d in degrees)
@@ -423,8 +505,10 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     prev_nullity = -1
     prev_istar = None
     transitions = []
-    for degree in degrees:
-        kernel = kernel_basis(model, sampler.omega.points, order, degree, limit)
+    kernels = ()
+    if degrees:
+        _, kernels = _kernels(model, sampler.omega.points, order, degrees, limit)
+    for degree, kernel in zip(degrees, kernels):
         rank = len(kernel.basis) - len(kernel.vectors)
         nullity = len(kernel.vectors)
         if nullity < prev_nullity:

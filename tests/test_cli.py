@@ -268,11 +268,11 @@ class TestExitCodes:
         assert err["error"]["kind"] == "chi_positive"
 
     def test_internal_self_check_maps_to_one(self, tmp_path, monkeypatch, capsys):
-        # the jet lab's own linalg reference returns a non-kernel vector
-        def bogus_kernel(rows, ncols):
+        # the kernel read-off of the jet lab returns a non-kernel vector
+        def bogus_kernel(rref, pivots, ncols):
             return [tuple([1] * ncols)]
         monkeypatch.setattr(
-            locus, "linalg", SimpleNamespace(**dict(vars(linalg), nullspace=bogus_kernel))
+            locus, "linalg", SimpleNamespace(**dict(vars(linalg), _rref_kernel=bogus_kernel))
         )
         cfg = write_config(tmp_path)
         code = cli.run(["locus", "probe", "-c", cfg])
@@ -280,6 +280,23 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == "InternalInvariantError"
         assert "jet constraint" in error["message"]
+
+    def test_sweep_over_matrix_max_fails_at_first_oversized_degree(
+            self, tmp_path, monkeypatch, capsys):
+        # 15 box points, T = 1: D = 8 has 45 * 15 = 675 entries, D = 9 has
+        # 55 * 15 = 825 > 700; the sweep builds one matrix at D = 12, so every
+        # size must be checked before it is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("jet matrix built before the size check")
+        monkeypatch.setattr(locus, "jet_matrix", no_build)
+        cfg = write_config(tmp_path, {
+            "D_range": [1, 12], "epsilon": "1/2", "limits": {"matrix_max": 700},
+        })
+        code = cli.run(["locus", "sweep", "-c", cfg])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "MatrixTooLarge"
+        assert error["message"] == "jet matrix with 825 entries exceeds 700"
 
     def test_candidate_box_over_enumeration_max_maps_to_one(self, tmp_path, capsys):
         # 7^3 = 343 box vectors of height 3 exceed enumeration_max = 100

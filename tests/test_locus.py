@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slopechain import (
     MatrixTooLarge,
@@ -19,7 +20,7 @@ from slopechain import (
     threshold_sweep,
     translate_section,
 )
-from slopechain import locus
+from slopechain import linalg, locus
 from slopechain.locus import evaluate_section
 
 
@@ -56,6 +57,14 @@ class TestJetMatrix:
         jm = jet_matrix(m, [(F(2),)], 2, 2)
         assert jm.rows[0] == (F(1), F(2), F(4))
         assert jm.rows[1] == (F(0), F(1), F(4))
+
+    def test_rational_point_rows_are_scaled_hasse_rows(self):
+        # at 1/2 (p = 1, q = 2) with T = 2, D = 2: the Hasse rows (1, 1/2, 1/4)
+        # and (0, 1, 1) times q^(D - |s|) = 4 and 2
+        m = line_model(2)
+        jm = jet_matrix(m, [(F(1, 2),)], 2, 2)
+        assert jm.rows == ((4, 2, 1), (0, 2, 2))
+        assert all(type(x) is int for row in jm.rows for x in row)
 
     def test_planar_origin_jets(self):
         m = rational_model(2, [(1, 0), (0, 1)], (2, 2))
@@ -240,3 +249,62 @@ class TestThresholdSweep:
             # the single box point {0} is a proper locus once sections exist
             assert row.verdicts[0][0] is True
             assert row.verdicts[1][1] is None
+
+
+def _hasse_row(point, sigma, basis):
+    """The Fraction Hasse row binom(a, s) * w^(a-s): the oracle for the
+    integer rows."""
+    row = []
+    for alpha in basis.exponents:
+        if any(s > a for s, a in zip(sigma, alpha)):
+            row.append(F(0))
+            continue
+        coeff = 1
+        for a, s in zip(alpha, sigma):
+            if s:
+                coeff *= math.comb(a, s)
+        value = F(coeff)
+        for w, a, s in zip(point, alpha, sigma):
+            if a - s:
+                value *= w ** (a - s)
+        row.append(value)
+    return tuple(row)
+
+
+@st.composite
+def jet_cases(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 2))
+    lo = draw(st.integers(1, 6))
+    hi = draw(st.integers(lo, 6))
+    coord = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    point = st.tuples(*[coord] * n)
+    points = draw(st.lists(point, max_size=8))
+    probes = draw(st.lists(point, min_size=1, max_size=4))
+    return n, order, range(lo, hi + 1), points, probes
+
+
+class TestIntegerJetsAgainstFractionOracle:
+    """One integer elimination per sweep against a Fraction elimination per
+    degree: same ranks, same canonical kernels, same base-locus verdicts."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(jet_cases())
+    def test_sweep_kernels_equal_per_degree_oracle(self, case):
+        n, order, degrees, points, probes = case
+        m = rational_model(n, [], ())
+        _, kernels = locus._kernels(m, points, order, list(degrees), 10 ** 6)
+        for degree, kernel in zip(degrees, kernels):
+            basis = monomial_basis(n, degree)
+            rows = [
+                _hasse_row(p, sigma, basis)
+                for p in points for sigma in monomial_basis(n, order - 1).exponents
+            ]
+            oracle = tuple(linalg.nullspace(rows, len(basis)))
+            assert kernel.basis == basis and kernel.degree == degree
+            assert kernel.vectors == oracle, degree
+            rank = len(basis) - len(kernel.vectors)
+            assert rank == linalg.rat_rank(rows, len(basis))
+            for x in probes + points:
+                vanishes = all(evaluate_section(basis, v, x) == 0 for v in oracle)
+                assert in_base_locus(kernel, x) == vanishes, (degree, x)

@@ -3,8 +3,9 @@
 `bench/run.py --trace 1` wraps every public function of the traced modules
 and reads some of their arguments (`rat_rref(rows, ncols)`, `image_lines`).
 One traced `chain verify` per ring, through `cli.run`, must give the golden
-report and record the closure enumeration.  `bench/spans.py` is loaded from
-its file and not modified.
+report and record the closure enumeration; one traced `locus sweep` must give
+the golden report from one jet matrix and one elimination.  `bench/spans.py`
+is loaded from its file and not modified.
 """
 
 import importlib.util
@@ -26,22 +27,43 @@ def _tracer_class():
     return module.Tracer
 
 
-@pytest.mark.parametrize("config", ["plane_basic", "sym_plane"])
-def test_traced_chain_verify(tmp_path, config):
+def _traced_run(tmp_path, config, command):
+    """Run one subcommand on a golden config under the tracer; returns the
+    tracer after checking the exit code and the report bytes."""
     out = tmp_path / "report"
     tracer = _tracer_class()(slopechain, keep_spans=False)
     tracer.install()
     try:
         tracer.enabled = True
-        rc = cli.run(["chain", "verify", "-c", str(GOLDEN / f"{config}.json"), "--out", str(out)])
+        rc = cli.run([*command, "-c", str(GOLDEN / f"{config}.json"), "--out", str(out)])
         tracer.enabled = False
     finally:
         tracer.uninstall()
     assert rc == 0
-    assert out.read_bytes() == (GOLDEN / f"{config}.chain_verify.out").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{config}.{'_'.join(command)}.out").read_bytes()
+    return tracer
+
+
+@pytest.mark.parametrize("config", ["plane_basic", "sym_plane"])
+def test_traced_chain_verify(tmp_path, config):
+    tracer = _traced_run(tmp_path, config, ("chain", "verify"))
     table = tracer.layer_table()
     assert table["cli"][0] == 1
     assert table["model.enumerate_closures"][0] == 1
     assert tracer.counters["model.enumerate_closures.closures"] > 0
     # uninstalled: the module binds the plain function again
     assert not hasattr(cli.run, "__wrapped__")
+
+
+def test_traced_locus_sweep_eliminates_once(tmp_path):
+    # D = 1..4: one jet matrix at D = 4 and one elimination under the sweep;
+    # the chain build's closure runs its own `rat_rref` through `nullspace`
+    tracer = _traced_run(tmp_path, "plane_basic", ("locus", "sweep"))
+    table = tracer.layer_table()
+    assert table["cli"][0] == 1
+    assert table["locus.jet_matrix"][0] == 1
+    assert tracer.child_calls("locus.threshold_sweep", "locus.jet_matrix") == 1
+    assert tracer.child_calls("locus.threshold_sweep", "linalg.rat_rref") == 1
+    closure_eliminations = tracer.child_calls("linalg.nullspace", "linalg.rat_rref")
+    assert table["linalg.rat_rref"][0] == 1 + closure_eliminations
+    assert "locus.kernel_basis" not in table
