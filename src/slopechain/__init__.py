@@ -20,13 +20,11 @@ from .chain import (
     VerifyOptions,
     build_chain,
     build_chain_greedy,
-    build_chain_st,
     compare_slopes,
     frak_S,
     mu_exponents,
     n_formula,
     phi,
-    phi_st,
     polygon_rows,
     verify_chain,
 )

@@ -1,6 +1,7 @@
 """The slope filtration: a canonical tower {0} = H_0 < H_1 < ... < H_r = G.
 
-For a connected subgroup K the weighted rank functional is
+The chain is built from one functional, the weighted rank functional of a
+connected subgroup K,
 
     phi(K) = sum_j (rk(Gamma_j cap K) - rk(Gamma_{j-1} cap K)) * log S_j,
 
@@ -36,16 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 
-from . import linalg
 from .errors import (
     AmbiguousCandidates,
     CertificateViolation,
-    DimensionMismatch,
     IndexOutOfRange,
     InternalInvariantError,
-    InvalidScale,
     NotNested,
-    SlopechainError,
 )
 from .model import (
     GroupModel,
@@ -134,6 +131,10 @@ class RootedRational:
         right = value ** self.root
         return (self.radicand > right) - (self.radicand < right)
 
+    def times(self, factor) -> "RootedRational":
+        """factor * self for a positive rational factor."""
+        return RootedRational(factor ** self.root * self.radicand, self.root)
+
     def approx(self) -> float:
         return float(self.radicand) ** (1.0 / self.root)
 
@@ -152,9 +153,18 @@ def phi(model: GroupModel, subgroup: Subgroup) -> PhiValue:
     return phi_from_profile(model, profile)
 
 
+def _rank_jumps(gamma_ranks, base=None) -> tuple[int, ...]:
+    """Per-j jumps (a_j - b_j) - (a_{j-1} - b_{j-1}) of the rank difference
+    a - b, with a_0 = b_0 = 0 and b = 0 when no base is given."""
+    if base is not None:
+        gamma_ranks = tuple(a - b for a, b in zip(gamma_ranks, base))
+    ranks = (0,) + tuple(gamma_ranks)
+    return tuple(b - a for a, b in zip(ranks, ranks[1:]))
+
+
 def phi_from_profile(model: GroupModel, profile: RankProfile) -> PhiValue:
     ranks = (0,) + profile.gamma_ranks
-    jumps = tuple(ranks[j] - ranks[j - 1] for j in range(1, model.l + 1))
+    jumps = _rank_jumps(profile.gamma_ranks)
     alt = [0] * model.l
     for j in range(1, model.l + 1):
         alt[j - 1] += ranks[j]
@@ -199,13 +209,10 @@ def _frak(model, node_lo: ChainNode, node_hi: ChainNode,
           prof_lo: RankProfile, prof_hi: RankProfile) -> RootedRational:
     """frak_S for one step, computed from the double-quotient rank jumps and
     re-derived from exp of the slope; both must coincide."""
-    lo = (0,) + prof_lo.gamma_ranks
-    hi = (0,) + prof_hi.gamma_ranks
-    jumps = tuple(
-        (hi[j] - lo[j]) - (hi[j - 1] - lo[j - 1]) for j in range(1, model.l + 1)
-    )
     root = node_hi.dim - node_lo.dim
-    radicand = power_product(model.scales, jumps)
+    radicand = power_product(
+        model.scales, _rank_jumps(prof_hi.gamma_ranks, prof_lo.gamma_ranks)
+    )
     via_slope = power_product(model.scales, (node_hi.phi - node_lo.phi).exponents)
     if radicand != via_slope:
         raise InternalInvariantError("frak_S formulas disagree")
@@ -245,13 +252,10 @@ def _build_chain_fast(model: GroupModel) -> Chain:
     full = model.full_subgroup()
     r = (0,) + rank_profile(model, full).gamma_ranks
 
-    def f_exponents(d):
-        return tuple(min(r[j], d) - min(r[j - 1], d) for j in range(1, l + 1))
+    def f_ranks(d):
+        return tuple(min(rj, d) for rj in r[1:])
 
-    slopes = [
-        PhiValue(tuple(b - a for a, b in zip(f_exponents(d), f_exponents(d + 1))))
-        for d in range(n)
-    ]
+    slopes = [PhiValue(_rank_jumps(f_ranks(d + 1), f_ranks(d))) for d in range(n)]
     vertices = [0]
     for d in range(1, n):
         if phi_sign(model.scales, slopes[d - 1] - slopes[d]) > 0:
@@ -287,16 +291,15 @@ def _prefix_candidates(model: GroupModel):
     return list(seen.values())
 
 
-def _greedy_tower(n, scales, info):
-    """The definitional construction over (candidate, PhiValue) pairs whose
-    values are exponent vectors over `scales`, with the zero subgroup first:
-    from H_i pick the candidate of larger dimension with maximal slope,
-    breaking ties by maximal dimension, until dimension n.  Returns the
-    positions of the tower members in `info`.  Raises AmbiguousCandidates
-    when two distinct subgroups survive both criteria, which would contradict
-    uniqueness and must reach the caller."""
+def _greedy_tower(model: GroupModel, info):
+    """The definitional construction over (candidate, phi) pairs with the
+    zero subgroup first: from H_i pick the candidate of larger dimension with
+    maximal slope, breaking ties by maximal dimension, until dimension n.
+    Returns the positions of the tower members in `info`.  Raises
+    AmbiguousCandidates when two distinct subgroups survive both criteria,
+    which would contradict uniqueness and must reach the caller."""
     tower = [0]
-    while info[tower[-1]][0].dim < n:
+    while info[tower[-1]][0].dim < model.n:
         current, current_phi = info[tower[-1]]
         best = []
         best_slope = None
@@ -307,7 +310,7 @@ def _greedy_tower(n, scales, info):
             if best_slope is None:
                 best, best_slope = [pos], slope
                 continue
-            cmp = _slope_cmp(scales, slope, best_slope)
+            cmp = _slope_cmp(model.scales, slope, best_slope)
             if cmp > 0:
                 best, best_slope = [pos], slope
             elif cmp == 0:
@@ -328,7 +331,7 @@ def build_chain_greedy(model: GroupModel) -> Chain:
     group; raises AmbiguousCandidates as `_greedy_tower` does."""
     candidates = _prefix_candidates(model)
     info = [(c, phi(model, c)) for c in candidates]
-    return _assemble(model, [candidates[i] for i in _greedy_tower(model.n, model.scales, info)])
+    return _assemble(model, [candidates[i] for i in _greedy_tower(model, info)])
 
 
 def build_chain(model: GroupModel) -> Chain:
@@ -389,10 +392,8 @@ def n_formula(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup) -> Fract
     cap H''); the closed-form predictor of box-point counts in H' mod H''."""
     if not h_prime.coeff.contains_lattice(h_dprime.coeff):
         raise NotNested("H'' is not contained in H' (coefficient lattices)")
-    hp = (0,) + rank_profile(model, h_prime).gamma_ranks
-    hdp = (0,) + rank_profile(model, h_dprime).gamma_ranks
-    jumps = tuple(
-        (hp[j] - hdp[j]) - (hp[j - 1] - hdp[j - 1]) for j in range(1, model.l + 1)
+    jumps = _rank_jumps(
+        rank_profile(model, h_prime).gamma_ranks, rank_profile(model, h_dprime).gamma_ranks
     )
     return power_product(model.scales, jumps)
 
@@ -430,6 +431,19 @@ class VerifyOptions:
 
 # the powers alpha of the scaling check S_j -> S_j^alpha
 SCALING_ALPHAS = (2, 3)
+
+
+def _chain_keys(chain: Chain):
+    return [(s.dim, s.coeff.rows) for s in chain.subgroups]
+
+
+def _scaled_chain(model: GroupModel, chain: Chain, alpha: int) -> Chain:
+    """The chain of model.powered(alpha), which must have the members of
+    `chain`; raises CertificateViolation("scaling") otherwise."""
+    rebuilt = build_chain(model.powered(alpha))
+    if _chain_keys(rebuilt) != _chain_keys(chain):
+        raise CertificateViolation("scaling", f"chain changed under S -> S^{alpha}")
+    return rebuilt
 
 
 def _chi(dim_k: int, phi_k: PhiValue, lo: ChainNode, hi: ChainNode) -> PhiValue:
@@ -479,7 +493,7 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     for sub in pool:
         candidates.setdefault((sub.dim, sub.coeff.rows), sub)
 
-    chain_keys = [(s.dim, s.coeff.rows) for s in chain.subgroups]
+    chain_keys = _chain_keys(chain)
     chain_profiles = [rank_profile(model, s) for s in chain.subgroups]
 
     checks = []
@@ -551,16 +565,10 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
         raise CertificateViolation("frak_order", "last frak_S is below 1", step=chain.r - 1)
 
     for alpha in SCALING_ALPHAS:
-        rebuilt = build_chain(model.powered(alpha))
-        if [(s.dim, s.coeff.rows) for s in rebuilt.subgroups] != chain_keys:
-            raise CertificateViolation(
-                "scaling", f"chain changed under S -> S^{alpha}"
-            )
+        _scaled_chain(model, chain, alpha)
 
-    full_ranks = (0,) + rank_profile(model, model.full_subgroup()).gamma_ranks
     expected = power_product(
-        model.scales,
-        tuple(full_ranks[j] - full_ranks[j - 1] for j in range(1, model.l + 1)),
+        model.scales, _rank_jumps(rank_profile(model, model.full_subgroup()).gamma_ranks)
     )
     actual = Fraction(1)
     for step in chain.steps:
@@ -579,95 +587,6 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
         telescoping_ok=True,
         slopes_strictly_decreasing=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# the two-flag functional (evaluation exact; chain construction heuristic)
-
-
-@dataclass(frozen=True)
-class PhiST:
-    s_exponents: tuple[int, ...]
-    t_exponents: tuple[int, ...]
-
-
-def _flag_rows(model, rows):
-    out = []
-    for row in rows:
-        if len(row) != model.n:
-            raise DimensionMismatch(
-                f"derivation vector has {len(row)} entries, expected {model.n}"
-            )
-        out.append(tuple(row))
-    return out
-
-
-def phi_st(model: GroupModel, subgroup: Subgroup, derivations, t_orders) -> PhiST:
-    """Exponent vectors of the two-flag functional: the usual rank jumps over
-    the S_j plus per-step jumps of dim(W_j cap H) over the T_j, where W_j is
-    the span of the first j derivation rows."""
-    rows = _flag_rows(model, derivations)
-    t_orders = [as_fraction(t) for t in t_orders]
-    if len(t_orders) != len(rows):
-        raise DimensionMismatch(
-            f"{len(t_orders)} orders for {len(rows)} derivation vectors"
-        )
-    for a, b in zip(t_orders, t_orders[1:]):
-        if a < b:
-            raise InvalidScale("derivation orders must be non-increasing")
-    if t_orders and t_orders[-1] < 1:
-        raise InvalidScale("derivation orders must be >= 1")
-
-    span_rows = model.point_matrix(subgroup.span) if subgroup.dim < model.n else None
-    inter_dims = [0]
-    for j in range(1, len(rows) + 1):
-        w = model.point_matrix(rows[:j])
-        rank_w = linalg.rank(w)
-        if subgroup.dim == model.n:
-            inter = rank_w
-        elif subgroup.dim == 0:
-            inter = 0
-        else:
-            stacked = w + span_rows
-            inter = rank_w + subgroup.dim - linalg.rank(stacked)
-        inter_dims.append(inter)
-    t_exp = tuple(
-        inter_dims[j] - inter_dims[j - 1] for j in range(1, len(rows) + 1)
-    )
-    return PhiST(phi(model, subgroup).exponents, t_exp)
-
-
-@dataclass(frozen=True)
-class STNode:
-    subgroup: Subgroup
-    dim: int
-    value: PhiST
-
-
-@dataclass(frozen=True)
-class STChain:
-    nodes: tuple[STNode, ...]
-
-
-def build_chain_st(model: GroupModel, derivations, t_orders, experimental=False) -> STChain:
-    """Greedy maximal-slope tower for the two-flag functional.
-
-    This is a heuristic over the prefix-closure candidate set; no certificate
-    is offered, hence the mandatory flag.
-    """
-    if not experimental:
-        raise SlopechainError(
-            "two-flag chain construction is heuristic; pass experimental=True"
-        )
-    rows = _flag_rows(model, derivations)
-    t_orders = tuple(as_fraction(t) for t in t_orders)
-    candidates = _prefix_candidates(model)
-    values = [phi_st(model, c, rows, t_orders) for c in candidates]
-    info = [
-        (c, PhiValue(v.s_exponents + v.t_exponents)) for c, v in zip(candidates, values)
-    ]
-    tower = _greedy_tower(model.n, model.scales + t_orders, info)
-    return STChain(tuple(STNode(candidates[i], candidates[i].dim, values[i]) for i in tower))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .chain import Chain, RootedRational, build_chain, n_formula
+from .chain import Chain, RootedRational, _scaled_chain, n_formula
 from .errors import CertificateViolation, EnumerationTooLarge, NotNested
 from .model import GroupModel, Subgroup, enumerate_closures, rank_profile, span_contains
 from .polys import as_fraction
@@ -236,13 +236,6 @@ def _ratio(count: int, frak: RootedRational, k: int) -> RootedRational:
     return RootedRational(Fraction(count ** frak.root) / frak.radicand ** k, frak.root)
 
 
-def _compare_scaled(a: RootedRational, factor: Fraction, b: RootedRational) -> int:
-    """Sign of a - factor * b for positive quantities."""
-    left = a.radicand ** b.root
-    right = factor ** (a.root * b.root) * b.radicand ** a.root
-    return (left > right) - (left < right)
-
-
 # the multiplicative bracket both distribution ratios must stay within
 DISTRIBUTION_BRACKET = Fraction(8)
 
@@ -266,13 +259,7 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
     per_alpha = {}
     for alpha in alphas:
         powered = model.powered(alpha)
-        pchain = build_chain(powered)
-        if [(s.dim, s.coeff.rows) for s in pchain.subgroups] != [
-            (s.dim, s.coeff.rows) for s in chain.subgroups
-        ]:
-            raise CertificateViolation(
-                "scaling", f"chain changed under S -> S^{alpha}"
-            )
+        pchain = _scaled_chain(model, chain, alpha)
         omega_big = enumerate_gamma(powered, Fraction(2 * model.n), limit)
         upper = {}
         for i in range(pchain.r):
@@ -327,7 +314,7 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
         b = extreme(pow_upper[i], True)
         if a is None or b is None:
             continue
-        if _compare_scaled(b, bracket, a) > 0 or _compare_scaled(a, bracket, b) > 0:
+        if b.compare(a.times(bracket)) > 0 or a.compare(b.times(bracket)) > 0:
             raise CertificateViolation(
                 "distribution_bracket",
                 f"upper ratio at step {i} moved beyond the bracket {bracket}",
@@ -343,7 +330,7 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
                 "distribution_positive", f"lower ratio at step {i} is not positive",
                 step=i,
             )
-        if _compare_scaled(b, bracket, a) > 0 or _compare_scaled(a, bracket, b) > 0:
+        if b.compare(a.times(bracket)) > 0 or a.compare(b.times(bracket)) > 0:
             raise CertificateViolation(
                 "distribution_bracket",
                 f"lower ratio at step {i} moved beyond the bracket {bracket}",

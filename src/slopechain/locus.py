@@ -38,7 +38,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from . import linalg
-from .chain import Chain, RootedRational
+from .chain import Chain
 from .errors import (
     CertificateViolation,
     InternalInvariantError,
@@ -99,7 +99,6 @@ class JetMatrix:
     points: tuple
     order: int
     rows: tuple            # integer rows: Hasse row of (p/q, s) times q^(D-|s|)
-    row_index: tuple       # (point position, derivative multi-index) per row
 
 
 @dataclass(frozen=True)
@@ -190,13 +189,11 @@ def jet_matrix(model: GroupModel, points, order: int, degree: int,
     exponents = _homogenized_exponents(basis)
     sigmas = _jet_orders(model.n, order)
     rows = []
-    row_index = []
-    for p_idx, point in enumerate(points):
+    for point in points:
         powers = _homogenized_powers(point, degree)
         for sigma in sigmas:
             rows.append(tuple(_jet_row(powers, (0,) + sigma, exponents)))
-            row_index.append((p_idx, sigma))
-    return JetMatrix(basis, points, order, tuple(rows), tuple(row_index))
+    return JetMatrix(basis, points, order, tuple(rows))
 
 
 def _kernels(model: GroupModel, points, order: int, degrees, limit):
@@ -539,11 +536,7 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     thresholds = tuple(
         (
             i,
-            RootedRational(
-                Fraction(order) ** chain.steps[i].frak_s.root
-                * chain.steps[i].frak_s.radicand,
-                chain.steps[i].frak_s.root,
-            ),
+            chain.steps[i].frak_s.times(order),
             order * chain.steps[i].frak_s.approx(),
         )
         for i in range(chain.r)

@@ -122,13 +122,6 @@ class GroupModel:
                     coords[i] = coords[i] + c * gen[i]
         return tuple(coords)
 
-    def point_matrix(self, points):
-        """Rows suitable for rank computations: Fractions when rational;
-        otherwise Polys in m symbols, Poly coordinates passed through."""
-        if self.m == 0:
-            return [[as_fraction(c) for c in p] for p in points]
-        return [[c if isinstance(c, Poly) else Poly.const(c, self.m) for c in p] for p in points]
-
     def kernel_lattice(self) -> Sublattice:
         """iota^{-1}(0): integer relations among the generators."""
         if "kernel" not in self._cache:

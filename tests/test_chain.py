@@ -3,17 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import slopechain.chain as chain_module
 from slopechain import (
+    AmbiguousCandidates,
     CertificateViolation,
     IndexOutOfRange,
     ModelConfig,
     NotNested,
-    SlopechainError,
     SlopeValue,
     VerifyOptions,
     build_chain,
     build_chain_greedy,
-    build_chain_st,
     build_model,
     closure,
     compare_slopes,
@@ -21,7 +21,6 @@ from slopechain import (
     mu_exponents,
     n_formula,
     phi,
-    phi_st,
     verify_chain,
 )
 from slopechain.chain import Chain, ChainNode, ChainStep, PhiValue, RootedRational
@@ -129,6 +128,21 @@ class TestBuildChain:
         assert ch.dims() == (0, 2)
         assert ch.steps[0].frak_s == RootedRational(F(25), 2)
 
+    def test_greedy_tower_rejects_two_maximizers(self):
+        # closure(e1) and closure(e2) share dimension and slope log 4 from 0
+        m = rational_model(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (4, 4, 1))
+        candidates = [
+            m.zero_subgroup(),
+            closure(m, [(1, 0, 0)]),
+            closure(m, [(0, 1, 0)]),
+            m.full_subgroup(),
+        ]
+        info = [(c, phi(m, c)) for c in candidates]
+        with pytest.raises(AmbiguousCandidates) as err:
+            chain_module._greedy_tower(m, info)
+        assert err.value.first == ((1, 0, 0),)
+        assert err.value.second == ((0, 1, 0),)
+
 
 class TestFrakS:
     def test_example_values(self):
@@ -201,6 +215,20 @@ class TestVerifyChain:
             verify_chain(m, corrupted, VerifyOptions(height=2))
         assert err.value.kind == "chi_positive"
 
+    def test_scaling_check_rejects_changed_chain(self, monkeypatch):
+        m = rational_model(2, [(1, 0), (0, 1)], (9, 3))
+        chain = build_chain(m)
+        equal = build_chain(rational_model(2, [(1, 0), (0, 1)], (3, 3)))
+        real_build = chain_module.build_chain
+
+        def build(model):
+            return equal if "powered" in model.provenance else real_build(model)
+
+        monkeypatch.setattr(chain_module, "build_chain", build)
+        with pytest.raises(CertificateViolation) as err:
+            verify_chain(m, chain, VerifyOptions(height=1))
+        assert err.value.kind == "scaling"
+
     def test_scaling_squares_radicands(self):
         base = rational_model(2, [(1, 0), (0, 1)], (100, 10))
         squared = build_chain(base.powered(2))
@@ -249,34 +277,3 @@ class TestNFormula:
         x_axis = closure(m, [(1, 0)])
         with pytest.raises(NotNested):
             n_formula(m, diag, x_axis)
-
-
-class TestPhiST:
-    def test_empty_flag_reduces_to_phi(self):
-        m = rational_model(2, [(1, 0), (0, 1)], (9, 3))
-        sub = closure(m, [(1, 0)])
-        value = phi_st(m, sub, [], [])
-        assert value.s_exponents == phi(m, sub).exponents
-        assert value.t_exponents == ()
-
-    def test_full_subgroup_takes_flag_dims(self):
-        m = rational_model(2, [(1, 0), (0, 1)], (9, 3))
-        value = phi_st(m, m.full_subgroup(), [(1, 0), (0, 1)], ("9", "3"))
-        assert value.t_exponents == (1, 1)
-
-    def test_x_axis_meets_only_first_flag_step(self):
-        m = rational_model(2, [(1, 0), (0, 1)], (9, 3))
-        x_axis = closure(m, [(1, 0)])
-        value = phi_st(m, x_axis, [(1, 0), (0, 1)], ("9", "3"))
-        assert value.t_exponents == (1, 0)
-
-    def test_chain_st_requires_flag(self):
-        m = rational_model(2, [(1, 0), (0, 1)], (9, 3))
-        with pytest.raises(SlopechainError):
-            build_chain_st(m, [(1, 0)], ("3",))
-
-    def test_chain_st_with_unit_orders_matches_plain_chain(self):
-        m = rational_model(2, [(1, 0), (0, 1)], (9, 3))
-        st = build_chain_st(m, [(1, 0), (0, 1)], ("1", "1"), experimental=True)
-        plain = build_chain(m)
-        assert [n.subgroup.dim for n in st.nodes] == list(plain.dims())

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from slopechain import (
+    CertificateViolation,
     EnumerationTooLarge,
     ModelConfig,
     NotNested,
@@ -183,6 +184,15 @@ class TestDistributionChecks:
         for i, entries in lower_base.items():
             for e in entries:
                 assert e.count > 0
+
+    def test_scaling_check_rejects_chain_of_other_scales(self):
+        # the (3, 3) chain has dims (0, 2); the (9, 3) model's has (0, 1, 2)
+        m = plane_model(9, 3)
+        chain = build_chain(plane_model(3, 3))
+        with pytest.raises(CertificateViolation) as err:
+            distribution_checks(m, chain, F(1, 2), height=1)
+        assert err.value.kind == "scaling"
+        assert "S -> S^1" in str(err.value)
 
     def test_degenerate_chain_empty_candidates(self):
         m = rational_model(2, [], ())

@@ -15,6 +15,7 @@ import pytest
 
 import slopechain
 from slopechain import cli
+from slopechain.chain import SCALING_ALPHAS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -51,6 +52,9 @@ def test_traced_chain_verify(tmp_path, config):
     assert table["cli"][0] == 1
     assert table["model.enumerate_closures"][0] == 1
     assert tracer.counters["model.enumerate_closures.closures"] > 0
+    # one build for the report, one rebuild per scaling power, no more
+    assert table["chain.build_chain"][0] == 1 + len(SCALING_ALPHAS)
+    assert tracer.child_calls("chain.verify_chain", "chain.build_chain") == len(SCALING_ALPHAS)
     # uninstalled: the module binds the plain function again
     assert not hasattr(cli.run, "__wrapped__")
 
