@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 exact certificate violation, 1 any other error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -486,6 +487,7 @@ def _add_common(parser):
     )
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="slopechain",

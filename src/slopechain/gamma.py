@@ -4,14 +4,17 @@ sets, and the empirical side of the counting and distribution estimates.
 Gamma(lambda S) is the image of the integer box |n_j| < lambda*S_j under
 iota.  Members are group points, not coefficient tuples: tuples are reduced
 modulo the relation lattice iota^{-1}(0) to canonical coset representatives,
-so dependent or repeated generators never inflate a count.
+so dependent or repeated generators never inflate a count.  A box set keeps
+one in-box witness tuple per point and builds the points themselves only
+when they are read; counting and sum/difference sets work on witnesses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from .chain import Chain, RootedRational, _scaled_chain, n_formula
@@ -25,16 +28,18 @@ class GammaSet:
     """Deduplicated box points with one in-box witness tuple per point.
 
     `entries` is sorted by canonical representative; each entry is
-    (representative mod kernel, witness coefficient tuple, point).
+    (representative mod kernel, witness coefficient tuple).  `points` holds
+    iota of each witness, in entry order, built on first read.
     """
 
     lam: Fraction
     scale_used: tuple
     entries: tuple
+    model: GroupModel = field(compare=False, repr=False)
 
-    @property
+    @cached_property
     def points(self):
-        return tuple(e[2] for e in self.entries)
+        return tuple(map(self.model.point_of, self.witnesses))
 
     @property
     def witnesses(self):
@@ -83,11 +88,8 @@ def _first_witnesses(model: GroupModel, witnesses) -> dict:
 
 
 def _gamma_set(model: GroupModel, lam, witnesses) -> GammaSet:
-    entries = tuple(
-        (rep, witness, model.point_of(witness))
-        for rep, witness in sorted(_first_witnesses(model, witnesses).items())
-    )
-    return GammaSet(lam, model.scales, entries)
+    entries = tuple(sorted(_first_witnesses(model, witnesses).items()))
+    return GammaSet(lam, model.scales, entries, model)
 
 
 def card_mod(model: GroupModel, omega: GammaSet, h_prime: Subgroup, h_dprime: Subgroup) -> int:
@@ -96,7 +98,7 @@ def card_mod(model: GroupModel, omega: GammaSet, h_prime: Subgroup, h_dprime: Su
     if not h_prime.coeff.contains_lattice(h_dprime.coeff):
         raise NotNested("H'' is not contained in H' (coefficient lattices)")
     classes = set()
-    for _, witness, _ in omega.entries:
+    for _, witness in omega.entries:
         if h_prime.coeff.contains(witness):
             classes.add(h_dprime.coeff.reduce(witness))
     return len(classes)
@@ -106,7 +108,7 @@ def card_translate(model: GroupModel, omega: GammaSet, x_vector, h: Subgroup) ->
     """Card of omega intersect (x + H) for x = iota(x_vector)."""
     x_vector = tuple(int(v) for v in x_vector)
     count = 0
-    for _, witness, _ in omega.entries:
+    for _, witness in omega.entries:
         diff = tuple(w - x for w, x in zip(witness, x_vector))
         if h.coeff.contains(diff):
             count += 1

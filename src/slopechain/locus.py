@@ -381,7 +381,7 @@ class _ProbeSamples:
             raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
         rng = random.Random(seed)
         self.omega = enumerate_gamma(model, Fraction(1), limit)
-        omega_eps = enumerate_gamma(model, 1 - epsilon, limit)
+        eps_points = enumerate_gamma(model, 1 - epsilon, limit).points
         omega_two = enumerate_gamma(model, Fraction(2), limit)
         top = max(int(math.ceil(model.scales[0])) if model.l else 1, 1)
         coord_bound = 2 * top + 2
@@ -392,7 +392,7 @@ class _ProbeSamples:
             span_rows = [[as_fraction(c) for c in p] for p in sub.span]
             pts = []
             for _ in range(samples):
-                base = omega_eps.points[rng.randrange(len(omega_eps.points))]
+                base = eps_points[rng.randrange(len(eps_points))]
                 coords = list(base)
                 for row in span_rows:
                     factor = Fraction(rng.randint(-9, 9), rng.randint(1, 4))

@@ -17,6 +17,7 @@ of (dimension, lattice).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,13 +115,34 @@ class GroupModel:
         return (Fraction(0) if self.m == 0 else Poly(),) * self.n
 
     def point_of(self, vector):
-        """iota(v) = sum v_j gamma_j."""
+        """iota(v) = sum v_j gamma_j.
+
+        Over Q each coordinate is one integer dot product of v with the
+        generators' column cleared to a common denominator, then one Fraction.
+        """
+        if self.m == 0:
+            return tuple(
+                Fraction(sum(map(mul, nums, vector)), den)
+                for nums, den in self._cleared_columns()
+            )
         coords = list(self.zero_point())
         for c, gen in zip(vector, self.generators):
             if c:
                 for i in range(self.n):
                     coords[i] = coords[i] + c * gen[i]
         return tuple(coords)
+
+    def _cleared_columns(self):
+        """Per coordinate of a rational model: (integer numerators of the
+        generators' entries over their common denominator, that denominator)."""
+        if "cleared" not in self._cache:
+            columns = []
+            for i in range(self.n):
+                col = [gen[i] for gen in self.generators]
+                den = math.lcm(*(x.denominator for x in col))
+                columns.append((tuple(linalg._cleared(col)), den))
+            self._cache["cleared"] = tuple(columns)
+        return self._cache["cleared"]
 
     def kernel_lattice(self) -> Sublattice:
         """iota^{-1}(0): integer relations among the generators."""
@@ -155,15 +177,20 @@ class GroupModel:
             self._cache["kernel_prefix"] = _prefix_ranks(self.kernel_lattice().rows, self.l)
         return self._cache["kernel_prefix"]
 
+    def _rescaled(self, scales, permutation, provenance) -> "GroupModel":
+        """Same generators under other scales.  Every cache entry depends on
+        the generators only, so the derived model shares this one's cache."""
+        model = GroupModel(
+            self.n, self.m, self.symbols, self.generators, scales, permutation, provenance
+        )
+        model._cache = self._cache
+        return model
+
     def powered(self, alpha: int) -> "GroupModel":
         """Same model with scales S_j replaced by S_j ** alpha."""
         if alpha < 1:
             raise InvalidScale(f"power {alpha} must be >= 1")
-        return GroupModel(
-            self.n,
-            self.m,
-            self.symbols,
-            self.generators,
+        return self._rescaled(
             tuple(s ** alpha for s in self.scales),
             self.permutation,
             dict(self.provenance, powered=alpha),
@@ -172,11 +199,7 @@ class GroupModel:
     def equal_scale_model(self) -> "GroupModel":
         """All box scales set to 2; the chain of this model is scale-free,
         which is what the mu exponents are read off from."""
-        return GroupModel(
-            self.n,
-            self.m,
-            self.symbols,
-            self.generators,
+        return self._rescaled(
             (Fraction(2),) * self.l,
             tuple(range(1, self.l + 1)),
             dict(self.provenance, equal_scale="2"),

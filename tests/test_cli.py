@@ -205,6 +205,21 @@ class TestCommands:
         assert json.loads(body)["provenance"]["seed"] == 77
 
 
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_limit_override_does_not_leak_into_next_run(self, tmp_path, capsys):
+        # the 5 x 3 box exceeds enumeration_max = 10 only under the override
+        cfg = write_config(tmp_path)
+        assert cli.run(["gamma", "enumerate", "-c", cfg, "--limit", "enumeration_max=10"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["message"] == "box of 15 tuples exceeds the limit 10"
+        code, out = run_to_file(tmp_path, ["gamma", "enumerate", "-c", cfg])
+        assert code == 0
+        assert json.loads(out)["cardinality"] == 15
+
+
 class TestScalarJson:
     @staticmethod
     def model_coordinate(raw):

@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from slopechain import (
     CertificateViolation,
     EnumerationTooLarge,
+    GroupModel,
     ModelConfig,
     NotNested,
     build_chain,
     build_model,
     card_mod,
     card_translate,
+    cli,
     closure,
     combine,
     counting_check,
@@ -19,6 +22,8 @@ from slopechain import (
     enumerate_gamma,
     gamma_from_vectors,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def rational_model(n, gens, scales):
@@ -64,9 +69,46 @@ class TestEnumerate:
     def test_witnesses_in_box(self):
         m = rational_model(1, [(1,), (2,)], ("5/2", "2"))
         om = enumerate_gamma(m)
-        for _, witness, _ in om.entries:
+        for _, witness in om.entries:
             assert abs(witness[0]) < F(5, 2)
             assert abs(witness[1]) < 2
+
+    def test_points_follow_witnesses_and_are_built_once(self):
+        m = rational_model(2, [("1/2", 0), ("1/3", "2/5"), (1, 0)], ("5/2", "2", "2"))
+        om = enumerate_gamma(m)
+        assert om.points is om.points
+        assert om.points == tuple(m.point_of(w) for w in om.witnesses)
+        assert len(set(om.points)) == len(om)
+
+
+class TestLazyPoints:
+    """`gamma count` and `gamma check` read witnesses only: the one image
+    they need is that of the H' and H'' lattice generators, to close them."""
+
+    @pytest.mark.parametrize("config", ["plane_basic", "dependent_three"])
+    @pytest.mark.parametrize("action", ["count", "check"])
+    def test_count_and_check_build_no_box_point(self, tmp_path, monkeypatch, config, action):
+        real_closure, real_point_of = cli.closure, GroupModel.point_of
+        closing = []
+
+        def closure_only(model, lattice):
+            closing.append(lattice)
+            try:
+                return real_closure(model, lattice)
+            finally:
+                closing.pop()
+
+        def point_of(model, vector):
+            if not closing:
+                raise AssertionError(f"box point built for {vector}")
+            return real_point_of(model, vector)
+
+        monkeypatch.setattr(cli, "closure", closure_only)
+        monkeypatch.setattr(GroupModel, "point_of", point_of)
+        out = tmp_path / "report"
+        code = cli.run(["gamma", action, "-c", str(GOLDEN / f"{config}.json"), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / f"{config}.gamma_{action}.out").read_bytes()
 
 
 class TestCardMod:

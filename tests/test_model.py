@@ -338,6 +338,63 @@ class TestClosureOracle:
                 assert sub.coeff.contains(v) == (linalg.rank(sub.span + (point,)) == sub.dim)
 
 
+def _old_point_of(model, vector):
+    """iota(v) as the sum of v_j gamma_j, one Fraction operation at a time."""
+    coords = list(model.zero_point())
+    for c, gen in zip(vector, model.generators):
+        if c:
+            for i in range(model.n):
+                coords[i] = coords[i] + c * gen[i]
+    return tuple(coords)
+
+
+@st.composite
+def rational_models_with_vectors(draw):
+    """A rational model with n <= 4 and l <= 4 (l = 0 included) whose
+    generators are fresh (entry denominators up to 12), zero, or repeats of
+    an earlier generator, with a few integer vectors of entries in [-50, 50]."""
+    n, l = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+    gens = []
+    for _ in range(l):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat")))
+        if kind == "zero":
+            gens.append((F(0),) * n)
+        elif kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            gens.append(draw(st.tuples(*[entry] * n)))
+    model = build_model(ModelConfig(n=n, generators=tuple(gens), scales=(2,) * l))
+    vector = st.tuples(*[st.integers(-50, 50)] * l)
+    return model, draw(st.lists(vector, min_size=1, max_size=5))
+
+
+class TestPointOf:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_models_with_vectors())
+    @example((rational_model(2, [("1/2", "-5/6"), ("1/3", "1/12")], (2, 2)), [(1, 1)]))
+    @example((rational_model(3, [], ()), [()]))
+    def test_cleared_columns_match_fraction_sum(self, case):
+        model, vectors = case
+        for v in vectors:
+            point = model.point_of(v)
+            assert point == _old_point_of(model, v)
+            assert len(point) == model.n
+            assert all(type(x) is F for x in point)
+
+    def test_symbolic_point_is_poly_sum(self):
+        m = model_b()
+        assert m.point_of((2, -3)) == _old_point_of(m, (2, -3))
+        assert all(isinstance(x, Poly) for x in m.point_of((2, -3)))
+
+    def test_derived_models_share_generator_cache(self):
+        m = rational_model(2, [(1, 0), (2, 0), ("1/2", 3)], (5, 3, 2))
+        for derived in (m.powered(2), m.equal_scale_model()):
+            assert derived.kernel_lattice() is m.kernel_lattice()
+            assert derived.full_subgroup() is m.full_subgroup()
+        assert m.powered(2).scales == (25, 9, 4)
+
+
 class TestSpecialize:
     def test_explicit_assignment(self):
         m = model_b()

@@ -4,8 +4,9 @@
 and reads some of their arguments (`rat_rref(rows, ncols)`, `image_lines`).
 One traced `chain verify` per ring, through `cli.run`, must give the golden
 report and record the closure enumeration; one traced `locus sweep` must give
-the golden report from one jet matrix and one elimination.  `bench/spans.py`
-is loaded from its file and not modified.
+the golden report from one jet matrix and one elimination; traced `gamma`
+reports must count one point per box entry.  `bench/spans.py` is loaded from
+its file and not modified.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import slopechain
-from slopechain import cli
+from slopechain import build_model, cli, enumerate_gamma
 from slopechain.chain import SCALING_ALPHAS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +72,12 @@ def test_traced_locus_sweep_eliminates_once(tmp_path):
     closure_eliminations = tracer.child_calls("linalg.nullspace", "linalg.rat_rref")
     assert table["linalg.rat_rref"][0] == 1 + closure_eliminations
     assert "locus.kernel_basis" not in table
+
+
+@pytest.mark.parametrize("action", ["enumerate", "count"])
+def test_traced_gamma_counts_one_point_per_entry(tmp_path, action):
+    tracer = _traced_run(tmp_path, "plane_basic", ("gamma", action))
+    cfg = cli.parse_config((GOLDEN / "plane_basic.json").read_text())
+    omega = enumerate_gamma(build_model(cfg.model), cfg.lam)
+    assert tracer.layer_table()["gamma.enumerate_gamma"][0] == 1
+    assert tracer.counters["gamma.enumerate_gamma.points"] == len(omega.entries) == 15
