@@ -106,12 +106,8 @@ class SlopeValue:
 
 def compare_slopes(model: GroupModel, a: SlopeValue, b: SlopeValue) -> int:
     """-1 / 0 / +1 as a < b, a = b, a > b; exact."""
-    return _slope_cmp(model.scales, a, b)
-
-
-def _slope_cmp(scales, a: SlopeValue, b: SlopeValue) -> int:
     diff = a.numerator.scaled(b.denominator) - b.numerator.scaled(a.denominator)
-    return phi_sign(scales, diff)
+    return phi_sign(model.scales, diff)
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,7 @@ def _greedy_tower(model: GroupModel, info):
             if best_slope is None:
                 best, best_slope = [pos], slope
                 continue
-            cmp = _slope_cmp(model.scales, slope, best_slope)
+            cmp = compare_slopes(model, slope, best_slope)
             if cmp > 0:
                 best, best_slope = [pos], slope
             elif cmp == 0:
@@ -390,8 +386,8 @@ def mu_exponents(model: GroupModel) -> MuReport:
 def n_formula(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup) -> Fraction:
     """prod S_j ** e_j with e_j the rank jumps of (Gamma_j cap H')/(Gamma_j
     cap H''); the closed-form predictor of box-point counts in H' mod H''."""
-    if not h_prime.coeff.contains_lattice(h_dprime.coeff):
-        raise NotNested("H'' is not contained in H' (coefficient lattices)")
+    if not span_contains(model, h_prime, h_dprime):
+        raise NotNested("H'' is not contained in H'")
     jumps = _rank_jumps(
         rank_profile(model, h_prime).gamma_ranks, rank_profile(model, h_dprime).gamma_ranks
     )

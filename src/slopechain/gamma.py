@@ -33,7 +33,6 @@ class GammaSet:
     """
 
     lam: Fraction
-    scale_used: tuple
     entries: tuple
     model: GroupModel = field(compare=False, repr=False)
 
@@ -89,14 +88,14 @@ def _first_witnesses(model: GroupModel, witnesses) -> dict:
 
 def _gamma_set(model: GroupModel, lam, witnesses) -> GammaSet:
     entries = tuple(sorted(_first_witnesses(model, witnesses).items()))
-    return GammaSet(lam, model.scales, entries, model)
+    return GammaSet(lam, entries, model)
 
 
 def card_mod(model: GroupModel, omega: GammaSet, h_prime: Subgroup, h_dprime: Subgroup) -> int:
     """Card of (omega intersect H') mod H'': witnesses landing in H',
     identified when their difference lies in the H'' lattice."""
-    if not h_prime.coeff.contains_lattice(h_dprime.coeff):
-        raise NotNested("H'' is not contained in H' (coefficient lattices)")
+    if not span_contains(model, h_prime, h_dprime):
+        raise NotNested("H'' is not contained in H'")
     classes = set()
     for _, witness in omega.entries:
         if h_prime.coeff.contains(witness):

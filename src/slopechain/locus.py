@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain as concat, islice, repeat
 from operator import mul
 
 from . import linalg
@@ -46,7 +46,7 @@ from .errors import (
     SamplingExhausted,
     SymbolicModelNotSpecialized,
 )
-from .gamma import GammaSet, enumerate_gamma
+from .gamma import enumerate_gamma
 from .model import GroupModel
 from .polys import as_fraction
 
@@ -311,33 +311,29 @@ def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
 # membership in Gamma(S) + H
 
 
-class _TranslateMembership:
-    """Fast exact test for x in points + span(H)."""
+def _outside_translates(points, subgroup):
+    """The predicate "x lies outside points + span(H)".
 
-    def __init__(self, model: GroupModel, omega: GammaSet, subgroup):
-        self.n = model.n
-        self.dim = subgroup.dim
-        self.points = omega.points
-        self.point_set = set(omega.points) if subgroup.dim == 0 else None
-        if 0 < subgroup.dim < model.n:
-            self.echelon = linalg._echelon(
-                linalg._cleared([as_fraction(c) for c in p]) for p in subgroup.span
-            )
-        else:
-            self.echelon = ()
+    Two vectors lie in one translate of span(H) exactly when they have the
+    same canonical representative mod span(H): the vector with the pivot
+    columns of the span's integer echelon eliminated.  The representatives of
+    `points` are built once, so each query is one reduction and one set
+    lookup, whatever the dimension of H.
+    """
+    echelon = [
+        (linalg._lead(row), row)
+        for row in linalg._echelon(map(linalg._cleared, subgroup.span))
+    ]
 
-    def _in_span(self, vec):
-        return linalg._echelon_reduce(self.echelon, linalg._cleared(vec)) is None
+    def representative(x):
+        for c, row in echelon:
+            if x[c]:
+                f = x[c] / row[c]
+                x = [a - f * b for a, b in zip(x, row)]
+        return tuple(x)
 
-    def __contains__(self, x):
-        if self.dim == self.n:
-            return True
-        if self.dim == 0:
-            return x in self.point_set
-        for p in self.points:
-            if self._in_span(tuple(a - b for a, b in zip(x, p))):
-                return True
-        return False
+    reps = set(map(representative, points))
+    return lambda x: representative(x) not in reps
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +385,11 @@ class _ProbeSamples:
         self.lower = []
         self.upper = []
         for node_idx, sub in enumerate(node.subgroup for node in chain.nodes):
-            span_rows = [[as_fraction(c) for c in p] for p in sub.span]
             pts = []
             for _ in range(samples):
                 base = eps_points[rng.randrange(len(eps_points))]
                 coords = list(base)
-                for row in span_rows:
+                for row in sub.span:
                     factor = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                     if factor:
                         coords = [a + factor * b for a, b in zip(coords, row)]
@@ -404,27 +399,20 @@ class _ProbeSamples:
             if sub.dim == model.n:
                 self.upper.append(None)
                 continue
-            member = _TranslateMembership(model, self.omega, sub)
-            outside = []
-            for p in omega_two.points:
-                if p not in member:
-                    outside.append(p)
-                    if len(outside) >= samples:
-                        break
-            attempts = 0
-            while len(outside) < samples and attempts < 50 * samples:
-                attempts += 1
-                x = tuple(
+            draws = (
+                tuple(
                     Fraction(rng.randint(-coord_bound, coord_bound), rng.randint(1, 3))
                     for _ in range(model.n)
                 )
-                if x not in member:
-                    outside.append(x)
-            if not outside:
+                for _ in range(50 * samples)
+            )
+            outside = _outside_translates(self.omega.points, sub)
+            found = tuple(islice(filter(outside, concat(omega_two.points, draws)), samples))
+            if not found:
                 raise SamplingExhausted(
                     f"no points outside Gamma(S) + H_{node_idx} were found"
                 )
-            self.upper.append(tuple(outside))
+            self.upper.append(found)
 
 
 def _witness(kernel, points, inside_wanted, memory, key):

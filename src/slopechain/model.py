@@ -489,14 +489,18 @@ def image_lines(model, height):
 
 
 # ---------------------------------------------------------------------------
-# span containment (exact, over the symbol fraction field)
+# subgroup inclusion
 
 
 def span_contains(model: GroupModel, container: Subgroup, contained: Subgroup) -> bool:
-    if contained.dim > container.dim:
-        return False
-    if container.dim == model.n:
-        return True
-    if contained.dim == 0:
-        return True
-    return linalg.rank(container.span + contained.span) == container.dim
+    """Whether `contained` is a subgroup of `container`, from canonical forms.
+
+    Every subgroup K other than G is the span of iota(iota^{-1}(K)), so for
+    such K, K <= H exactly when iota^{-1}(K) lies in iota^{-1}(H): one way
+    because iota^{-1} is monotone, the other because iota(iota^{-1}(K)) then
+    lies in H and spans K.  G has the lattice Z^l, which H shares only when
+    H is G or the closure of Z^l; when the generators do not span G the
+    latter is a proper subgroup, and the dimension check keeps it from
+    containing G.  No elimination runs.
+    """
+    return contained.dim <= container.dim and container.coeff.contains_lattice(contained.coeff)

@@ -277,3 +277,10 @@ class TestNFormula:
         x_axis = closure(m, [(1, 0)])
         with pytest.raises(NotNested):
             n_formula(m, diag, x_axis)
+        # one generator (1, 0): the x-axis and G share the lattice Z^1, but
+        # G is not inside the x-axis
+        m = rational_model(2, [(1, 0)], (3,))
+        x_axis = closure(m, [(1,)])
+        assert x_axis.coeff == m.full_subgroup().coeff
+        with pytest.raises(NotNested):
+            n_formula(m, x_axis, m.full_subgroup())

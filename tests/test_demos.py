@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion and print a walkthrough.
-
-Demo 03 is left out because it takes several seconds.
-"""
+"""Smoke test: the demos run to completion and print a walkthrough."""
 
 import os
 import subprocess
@@ -14,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "name", ["01_chains_and_slopes", "02_symbolic_transcendence", "04_base_locus"]
+    "name",
+    ["01_chains_and_slopes", "02_symbolic_transcendence", "03_box_counting", "04_base_locus"],
 )
 def test_demo_runs(name):
     env = dict(os.environ)

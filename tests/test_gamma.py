@@ -137,6 +137,16 @@ class TestCardMod:
         x_axis = closure(m, [(1, 0)])
         with pytest.raises(NotNested):
             card_mod(m, om, diag, x_axis)
+        # one generator (1, 0): the x-axis and G share the lattice Z^1, but
+        # G is not inside the x-axis
+        m = rational_model(2, [(1, 0)], (3,))
+        x_axis = closure(m, [(1,)])
+        full = m.full_subgroup()
+        assert x_axis.coeff == full.coeff
+        with pytest.raises(NotNested):
+            card_mod(m, enumerate_gamma(m), x_axis, full)
+        with pytest.raises(NotNested):
+            counting_check(m, x_axis, full, [F(1), F(2)])
 
     def test_collapse_monotone(self):
         m = plane_model(3, 2)

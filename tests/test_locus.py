@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -206,6 +207,45 @@ class TestLocusProbe:
         kb = kernel_basis(m, omega.points, 1, 4)
         for p in omega.points:
             assert in_base_locus(kb, p)
+
+
+def _brute_outside(points, sub, x):
+    """x lies outside points + span(H) when no x - p lies in span(H)."""
+    return not any(
+        linalg.rank(sub.span + (tuple(a - b for a, b in zip(x, p)),)) == sub.dim
+        for p in points
+    )
+
+
+class TestOutsideTranslates:
+    @pytest.mark.parametrize("model", [
+        line_model(3),
+        rational_model(2, [(1, 0), (0, 1)], (3, 2)),
+        rational_model(2, [(1, 2), (0, 1)], (6, 2)),
+        rational_model(2, [(1, 0), (F(1, 2), 0), (0, 1)], (3, 2, 2)),  # two span rows
+        rational_model(2, [(1, 2)], (4,)),  # generators do not span G
+    ])
+    def test_matches_rank_brute_force(self, model):
+        rng = random.Random(3)
+        omega = enumerate_gamma(model).points
+        queries = list(enumerate_gamma(model, 2).points) + [
+            tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(model.n))
+            for _ in range(40)
+        ]
+        for node in build_chain(model).nodes:
+            sub = node.subgroup
+            if sub.dim > 1:
+                continue
+            shifted = []  # points of omega + span(H)
+            for p in omega:
+                for row in sub.span:
+                    f = F(rng.randint(-9, 9), rng.randint(1, 4))
+                    shifted.append(tuple(a + f * b for a, b in zip(p, row)))
+            outside = locus._outside_translates(omega, sub)
+            verdicts = [outside(x) for x in queries + shifted]
+            assert verdicts == [_brute_outside(omega, sub, x) for x in queries + shifted]
+            assert not any(verdicts[len(queries):])
+            assert any(verdicts) == (sub.dim < model.n)
 
 
 class TestThresholdSweep:

@@ -338,6 +338,35 @@ class TestClosureOracle:
                 assert sub.coeff.contains(v) == (linalg.rank(sub.span + (point,)) == sub.dim)
 
 
+def _rank_span_contains(model, container, contained):
+    """`span_contains` as a rank elimination over Q or Q[t1..tm]."""
+    if contained.dim > container.dim:
+        return False
+    if container.dim == model.n or contained.dim == 0:
+        return True
+    return linalg.rank(container.span + contained.span) == container.dim
+
+
+class TestSpanContainsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(models_with_lattice())
+    @example((rational_model(2, [(1, 0)], (2,)), [(1,)]))  # G is not closure(Z^1)
+    @example((model_b(), [(1, 0)]))
+    def test_lattice_rule_matches_rank_rule(self, case):
+        # every pair of height-1 closures, the zero subgroup, G and
+        # closure(Z^l): inclusion by lattices equals inclusion by rank
+        model, _ = case
+        subgroups = list(enumerate_closures(model, 1)) + [
+            model.zero_subgroup(),
+            model.full_subgroup(),
+            closure(model, model.prefix_lattice(model.l)),
+        ]
+        for container, contained in product(subgroups, repeat=2):
+            assert span_contains(model, container, contained) == _rank_span_contains(
+                model, container, contained
+            )
+
+
 def _old_point_of(model, vector):
     """iota(v) as the sum of v_j gamma_j, one Fraction operation at a time."""
     coords = list(model.zero_point())

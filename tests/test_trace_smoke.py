@@ -3,9 +3,10 @@
 `bench/run.py --trace 1` wraps every public function of the traced modules
 and reads some of their arguments (`rat_rref(rows, ncols)`, `image_lines`).
 One traced `chain verify` per ring, through `cli.run`, must give the golden
-report and record the closure enumeration; one traced `locus sweep` must give
-the golden report from one jet matrix and one elimination; traced `gamma`
-reports must count one point per box entry.  `bench/spans.py` is loaded from
+report and record the closure enumeration, and its subgroup inclusions must
+run no rank elimination; one traced `locus sweep` must give the golden report
+from one jet matrix and one elimination; traced `gamma` reports must count
+one point per box entry.  `bench/spans.py` is loaded from
 its file and not modified.
 """
 
@@ -56,6 +57,10 @@ def test_traced_chain_verify(tmp_path, config):
     # one build for the report, one rebuild per scaling power, no more
     assert table["chain.build_chain"][0] == 1 + len(SCALING_ALPHAS)
     assert tracer.child_calls("chain.verify_chain", "chain.build_chain") == len(SCALING_ALPHAS)
+    if config == "plane_basic":
+        # subgroup inclusion compares lattices and runs no elimination
+        assert table["model.span_contains"][0] > 0
+        assert tracer.child_calls("model.span_contains", "linalg.rank") == 0
     # uninstalled: the module binds the plain function again
     assert not hasattr(cli.run, "__wrapped__")
 
