@@ -492,20 +492,23 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     chain_keys = _chain_keys(chain)
     chain_profiles = [rank_profile(model, s) for s in chain.subgroups]
 
+    # chi_i(K) and its sign depend on the position vector (dim K, ranks) only
+    segment_excess = {}
     checks = []
     equality_witnesses = []
     for key, cand in sorted(candidates.items()):
         profile = rank_profile(model, cand)
-        phi_k = phi_from_profile(model, profile)
-        chi_exps = []
-        chi_signs = []
+        if profile not in segment_excess:
+            phi_k = phi_from_profile(model, profile)
+            chis = [_chi(cand.dim, phi_k, lo, hi) for lo, hi in zip(chain.nodes, chain.nodes[1:])]
+            segment_excess[profile] = (
+                tuple(chi.exponents for chi in chis),
+                tuple(phi_sign(model.scales, chi) for chi in chis),
+            )
+        chi_exps, chi_signs = segment_excess[profile]
         equal_steps = []
-        for i in range(chain.r):
+        for i, sign in enumerate(chi_signs):
             lo, hi = chain.nodes[i], chain.nodes[i + 1]
-            chi = _chi(cand.dim, phi_k, lo, hi)
-            sign = phi_sign(model.scales, chi)
-            chi_exps.append(chi.exponents)
-            chi_signs.append(sign)
             if sign > 0:
                 raise CertificateViolation(
                     "chi_positive",
@@ -541,8 +544,8 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
                 lattice=key[1],
                 dim=cand.dim,
                 gamma_ranks=profile.gamma_ranks,
-                chi_exponents=tuple(chi_exps),
-                chi_signs=tuple(chi_signs),
+                chi_exponents=chi_exps,
+                chi_signs=chi_signs,
                 equality_steps=tuple(equal_steps),
             )
         )

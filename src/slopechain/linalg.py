@@ -3,7 +3,8 @@
 Matrices are sequences of rows.  Rational routines share one fraction-free
 integer echelon (`_echelon_insert`): rows are cleared of denominators, and
 Fractions appear only when the RREF is read off the echelon.  Kernels are
-read off the RREF by `_rref_kernel`, for all columns or for any prefix.
+read off the RREF by `_rref_kernel`, for all columns or for any prefix, and
+off the echelon itself, in integers, by `_saturation`.
 Polynomial routines use fraction-free (Bareiss) elimination so intermediate
 entries stay polynomial.  Lattice routines return canonical row-style Hermite
 normal forms (pivots positive, entries above a pivot reduced into [0, pivot),
@@ -73,6 +74,23 @@ def _echelon(rows):
     for row in rows:
         ech = _echelon_insert(ech, row) or ech
     return ech
+
+
+def _saturation(rows, ncols):
+    """HNF basis of Z^ncols cap span_Q(rows) for a canonical integer echelon:
+    the integer vectors that annihilate its right kernel.  The kernel is read
+    off the echelon in integers, one vector per free column: the vector of
+    `_rref_kernel` scaled by the lcm of the pivots, so no Fraction is formed."""
+    pivots = [_lead(row) for row in rows]
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    kernel = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[free] = scale
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[free] * (scale // row[c])
+        kernel.append(vec)
+    return left_kernel([[w[j] for w in kernel] for j in range(ncols)], len(kernel))
 
 
 def _cleared(row):

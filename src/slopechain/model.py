@@ -374,8 +374,14 @@ def _subgroup(model: GroupModel, points) -> Subgroup:
     coeff = _relations(
         [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
     )
+    return _spanned(model, model.n - len(kernel_dirs), coeff)
+
+
+def _spanned(model: GroupModel, dim, coeff) -> Subgroup:
+    """The proper subgroup of dimension `dim` with the HNF coefficient
+    lattice `coeff`, spanned by the nonzero images of its rows."""
     span = tuple(pt for pt in map(model.point_of, coeff) if any(pt))
-    return Subgroup(model.n - len(kernel_dirs), Sublattice(model.l, coeff), span)
+    return Subgroup(dim, Sublattice(model.l, coeff), span)
 
 
 def closure(model: GroupModel, lattice) -> Subgroup:
@@ -431,6 +437,16 @@ def box_primitives(l, height):
     return out
 
 
+def _top_closure(model: GroupModel) -> Subgroup:
+    """closure(Z^l), which contains every closure.  Over Q its dimension is
+    l - rk L0 and it runs no elimination; over Q[t] it is one `_subgroup`."""
+    rows = model.prefix_lattice(model.l).rows
+    if model.m:
+        return _subgroup(model, [model.point_of(r) for r in rows])
+    dim = model.l - model.kernel_lattice().rank
+    return model.full_subgroup() if dim == model.n else _spanned(model, dim, rows)
+
+
 def enumerate_closures(model: GroupModel, height=2):
     """All distinct closures of sublattices generated by vectors of entry
     height <= `height`, each computed once.
@@ -438,13 +454,26 @@ def enumerate_closures(model: GroupModel, height=2):
     The walk grows coefficient spans from the echelon of the kernel lattice
     L0, trying one box vector per distinct Q.L0 + Q.v (over Q, one per image
     line).  A closure H, L = iota^{-1}(H), grows by each v outside L to
-    Q.L + Q.v, named by the primitive remainder of v; each distinct grown
-    echelon is closed once, from the span of H and iota(v).  Over Q,
-    iota^{-1}(H + Q.iota(v)) = Q.L + Q.v, so a grown echelon is already
-    closed; with symbols the closure can be larger, and the memo of grown
-    echelons keeps it from being computed again.  Closures are keyed by the
-    echelon of their coefficient lattice, with which they are in bijection.
+    Q.L + Q.v, named by the primitive remainder of v, and H + Q.iota(v) has
+    dimension dim H + 1.  Closures are keyed by the echelon of their
+    coefficient lattice, with which they are in bijection.  Two arguments
+    keep the walk in proportion to the closures it finds:
+
+    * Co-rank 1.  Every closure lies in the top closure T = closure(Z^l), and
+      a closure inside T of dimension dim T is T.  So a node with
+      dim H >= dim T - 1 can only grow into T; it is not expanded, and T is
+      emitted once, by `_top_closure`.  This holds over Q[t] as well.
+    * Saturation over Q.  With m = 0, iota^{-1}(H + Q.iota(v)) = Q.L + Q.v,
+      since Q.L contains the rational kernel Q.L0 of iota.  So the grown
+      echelon is already closed and is its own key, and the coefficient
+      lattice is its saturation Z^l cap Q.L: the integer vectors that
+      annihilate an integer kernel basis of the echelon, one
+      `linalg.left_kernel`, with no elimination in image space.  With
+      symbols the closure can be larger than the grown span; it is closed
+      from the span of H and iota(v), and the memo of grown echelons keeps
+      it from being computed again.
     """
+    top = _top_closure(model)
     zero = model.zero_subgroup()
     start = linalg._echelon(zero.coeff.rows)
     vectors = {}
@@ -455,6 +484,8 @@ def enumerate_closures(model: GroupModel, height=2):
     seen = {start}
     nodes = [(start, zero)]
     for ech, node in nodes:  # breadth first: found closures are appended
+        if node.dim >= top.dim - 1:
+            continue
         tried = set()
         for v in vectors.values():
             rem = linalg._echelon_reduce(ech, v)
@@ -464,13 +495,17 @@ def enumerate_closures(model: GroupModel, height=2):
             grown = linalg._echelon_insert(ech, rem)
             if grown in seen:
                 continue
-            sub = (model.full_subgroup() if node.dim + 1 == model.n
-                   else _subgroup(model, node.span + (model.point_of(v),)))
-            key = linalg._echelon(sub.coeff.rows)
+            if model.m == 0:
+                key = grown
+                sub = _spanned(model, node.dim + 1, linalg._saturation(grown, model.l))
+            else:
+                sub = _subgroup(model, node.span + (model.point_of(v),))
+                key = linalg._echelon(sub.coeff.rows)
             if key not in seen:
                 nodes.append((key, sub))
             seen.update((grown, key))
-    return tuple(sorted((sub for _, sub in nodes), key=lambda s: (s.dim, s.coeff.rows)))
+    found = [sub for _, sub in nodes] + ([top] if top.dim else [])
+    return tuple(sorted(found, key=lambda s: (s.dim, s.coeff.rows)))
 
 
 def image_lines(model, height):

@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slopechain.chain as chain_module
 from slopechain import (
@@ -15,15 +18,29 @@ from slopechain import (
     build_chain,
     build_chain_greedy,
     build_model,
+    cli,
     closure,
     compare_slopes,
+    enumerate_closures,
     frak_S,
     mu_exponents,
     n_formula,
     phi,
+    rank_profile,
     verify_chain,
 )
-from slopechain.chain import Chain, ChainNode, ChainStep, PhiValue, RootedRational
+from slopechain.chain import (
+    CandidateCheck,
+    Chain,
+    ChainNode,
+    ChainStep,
+    PhiValue,
+    RootedRational,
+    _chi,
+    phi_sign,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def rational_model(n, gens, scales):
@@ -254,6 +271,60 @@ class TestVerifyChain:
             for j in range(1, m.l + 1):
                 expected *= m.scales[j - 1] ** (ranks[j] - ranks[j - 1])
             assert product == expected
+
+
+@st.composite
+def rational_models(draw):
+    """n, l <= 3 with small integer generators and scales drawn with ties,
+    so that candidates land on chain segments."""
+    n, l = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    gens = [tuple(draw(st.integers(-2, 2)) for _ in range(n)) for _ in range(l)]
+    scales = [draw(st.sampled_from((1, 2, 3, 4, 9))) for _ in range(l)]
+    return rational_model(n, gens, scales)
+
+
+def _checks_per_candidate(model, chain, height):
+    """The candidate checks of `verify_chain`, with chi and its sign computed
+    afresh for every candidate and step."""
+    pool = [*enumerate_closures(model, height), *chain.subgroups, model.full_subgroup()]
+    candidates = {}
+    for sub in pool:
+        candidates.setdefault((sub.dim, sub.coeff.rows), sub)
+    checks = []
+    for (dim, rows), cand in sorted(candidates.items()):
+        phi_k = phi(model, cand)
+        chis = [_chi(dim, phi_k, lo, hi) for lo, hi in zip(chain.nodes, chain.nodes[1:])]
+        signs = tuple(phi_sign(model.scales, chi) for chi in chis)
+        checks.append(CandidateCheck(
+            lattice=rows,
+            dim=dim,
+            gamma_ranks=rank_profile(model, cand).gamma_ranks,
+            chi_exponents=tuple(chi.exponents for chi in chis),
+            chi_signs=signs,
+            equality_steps=tuple(i for i, sign in enumerate(signs) if sign == 0),
+        ))
+    return tuple(checks)
+
+
+class TestSegmentExcessPerPositionVector:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_models())
+    def test_candidates_match_per_candidate_recomputation(self, model):
+        chain = build_chain(model)
+        cert = verify_chain(model, chain, VerifyOptions(height=1))
+        assert cert.candidates == _checks_per_candidate(model, chain, 1)
+
+    def test_symbolic_violation_is_the_golden_one(self):
+        # the first candidate above the chain is still the one that raises
+        cfg = cli.parse_config((GOLDEN / "sym_two_symbols.json").read_text())
+        report = (GOLDEN / "sym_two_symbols.chain_verify.out").read_text()
+        expected = json.loads(report)["error"]
+        model = build_model(cfg.model)
+        with pytest.raises(CertificateViolation) as err:
+            verify_chain(model, build_chain(model), VerifyOptions(height=cfg.limits.candidate_height))
+        assert err.value.kind == expected["kind"]
+        assert err.value.step == expected["step"]
+        assert [list(row) for row in err.value.witness] == expected["witness"]
 
 
 class TestNFormula:

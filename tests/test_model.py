@@ -28,6 +28,8 @@ from slopechain.model import (
     Sublattice,
     _prefix_ranks,
     _relations,
+    _spanned,
+    _subgroup,
     box_primitives,
     image_lines,
 )
@@ -576,20 +578,65 @@ def rational_enumeration_cases(draw):
     return rational_model(n, gens, (2,) * l), height
 
 
+# edge cases of the top closure T = closure(Z^l): every image in one plane of
+# Q^3 (T is not G), one nonzero generator (the start node is already co-rank
+# 1), all-zero generators (T is the zero subgroup) and l = 0
+PLANE_IMAGES = rational_model(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2,) * 3)
+ONE_NONZERO = rational_model(3, [(0, 0, 0), (1, 2, -1)], (2,) * 2)
+ALL_ZERO = rational_model(2, [(0, 0), (0, 0)], (2,) * 2)
+NO_GENERATORS = rational_model(3, [], ())
+
+
 class TestEnumerateClosuresOracle:
     @settings(max_examples=40, deadline=None)
     @given(rational_enumeration_cases())
     @example((  # planes grow into 3-spaces only when n = 4
         rational_model(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)], (2,) * 4), 1,
     ))
+    @example((PLANE_IMAGES, 2))
+    @example((ONE_NONZERO, 2))
+    @example((ALL_ZERO, 2))
+    @example((NO_GENERATORS, 2))
     def test_rational_matches_image_line_walk(self, case):
         model, height = case
         assert _as_tuples(enumerate_closures(model, height)) == _as_tuples(
             _old_enumerate_closures_rational(model, height)
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(rational_enumeration_cases())
+    def test_saturated_grown_echelon_is_the_closure(self, case):
+        # over Q a grown echelon is already closed: its integer saturation,
+        # with the nonzero images of its rows, is the subgroup its images span
+        model, height = case
+        kernel_rank = model.kernel_lattice().rank
+        grown_echelons = {
+            linalg._echelon_insert(linalg._echelon(sub.coeff.rows), v)
+            for sub in enumerate_closures(model, height)
+            for v in box_primitives(model.l, height)
+        }
+        for grown in grown_echelons - {None}:
+            dim = len(grown) - kernel_rank
+            if dim == model.n:
+                continue  # G, which keeps the identity basis as its span
+            saturated = _spanned(model, dim, linalg._saturation(grown, model.l))
+            assert saturated == _subgroup(model, [model.point_of(row) for row in grown])
+
     @settings(max_examples=20, deadline=None)
     @given(models_with_lattice())
+    @example((PLANE_IMAGES, []))
+    @example((ONE_NONZERO, []))
+    @example((ALL_ZERO, []))
+    @example((NO_GENERATORS, []))
+    @example((  # (1, 0, 0), (t1, 0, 0) and (0, 1, 0) span a plane: the top is not G
+        build_model(ModelConfig(
+            n=3,
+            generators=((1, 0, 0), ({"coeffs": {"t1": 1}}, 0, 0), (0, 1, 0)),
+            scales=(2, 2, 2),
+            symbols=("tau",),
+        )),
+        [(1, 0, 0)],
+    ))
     def test_symbolic_matches_closure_walk(self, case):
         # n, l <= 3 and up to two symbols, height 1
         model, _ = case

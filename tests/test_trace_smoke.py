@@ -3,11 +3,11 @@
 `bench/run.py --trace 1` wraps every public function of the traced modules
 and reads some of their arguments (`rat_rref(rows, ncols)`, `image_lines`).
 One traced `chain verify` per ring, through `cli.run`, must give the golden
-report and record the closure enumeration, and its subgroup inclusions must
-run no rank elimination; one traced `locus sweep` must give the golden report
-from one jet matrix and one elimination; traced `gamma` reports must count
-one point per box entry.  `bench/spans.py` is loaded from
-its file and not modified.
+report and record the closure enumeration; over Q its subgroup inclusions
+and its closure enumeration must run no elimination.  One traced
+`locus sweep` must give the golden report from one jet matrix and one
+elimination; traced `gamma` reports must count one point per box entry.
+`bench/spans.py` is loaded from its file and not modified.
 """
 
 import importlib.util
@@ -61,6 +61,8 @@ def test_traced_chain_verify(tmp_path, config):
         # subgroup inclusion compares lattices and runs no elimination
         assert table["model.span_contains"][0] > 0
         assert tracer.child_calls("model.span_contains", "linalg.rank") == 0
+        # rational closures are saturated in integers: no Fraction elimination
+        assert tracer.child_calls("model.enumerate_closures", "linalg.nullspace") == 0
     # uninstalled: the module binds the plain function again
     assert not hasattr(cli.run, "__wrapped__")
 
