@@ -318,8 +318,7 @@ def _nested_pair(cfg, model):
 
 def _cmd_gamma_count(cfg, model):
     hp, hdp = _nested_pair(cfg, model)
-    omega = enumerate_gamma(model, cfg.lam, cfg.limits.enumeration_max)
-    count = card_mod(model, omega, hp, hdp)
+    count = card_mod(model, cfg.lam, hp, hdp, cfg.limits.enumeration_max)
     predicted = n_formula(model, hp, hdp)
     return {
         "lambda": str(cfg.lam),

@@ -6,7 +6,9 @@ iota.  Members are group points, not coefficient tuples: tuples are reduced
 modulo the relation lattice iota^{-1}(0) to canonical coset representatives,
 so dependent or repeated generators never inflate a count.  A box set keeps
 one in-box witness tuple per point and builds the points themselves only
-when they are read; counting and sum/difference sets work on witnesses.
+when they are read; sum/difference sets work on witnesses.  Coset counts
+enumerate no box: they walk the points of the coefficient lattice of H' in
+the box, coordinate by coordinate of its Hermite normal form.
 """
 
 from __future__ import annotations
@@ -53,14 +55,17 @@ def box_bound(scale, lam) -> int:
     return math.ceil(lam * scale) - 1
 
 
-def enumerate_gamma(model: GroupModel, lam=Fraction(1), limit=10 ** 7) -> GammaSet:
+def _box_bounds(model: GroupModel, lam) -> list[int]:
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    bounds = [box_bound(s, lam) for s in model.scales]
-    size = 1
-    for b in bounds:
-        size *= 2 * b + 1
+    return [box_bound(s, lam) for s in model.scales]
+
+
+def enumerate_gamma(model: GroupModel, lam=Fraction(1), limit=10 ** 7) -> GammaSet:
+    lam = as_fraction(lam)
+    bounds = _box_bounds(model, lam)
+    size = math.prod(2 * b + 1 for b in bounds)
     if size > limit:
         raise EnumerationTooLarge(
             f"box of {size} tuples exceeds the limit {limit}"
@@ -91,27 +96,99 @@ def _gamma_set(model: GroupModel, lam, witnesses) -> GammaSet:
     return GammaSet(lam, entries, model)
 
 
-def card_mod(model: GroupModel, omega: GammaSet, h_prime: Subgroup, h_dprime: Subgroup) -> int:
-    """Card of (omega intersect H') mod H'': witnesses landing in H',
-    identified when their difference lies in the H'' lattice."""
+def card_mod(model: GroupModel, lam, h_prime: Subgroup, h_dprime: Subgroup,
+             limit=10 ** 7) -> int:
+    """card((Gamma(lam S) cap H') / H''), counted by `_count_classes` on the
+    box |n_j| < lam S_j with L' = iota^{-1}(H') and L'' = iota^{-1}(H'').
+
+    The walk visits only the points of L' in the box, and takes at most
+    about 1.5 steps per box tuple; more than `limit` steps raise
+    EnumerationTooLarge.  H'' must lie in H' (NotNested otherwise), which
+    also gives the walk's precondition L'' in L'.
+    """
     if not span_contains(model, h_prime, h_dprime):
         raise NotNested("H'' is not contained in H'")
+    bounds = _box_bounds(model, lam)
+    return _count_classes(
+        [-b for b in bounds], bounds, h_prime.coeff, h_dprime.coeff, limit
+    )
+
+
+def card_translate(model: GroupModel, lam, x_vector, h: Subgroup, limit=10 ** 7) -> int:
+    """card(Gamma(lam S) cap (x + H)) for x = iota(x_vector): the points
+    n - x of L = iota^{-1}(H) in the box shifted by -x, counted by
+    `_count_classes` modulo iota^{-1}(0), which every coefficient lattice
+    contains.  Same step bound and `limit` as `card_mod`."""
+    x_vector = [int(v) for v in x_vector]
+    bounds = _box_bounds(model, lam)
+    return _count_classes(
+        [-b - x for b, x in zip(bounds, x_vector)],
+        [b - x for b, x in zip(bounds, x_vector)],
+        h.coeff, model.kernel_lattice(), limit,
+    )
+
+
+def _count_classes(lo, hi, outer, inner, limit) -> int:
+    """card((B cap L') / L'') for the integer box B = {v : lo <= v <= hi}
+    and lattices L'' in L' (`Sublattice`s, L'' in L' is not checked).
+
+    B cap L' is walked in the HNF coordinates of L' (Fincke-Pohst with a box
+    for the ellipsoid): a point is sum c_i r_i over the HNF rows r_i, and
+    once c_1..c_{i-1} are fixed, the columns from the pivot of r_i up to the
+    next pivot depend on c_i alone, so their box inequalities give c_i an
+    exact integer interval (empty when a column r_i does not touch is out of
+    the box).  Each prefix is thus a distinct box point on the columns its
+    rows lead, and the walk, one step per prefix, takes at most 1.5 |B|
+    steps when every side of B holds at least 3 values (at most l |B| in
+    any case); more than `limit` raise EnumerationTooLarge.  The points are
+    identified modulo L'' by their canonical representatives; when L'' = 0
+    the last interval is counted by its length.
+    """
+    rows, pivots = outer.rows, outer.pivots
+    width = len(lo)
+    if any(lo[j] > 0 or hi[j] < 0 for j in range(pivots[0] if rows else width)):
+        return 0                        # the columns before the first pivot are 0
+    if not rows:
+        return 1
+    spans = [range(p, e) for p, e in zip(pivots, pivots[1:] + (width,))]
+    last = len(rows) - 1
+    by_length = not inner.rows
     classes = set()
-    for _, witness in omega.entries:
-        if h_prime.coeff.contains(witness):
-            classes.add(h_dprime.coeff.reduce(witness))
-    return len(classes)
+    count = steps = 0
 
+    def walk(i, partial):
+        nonlocal count, steps
+        row = rows[i]
+        low, high = -math.inf, math.inf
+        for j in spans[i]:
+            a, s = row[j], partial[j]
+            if a:
+                # lo_j <= s + c a <= hi_j, solved for c
+                first, second = -((s - lo[j]) // a), (hi[j] - s) // a
+                if a < 0:
+                    first, second = -((s - hi[j]) // a), (lo[j] - s) // a
+                low, high = max(low, first), min(high, second)
+            elif not lo[j] <= s <= hi[j]:
+                return
+        if low > high:
+            return
+        counted = i == last and by_length
+        steps += 1 if counted else high - low + 1
+        if steps > limit:
+            raise EnumerationTooLarge(f"lattice walk exceeds the limit of {limit} steps")
+        if counted:
+            count += high - low + 1
+            return
+        point = [s + low * a for s, a in zip(partial, row)]
+        for _ in range(low, high + 1):
+            if i == last:
+                classes.add(inner.reduce(point))
+            else:
+                walk(i + 1, point)
+            point = [s + a for s, a in zip(point, row)]
 
-def card_translate(model: GroupModel, omega: GammaSet, x_vector, h: Subgroup) -> int:
-    """Card of omega intersect (x + H) for x = iota(x_vector)."""
-    x_vector = tuple(int(v) for v in x_vector)
-    count = 0
-    for _, witness in omega.entries:
-        diff = tuple(w - x for w, x in zip(witness, x_vector))
-        if h.coeff.contains(diff):
-            count += 1
-    return count
+    walk(0, [0] * width)
+    return count + len(classes)
 
 
 def combine(model: GroupModel, omega: GammaSet, count: int, mode: str, limit=10 ** 7):
@@ -158,13 +235,15 @@ class CountReport:
 
 
 def counting_check(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup,
-                   lambdas, limit=10 ** 7, gamma_sets=None) -> CountReport:
+                   lambdas, limit=10 ** 7) -> CountReport:
     """Counts against the closed-form predictor across a lambda sweep.
 
     Per lambda the exact ratio count / (lambda^rk * N) is recorded; the
     min/max bracket plays the role of the unknowable constants.  The growth
     exponent is also fitted on log(count) vs log(lambda) and must round to
-    the exact rank.
+    the exact rank.  Each count is one `card_mod` lattice walk over the
+    points of iota^{-1}(H') in the box, at most about 1.5 steps per box
+    tuple and at most `limit` steps; H'' must lie in H'.
     """
     lambdas = [as_fraction(x) for x in lambdas]
     nval = n_formula(model, h_prime, h_dprime)
@@ -175,11 +254,7 @@ def counting_check(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup,
     sweep = []
     counts = []
     for lam in lambdas:
-        if gamma_sets is not None and lam in gamma_sets:
-            omega = gamma_sets[lam]
-        else:
-            omega = enumerate_gamma(model, lam, limit)
-        c = card_mod(model, omega, h_prime, h_dprime)
+        c = card_mod(model, lam, h_prime, h_dprime, limit)
         ratio = Fraction(c) / (lam ** rank * nval)
         sweep.append((lam, c, ratio))
         counts.append(c)
@@ -251,6 +326,11 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
     Lower side, per step i and candidate H strictly below H_i: same for
     Gamma(eps/dim H_i * S) in H_i mod H, against frak_S_{i-1}, reported as a
     minimum and required positive.
+
+    Each count is one `card_mod` lattice walk over the points of the upper
+    subgroup's coefficient lattice in the box, at most about 1.5 steps per
+    box tuple and at most `limit` steps; no box is enumerated.  Only nested
+    pairs are counted, so the lower lattice always lies in the upper one.
     """
     epsilon = as_fraction(epsilon)
     bracket = DISTRIBUTION_BRACKET
@@ -261,7 +341,6 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
     for alpha in alphas:
         powered = model.powered(alpha)
         pchain = _scaled_chain(model, chain, alpha)
-        omega_big = enumerate_gamma(powered, Fraction(2 * model.n), limit)
         upper = {}
         for i in range(pchain.r):
             node = pchain.nodes[i].subgroup
@@ -270,7 +349,7 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
             for cand in candidates:
                 if cand.dim <= node.dim or not span_contains(model, cand, node):
                     continue
-                count = card_mod(powered, omega_big, cand, node)
+                count = card_mod(powered, 2 * model.n, cand, node, limit)
                 entries.append(
                     DistributionEntry(
                         i, cand.coeff.rows, count,
@@ -279,19 +358,15 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
                 )
             upper[i] = tuple(entries)
         lower = {}
-        cache = {}
         for i in range(1, pchain.r + 1):
             node = pchain.nodes[i].subgroup
             frak = pchain.steps[i - 1].frak_s
             lam = epsilon / node.dim
-            if lam not in cache:
-                cache[lam] = enumerate_gamma(powered, lam, limit)
-            omega_small = cache[lam]
             entries = []
             for cand in candidates:
                 if cand.dim >= node.dim or not span_contains(model, node, cand):
                     continue
-                count = card_mod(powered, omega_small, node, cand)
+                count = card_mod(powered, lam, node, cand, limit)
                 entries.append(
                     DistributionEntry(
                         i, cand.coeff.rows, count,

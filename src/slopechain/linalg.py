@@ -318,16 +318,11 @@ def left_kernel_rational(rows, ncols):
     return left_kernel(cleared, ncols)
 
 
-def lattice_contains(hnf_rows, vector) -> bool:
-    """Membership test against an HNF basis."""
-    return not any(lattice_reduce(hnf_rows, vector))
-
-
-def lattice_reduce(hnf_rows, vector):
-    """Canonical coset representative of `vector` modulo the HNF lattice."""
+def lattice_reduce(hnf_rows, pivots, vector):
+    """Canonical coset representative of `vector` modulo the HNF lattice
+    with lead columns `pivots` (found once per lattice, `Sublattice.pivots`)."""
     vec = list(map(int, vector))
-    for row in hnf_rows:
-        c = next(j for j, x in enumerate(row) if x)
+    for row, c in zip(hnf_rows, pivots):
         q = vec[c] // row[c]
         if q:
             for j in range(c, len(vec)):

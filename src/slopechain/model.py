@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from operator import add, mul
 
@@ -47,14 +47,19 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The lead column of each basis row, found once per lattice."""
+        return tuple(map(linalg._lead, self.rows))
+
     def contains(self, vector) -> bool:
-        return linalg.lattice_contains(self.rows, vector)
+        return not any(self.reduce(vector))
 
     def contains_lattice(self, other: "Sublattice") -> bool:
         return all(self.contains(row) for row in other.rows)
 
     def reduce(self, vector) -> tuple[int, ...]:
-        return linalg.lattice_reduce(self.rows, vector)
+        return linalg.lattice_reduce(self.rows, self.pivots, vector)
 
 
 @dataclass(frozen=True)

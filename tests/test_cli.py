@@ -147,6 +147,33 @@ class TestCommands:
         report = json.loads(body)
         assert report["count"] == 15 and report["n_formula"] == "6"
 
+    def test_gamma_count_and_check_on_an_80m_tuple_box(self, tmp_path):
+        # 9999 x 7999 box tuples, far over enumeration_max; the diagonal holds
+        # 2 * 3999 + 1 of them, and 2 * 7999 + 1 at lambda = 2
+        cfg = write_config(tmp_path, {
+            "scales": ["5000", "4000"], "lambdas": ["1", "2"],
+            "h_prime": [[1, 1]], "h_dprime": [],
+        })
+        code, body = run_to_file(tmp_path, ["gamma", "count", "-c", cfg])
+        assert code == 0
+        assert json.loads(body)["count"] == 7999
+        code, body = run_to_file(tmp_path, ["gamma", "check", "-c", cfg])
+        assert code == 0
+        assert [row["count"] for row in json.loads(body)["sweep"]] == [7999, 15999]
+
+    def test_gamma_count_limit_bounds_the_walk(self, tmp_path, capsys):
+        # G mod 0 on the 9999 x 7999 box: 9999 first coordinates, then one
+        # counted interval each, so 19998 steps
+        cfg = write_config(tmp_path, {
+            "scales": ["5000", "4000"], "h_prime": [[1, 0], [0, 1]], "h_dprime": [],
+        })
+        argv = ["gamma", "count", "-c", cfg, "--limit"]
+        code, body = run_to_file(tmp_path, argv + ["enumeration_max=19998"])
+        assert code == 0
+        assert json.loads(body)["count"] == 9999 * 7999
+        assert cli.run(argv + ["enumeration_max=19997"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "EnumerationTooLarge"
+
     def test_locus_rank(self, tmp_path):
         cfg = write_config(tmp_path, {"D": 2})
         code, body = run_to_file(tmp_path, ["locus", "rank", "-c", cfg])

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slopechain import (
     CertificateViolation,
@@ -22,6 +24,9 @@ from slopechain import (
     enumerate_gamma,
     gamma_from_vectors,
 )
+from slopechain.gamma import box_bound
+from slopechain.model import enumerate_closures, span_contains
+from slopechain.polys import Poly
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -115,28 +120,25 @@ class TestCardMod:
     def test_full_over_zero_is_cardinality(self):
         m = plane_model(3, 2)
         om = enumerate_gamma(m)
-        assert card_mod(m, om, m.full_subgroup(), m.zero_subgroup()) == len(om)
+        assert card_mod(m, 1, m.full_subgroup(), m.zero_subgroup()) == len(om)
 
     def test_diagonal_points(self):
         m = plane_model(3, 2)
-        om = enumerate_gamma(m)
         diag = closure(m, [(1, 1)])
         # direct enumeration oracle: points (k, k) need |k| < 2
-        assert card_mod(m, om, diag, m.zero_subgroup()) == 3
+        assert card_mod(m, 1, diag, m.zero_subgroup()) == 3
 
     def test_classes_mod_x_axis(self):
         m = plane_model(3, 2)
-        om = enumerate_gamma(m)
         x_axis = closure(m, [(1, 0)])
-        assert card_mod(m, om, m.full_subgroup(), x_axis) == 3
+        assert card_mod(m, 1, m.full_subgroup(), x_axis) == 3
 
     def test_not_nested(self):
         m = plane_model(3, 2)
-        om = enumerate_gamma(m)
         diag = closure(m, [(1, 1)])
         x_axis = closure(m, [(1, 0)])
         with pytest.raises(NotNested):
-            card_mod(m, om, diag, x_axis)
+            card_mod(m, 1, diag, x_axis)
         # one generator (1, 0): the x-axis and G share the lattice Z^1, but
         # G is not inside the x-axis
         m = rational_model(2, [(1, 0)], (3,))
@@ -144,16 +146,141 @@ class TestCardMod:
         full = m.full_subgroup()
         assert x_axis.coeff == full.coeff
         with pytest.raises(NotNested):
-            card_mod(m, enumerate_gamma(m), x_axis, full)
+            card_mod(m, 1, x_axis, full)
         with pytest.raises(NotNested):
             counting_check(m, x_axis, full, [F(1), F(2)])
 
     def test_collapse_monotone(self):
         m = plane_model(3, 2)
-        om = enumerate_gamma(m)
         x_axis = closure(m, [(1, 0)])
         full = m.full_subgroup()
-        assert card_mod(m, om, full, m.zero_subgroup()) >= card_mod(m, om, full, x_axis)
+        assert card_mod(m, 1, full, m.zero_subgroup()) >= card_mod(m, 1, full, x_axis)
+
+    def test_walk_limit(self):
+        # G mod 0 on the 5 x 3 box: 5 first coordinates, then one counted
+        # interval each, so 10 steps
+        m = plane_model(3, 2)
+        full, zero = m.full_subgroup(), m.zero_subgroup()
+        assert card_mod(m, 1, full, zero, limit=10) == 15
+        with pytest.raises(EnumerationTooLarge):
+            card_mod(m, 1, full, zero, limit=9)
+        with pytest.raises(ValueError):
+            card_mod(m, 0, full, zero)
+
+    def test_sparse_relations_within_twice_the_box(self):
+        # the box walk of G mod 0 on SPARSE_RELATIONS at lambda = 2 reduces
+        # every one of its 44,919 tuples; the lattice walk stays under 2|B|
+        m = build_model(SPARSE_RELATIONS)
+        box = math.prod(2 * box_bound(s, 2) + 1 for s in m.scales)
+        assert box == 44919
+        assert card_mod(m, 2, m.full_subgroup(), m.zero_subgroup(), limit=2 * box) == box
+
+
+def box_card_mod(witnesses, h_prime, h_dprime):
+    """The box walk that `card_mod` replaced, kept as its oracle: of the
+    witnesses of a GammaSet (one per point), those in the H' lattice,
+    identified modulo the H'' lattice."""
+    return len({h_dprime.coeff.reduce(w) for w in witnesses if h_prime.coeff.contains(w)})
+
+
+def box_card_translate(witnesses, x_vector, h):
+    """The box walk that `card_translate` replaced: the witnesses whose
+    difference with x_vector lies in the H lattice."""
+    return sum(
+        1 for w in witnesses if h.coeff.contains([a - x for a, x in zip(w, x_vector)])
+    )
+
+
+# generators whose relation lattice is spanned by (33, -61, 52, -38): most
+# integer classes inside the rational image of the box have empty fibres
+SPARSE_RELATIONS = ModelConfig(
+    n=3,
+    generators=((-1, -1, F(-1, 3)), (0, F(-1, 3), -1), (1, 0, F(1, 2)), (F(1, 2), F(-1, 3), 2)),
+    scales=(8, 6, F(5, 2), 2),
+)
+
+LAMBDAS = (F(1, 2), F(1), F(3, 2), F(2))
+# widest box side per number of generators, so the oracle box stays small
+BOX_SIDE = {1: 41, 2: 15, 3: 7, 4: 5}
+
+
+@st.composite
+def box_cases(draw):
+    """(config, lambda, closure height): a rational or one-symbol model with
+    n <= 3 and l <= 4 generators, some of them zero or integer combinations
+    of earlier ones, fractional scales and a lambda from LAMBDAS, with every
+    box side at most BOX_SIDE[l]; its pairs come from the height-1 closures."""
+    n, l, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 1))
+    entry = st.sampled_from((0, 0, 1, -1, 2, F(1, 2), F(-1, 3)))
+
+    def coordinate():
+        if not m:
+            return draw(entry)
+        return Poly.const(draw(entry), 1) + Poly.symbol(1, 1) * draw(entry)
+
+    gens = []
+    for _ in range(l):
+        kind = draw(st.sampled_from(("free", "free", "zero", "dependent")))
+        if kind == "zero":
+            gens.append((Poly() if m else 0,) * n)
+        elif kind == "dependent" and gens:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            c = draw(st.sampled_from((1, -1, 2)))
+            gens.append(tuple(x + y * c for x, y in zip(a, b)))
+        else:
+            gens.append(tuple(coordinate() for _ in range(n)))
+    lam = draw(st.sampled_from(LAMBDAS))
+    sides = [F(k, 2) for k in range(2, 42) if 2 * box_bound(F(k, 2), lam) + 1 <= BOX_SIDE[l]]
+    scales = tuple(draw(st.sampled_from(sides)) for _ in range(l))
+    config = ModelConfig(
+        n=n, generators=tuple(gens), scales=scales, symbols=("tau",) if m else ()
+    )
+    return config, lam, 1
+
+
+def _walk_limit(model, lam):
+    """Twice the box when every side holds at least 3 values, l times the
+    box otherwise: one walk step per prefix, and a prefix is a box point on
+    the columns its rows lead."""
+    sides = [2 * box_bound(s, lam) + 1 for s in model.scales]
+    return (2 if min(sides) >= 3 else model.l) * math.prod(sides)
+
+
+class TestLatticeWalkAgainstBoxWalk:
+    """`card_mod` and `card_translate` walk the lattice of H'; the box walks
+    they replaced are the oracle, on every nested pair among the closures of
+    height <= `height` and {0, G}.  Each walk is given a step limit of twice
+    the box (see `_walk_limit`) and must not reach it."""
+
+    @staticmethod
+    def pool(model, height):
+        subgroups = [model.zero_subgroup(), model.full_subgroup()]
+        if height:
+            subgroups += enumerate_closures(model, height)
+        return list({(h.dim, h.coeff): h for h in subgroups}.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(box_cases(), st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                                 min_size=1, max_size=2))
+    # the 44,919-tuple box: pairs among {0, G} only
+    @example((SPARSE_RELATIONS, F(2), 0), [[3, -2, 1, 0]])
+    def test_counts_equal_box_walk(self, case, translates):
+        config, lam, height = case
+        model = build_model(config)
+        omega = enumerate_gamma(model, lam)
+        limit = _walk_limit(model, lam)
+        pool = self.pool(model, height)
+        for hp in pool:
+            # the oracle filters the witnesses once per H'
+            inside = [w for w in omega.witnesses if hp.coeff.contains(w)]
+            for hdp in pool:
+                if span_contains(model, hp, hdp):
+                    want = box_card_mod(inside, hp, hdp)
+                    assert card_mod(model, lam, hp, hdp, limit) == want, (hp, hdp)
+            for x in translates:
+                x = x[:model.l]
+                want = box_card_translate(omega.witnesses, x, hp)
+                assert card_translate(model, lam, x, hp, limit) == want, (hp, x)
 
 
 class TestCombine:
@@ -213,13 +340,12 @@ class TestCountingCheck:
         # counting in a coset never beats the doubled box count in the group
         m = plane_model(4, 3)
         om = enumerate_gamma(m, 1)
-        om2 = enumerate_gamma(m, 2)
         x_axis = closure(m, [(1, 0)])
         rng = random.Random(41)
-        base = card_mod(m, om2, x_axis, m.zero_subgroup())
+        base = card_mod(m, 2, x_axis, m.zero_subgroup())
         for _ in range(10):
             x = rng.choice(om.witnesses)
-            assert card_translate(m, om, x, x_axis) <= base
+            assert card_translate(m, 1, x, x_axis) <= base
 
 
 class TestDistributionChecks:

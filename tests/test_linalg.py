@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from slopechain import linalg
+from slopechain import Sublattice, linalg
 from slopechain.polys import Poly
 
 
@@ -209,7 +209,7 @@ class TestHNF:
             h = linalg.hnf(rows, cols)
             assert linalg.hnf(h, cols) == h
             for row in rows:
-                assert linalg.lattice_contains(h, row)
+                assert Sublattice(cols, h).contains(row)
             for row in h:
                 assert _in_integer_span(rows, row, cols)
 

@@ -6,7 +6,9 @@ One traced `chain verify` per ring, through `cli.run`, must give the golden
 report and record the closure enumeration; over Q its subgroup inclusions
 and its closure enumeration must run no elimination.  One traced
 `locus sweep` must give the golden report from one jet matrix and one
-elimination; traced `gamma` reports must count one point per box entry.
+elimination.  A traced `gamma enumerate` must count one point per box
+entry, and a traced `gamma count` must make one lattice walk and enumerate
+no box.
 `bench/spans.py` is loaded from its file and not modified.
 """
 
@@ -84,7 +86,13 @@ def test_traced_locus_sweep_eliminates_once(tmp_path):
 @pytest.mark.parametrize("action", ["enumerate", "count"])
 def test_traced_gamma_counts_one_point_per_entry(tmp_path, action):
     tracer = _traced_run(tmp_path, "plane_basic", ("gamma", action))
+    table = tracer.layer_table()
+    if action == "count":
+        # card_mod walks the lattice of H' and reduces no box tuple
+        assert "gamma.enumerate_gamma" not in table
+        assert table["gamma.card_mod"][0] == 1
+        return
     cfg = cli.parse_config((GOLDEN / "plane_basic.json").read_text())
     omega = enumerate_gamma(build_model(cfg.model), cfg.lam)
-    assert tracer.layer_table()["gamma.enumerate_gamma"][0] == 1
+    assert table["gamma.enumerate_gamma"][0] == 1
     assert tracer.counters["gamma.enumerate_gamma.points"] == len(omega.entries) == 15
