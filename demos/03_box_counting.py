@@ -54,7 +54,7 @@ print("difference set size:", len(diffs))
 # subgroups, relative to the step sizes frak_S, must stay inside a fixed
 # multiplicative bracket when S is squared.
 chain = sc.build_chain(model)
-dist = sc.distribution_checks(model, chain, Fraction(1, 2), scale_factor=2, height=1)
+dist = sc.distribution_checks(model, chain, Fraction(1, 2), height=1)
 print("\ndistribution bracket", dist.bracket, "held:", dist.bracket_ok)
 for i, entries in dist.upper[1].items():
     shown = [(list(e.candidate), e.count) for e in entries[:3]]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations_with_replacement, product
 
 from .chain import Chain, RootedRational, _scaled_chain, n_formula
@@ -98,18 +98,15 @@ def _gamma_set(model: GroupModel, lam, witnesses) -> GammaSet:
 
 def card_mod(model: GroupModel, lam, h_prime: Subgroup, h_dprime: Subgroup,
              limit=10 ** 7) -> int:
-    """card((Gamma(lam S) cap H') / H''), counted by `_count_classes` on the
+    """card((Gamma(lam S) cap H') / H''), counted by `_count_in_box` on the
     box |n_j| < lam S_j with L' = iota^{-1}(H') and L'' = iota^{-1}(H'').
-
-    The walk visits only the points of L' in the box, and takes at most
-    about 1.5 steps per box tuple; more than `limit` steps raise
-    EnumerationTooLarge.  H'' must lie in H' (NotNested otherwise), which
-    also gives the walk's precondition L'' in L'.
+    H'' must lie in H' (NotNested otherwise), which also gives the walk's
+    precondition L'' in L'.
     """
     if not span_contains(model, h_prime, h_dprime):
         raise NotNested("H'' is not contained in H'")
     bounds = _box_bounds(model, lam)
-    return _count_classes(
+    return _count_in_box(
         [-b for b in bounds], bounds, h_prime.coeff, h_dprime.coeff, limit
     )
 
@@ -117,15 +114,24 @@ def card_mod(model: GroupModel, lam, h_prime: Subgroup, h_dprime: Subgroup,
 def card_translate(model: GroupModel, lam, x_vector, h: Subgroup, limit=10 ** 7) -> int:
     """card(Gamma(lam S) cap (x + H)) for x = iota(x_vector): the points
     n - x of L = iota^{-1}(H) in the box shifted by -x, counted by
-    `_count_classes` modulo iota^{-1}(0), which every coefficient lattice
-    contains.  Same step bound and `limit` as `card_mod`."""
+    `_count_in_box` modulo iota^{-1}(0), which every coefficient lattice
+    contains."""
     x_vector = [int(v) for v in x_vector]
     bounds = _box_bounds(model, lam)
-    return _count_classes(
+    return _count_in_box(
         [-b - x for b, x in zip(bounds, x_vector)],
         [b - x for b, x in zip(bounds, x_vector)],
         h.coeff, model.kernel_lattice(), limit,
     )
+
+
+def _count_in_box(lo, hi, outer, inner, limit) -> int:
+    """`_count_classes` with `limit` read as the size limit of a box: a box
+    of at most `limit` tuples is walked with no step limit, the walk being
+    bounded by l |B| steps anyway, so no count whose box fits the limit is
+    refused; in a larger box the walk may take at most `limit` steps."""
+    size = math.prod(b - a + 1 for a, b in zip(lo, hi))
+    return _count_classes(lo, hi, outer, inner, math.inf if size <= limit else limit)
 
 
 def _count_classes(lo, hi, outer, inner, limit) -> int:
@@ -242,8 +248,8 @@ def counting_check(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup,
     min/max bracket plays the role of the unknowable constants.  The growth
     exponent is also fitted on log(count) vs log(lambda) and must round to
     the exact rank.  Each count is one `card_mod` lattice walk over the
-    points of iota^{-1}(H') in the box, at most about 1.5 steps per box
-    tuple and at most `limit` steps; H'' must lie in H'.
+    points of iota^{-1}(H') in the box, with `limit` bounding the walk as
+    in `_count_in_box`; H'' must lie in H'.
     """
     lambdas = [as_fraction(x) for x in lambdas]
     nval = n_formula(model, h_prime, h_dprime)
@@ -315,106 +321,86 @@ def _ratio(count: int, frak: RootedRational, k: int) -> RootedRational:
 # the multiplicative bracket both distribution ratios must stay within
 DISTRIBUTION_BRACKET = Fraction(8)
 
+# S and S^2: the powers of the scales the distribution ratios are compared at
+DISTRIBUTION_ALPHAS = (1, 2)
+
+
+def _side_entries(model, powered, pchain, candidates, side, epsilon, limit):
+    """{step i: entries} of one side of `distribution_checks` for the chain
+    `pchain` of the model `powered`.
+
+    Upper side, per step i < r: the candidates H strictly above H_i, each
+    with the count of Gamma(2n S) in H mod H_i and its ratio to frak_S_i.
+    Lower side, per step i >= 1: the candidates H strictly below H_i, each
+    with the count of Gamma(eps/dim H_i * S) in H_i mod H and its ratio to
+    frak_S_{i-1}.  The ratio's power is the dimension gap.
+    """
+    upper = side == "upper"
+    out = {}
+    for i in range(pchain.r) if upper else range(1, pchain.r + 1):
+        node = pchain.nodes[i].subgroup
+        frak = pchain.steps[i if upper else i - 1].frak_s
+        lam = 2 * model.n if upper else epsilon / node.dim
+        entries = []
+        for cand in candidates:
+            big, small = (cand, node) if upper else (node, cand)
+            if big.dim <= small.dim or not span_contains(model, big, small):
+                continue
+            count = card_mod(powered, lam, big, small, limit)
+            entries.append(DistributionEntry(
+                i, cand.coeff.rows, count, _ratio(count, frak, big.dim - small.dim)
+            ))
+        out[i] = tuple(entries)
+    return out
+
 
 def distribution_checks(model: GroupModel, chain: Chain, epsilon,
-                        scale_factor=2, height=2, limit=10 ** 7) -> DistributionReport:
+                        height=2, limit=10 ** 7) -> DistributionReport:
     """Empirical form of the two distribution estimates.
 
-    Upper side, per step i and candidate H strictly above H_i: the count of
-    Gamma(2n S) in H mod H_i, divided by frak_S_i to the dimension gap, must
-    stay within DISTRIBUTION_BRACKET when S is replaced by S^scale_factor.
-    Lower side, per step i and candidate H strictly below H_i: same for
-    Gamma(eps/dim H_i * S) in H_i mod H, against frak_S_{i-1}, reported as a
-    minimum and required positive.
+    Per side (see `_side_entries`) and step, the largest upper ratio and the
+    smallest lower ratio must stay within DISTRIBUTION_BRACKET when S is
+    replaced by S^2, and the lower one is required positive.
 
     Each count is one `card_mod` lattice walk over the points of the upper
-    subgroup's coefficient lattice in the box, at most about 1.5 steps per
-    box tuple and at most `limit` steps; no box is enumerated.  Only nested
-    pairs are counted, so the lower lattice always lies in the upper one.
+    subgroup's coefficient lattice in the box, with `limit` bounding the
+    walk as in `_count_in_box`; no box is enumerated.  Only nested pairs
+    are counted, so the lower lattice always lies in the upper one.
     """
     epsilon = as_fraction(epsilon)
     bracket = DISTRIBUTION_BRACKET
     # Z^0 has no sublattices, so a generator-free model has no candidates
     candidates = enumerate_closures(model, height) if model.l else ()
-    alphas = (1, scale_factor)
-    per_alpha = {}
-    for alpha in alphas:
+    sides = {"upper": {}, "lower": {}}
+    for alpha in DISTRIBUTION_ALPHAS:
         powered = model.powered(alpha)
         pchain = _scaled_chain(model, chain, alpha)
-        upper = {}
-        for i in range(pchain.r):
-            node = pchain.nodes[i].subgroup
-            frak = pchain.steps[i].frak_s
-            entries = []
-            for cand in candidates:
-                if cand.dim <= node.dim or not span_contains(model, cand, node):
-                    continue
-                count = card_mod(powered, 2 * model.n, cand, node, limit)
-                entries.append(
-                    DistributionEntry(
-                        i, cand.coeff.rows, count,
-                        _ratio(count, frak, cand.dim - node.dim),
-                    )
-                )
-            upper[i] = tuple(entries)
-        lower = {}
-        for i in range(1, pchain.r + 1):
-            node = pchain.nodes[i].subgroup
-            frak = pchain.steps[i - 1].frak_s
-            lam = epsilon / node.dim
-            entries = []
-            for cand in candidates:
-                if cand.dim >= node.dim or not span_contains(model, node, cand):
-                    continue
-                count = card_mod(powered, lam, node, cand, limit)
-                entries.append(
-                    DistributionEntry(
-                        i, cand.coeff.rows, count,
-                        _ratio(count, frak, node.dim - cand.dim),
-                    )
-                )
-            lower[i] = tuple(entries)
-        per_alpha[alpha] = (upper, lower)
+        for side, per_alpha in sides.items():
+            per_alpha[alpha] = _side_entries(
+                model, powered, pchain, candidates, side, epsilon, limit
+            )
 
-    def extreme(entries, biggest):
-        best = None
-        for e in entries:
-            if best is None or (e.ratio.compare(best) > 0) == biggest:
-                best = e.ratio
-        return best
-
-    base_upper, base_lower = per_alpha[1]
-    pow_upper, pow_lower = per_alpha[scale_factor]
-    for i in base_upper:
-        a = extreme(base_upper[i], True)
-        b = extreme(pow_upper[i], True)
-        if a is None or b is None:
-            continue
-        if b.compare(a.times(bracket)) > 0 or a.compare(b.times(bracket)) > 0:
-            raise CertificateViolation(
-                "distribution_bracket",
-                f"upper ratio at step {i} moved beyond the bracket {bracket}",
-                step=i,
+    for side, per_alpha in sides.items():
+        extreme = max if side == "upper" else min
+        base, scaled = (per_alpha[alpha] for alpha in DISTRIBUTION_ALPHAS)
+        for i in base:
+            if not (base[i] and scaled[i]):
+                continue
+            a, b = (
+                extreme((e.ratio for e in entries[i]), key=cmp_to_key(RootedRational.compare))
+                for entries in (base, scaled)
             )
-    for i in base_lower:
-        a = extreme(base_lower[i], False)
-        b = extreme(pow_lower[i], False)
-        if a is None or b is None:
-            continue
-        if a.radicand <= 0 or b.radicand <= 0:
-            raise CertificateViolation(
-                "distribution_positive", f"lower ratio at step {i} is not positive",
-                step=i,
-            )
-        if b.compare(a.times(bracket)) > 0 or a.compare(b.times(bracket)) > 0:
-            raise CertificateViolation(
-                "distribution_bracket",
-                f"lower ratio at step {i} moved beyond the bracket {bracket}",
-                step=i,
-            )
+            if side == "lower" and (a.radicand <= 0 or b.radicand <= 0):
+                raise CertificateViolation(
+                    "distribution_positive", f"lower ratio at step {i} is not positive",
+                    step=i,
+                )
+            if b.compare(a.times(bracket)) > 0 or a.compare(b.times(bracket)) > 0:
+                raise CertificateViolation(
+                    "distribution_bracket",
+                    f"{side} ratio at step {i} moved beyond the bracket {bracket}",
+                    step=i,
+                )
     return DistributionReport(
-        upper={alpha: per_alpha[alpha][0] for alpha in alphas},
-        lower={alpha: per_alpha[alpha][1] for alpha in alphas},
-        bracket=bracket,
-        bracket_ok=True,
+        upper=sides["upper"], lower=sides["lower"], bracket=bracket, bracket_ok=True
     )

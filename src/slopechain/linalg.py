@@ -304,20 +304,6 @@ def left_kernel(rows, ncols):
     return hnf(kernel_rows, m)
 
 
-def left_kernel_rational(rows, ncols):
-    """Integer left kernel of a rational matrix (clear denominators per column)."""
-    if not rows:
-        return ()
-    cleared = []
-    mults = []
-    for c in range(ncols):
-        mult = lcm(*(Fraction(row[c]).denominator for row in rows))
-        mults.append(mult)
-    for row in rows:
-        cleared.append([int(Fraction(x) * mult) for x, mult in zip(row, mults)])
-    return left_kernel(cleared, ncols)
-
-
 def lattice_reduce(hnf_rows, pivots, vector):
     """Canonical coset representative of `vector` modulo the HNF lattice
     with lead columns `pivots` (found once per lattice, `Sublattice.pivots`)."""

@@ -352,17 +352,19 @@ def specialize(model: GroupModel, assignment=None, seed=None) -> GroupModel:
 def _relations(values):
     """HNF basis of the integer relations among per-generator values: the
     v in Z^l with sum_j v_j values[j] = 0, for rows of Fractions or of Polys.
-    A Poly column counts as one column per monomial coefficient."""
+    A Poly column counts as one column per monomial coefficient; each column
+    is cleared of denominators."""
     cond = [[] for _ in values]
     for col in zip(*values):
         if isinstance(col[0], Poly):
-            for mon in sorted({mon for p in col for mon in p.terms}):
-                for row, p in zip(cond, col):
-                    row.append(p.terms.get(mon, 0))
+            monomials = sorted({mon for p in col for mon in p.terms})
+            cols = [[p.terms.get(mon, 0) for p in col] for mon in monomials]
         else:
-            for row, x in zip(cond, col):
+            cols = [col]
+        for c in cols:
+            for row, x in zip(cond, linalg._cleared(c)):
                 row.append(x)
-    return linalg.left_kernel_rational(cond, len(cond[0]) if cond else 0)
+    return linalg.left_kernel(cond, len(cond[0]) if cond else 0)
 
 
 def _subgroup(model: GroupModel, points) -> Subgroup:
@@ -370,7 +372,8 @@ def _subgroup(model: GroupModel, points) -> Subgroup:
     elimination: its dimension is n minus the number of kernel directions of
     the points, and a coefficient vector lands in it exactly when its image is
     annihilated by every kernel direction, which makes the coefficient lattice
-    the relations among the generators' pairings with those directions."""
+    the relations among the generators' pairings with those directions.  The
+    closure over Q[t]; over Q only the reference for `_rational_closure`."""
     kernel_dirs = linalg.nullspace(points, model.n)
     if not kernel_dirs:
         return model.full_subgroup()
@@ -382,11 +385,31 @@ def _subgroup(model: GroupModel, points) -> Subgroup:
     return _spanned(model, model.n - len(kernel_dirs), coeff)
 
 
+def _rational_closure(model: GroupModel, ech) -> Subgroup:
+    """The closure over Q of the span of a canonical integer echelon `ech`
+    that contains L0 = iota^{-1}(0): iota^{-1}(span iota(L)) is
+    Z^l cap (Q.L + Q.L0), the integer saturation of the echelon, and its
+    dimension is len(ech) - rk L0.  No elimination runs in image space."""
+    dim = len(ech) - model.kernel_lattice().rank
+    if dim == 0:
+        return model.zero_subgroup()
+    if dim == model.n:
+        return model.full_subgroup()
+    return _spanned(model, dim, linalg._saturation(ech, model.l))
+
+
 def _spanned(model: GroupModel, dim, coeff) -> Subgroup:
     """The proper subgroup of dimension `dim` with the HNF coefficient
     lattice `coeff`, spanned by the nonzero images of its rows."""
     span = tuple(pt for pt in map(model.point_of, coeff) if any(pt))
     return Subgroup(dim, Sublattice(model.l, coeff), span)
+
+
+def _closure(model: GroupModel, rows) -> Subgroup:
+    """`closure` of a tuple of integer coefficient rows of length l, unchecked."""
+    if model.m:
+        return _subgroup(model, [model.point_of(r) for r in rows])
+    return _rational_closure(model, linalg._echelon(model.kernel_lattice().rows + rows))
 
 
 def closure(model: GroupModel, lattice) -> Subgroup:
@@ -401,7 +424,7 @@ def closure(model: GroupModel, lattice) -> Subgroup:
             raise DimensionMismatch(
                 f"lattice vector has {len(row)} entries, expected {model.l}"
             )
-    return _subgroup(model, [model.point_of(r) for r in rows])
+    return _closure(model, rows)
 
 
 def _prefix_ranks(rows, l):
@@ -442,16 +465,6 @@ def box_primitives(l, height):
     return out
 
 
-def _top_closure(model: GroupModel) -> Subgroup:
-    """closure(Z^l), which contains every closure.  Over Q its dimension is
-    l - rk L0 and it runs no elimination; over Q[t] it is one `_subgroup`."""
-    rows = model.prefix_lattice(model.l).rows
-    if model.m:
-        return _subgroup(model, [model.point_of(r) for r in rows])
-    dim = model.l - model.kernel_lattice().rank
-    return model.full_subgroup() if dim == model.n else _spanned(model, dim, rows)
-
-
 def enumerate_closures(model: GroupModel, height=2):
     """All distinct closures of sublattices generated by vectors of entry
     height <= `height`, each computed once.
@@ -467,18 +480,17 @@ def enumerate_closures(model: GroupModel, height=2):
     * Co-rank 1.  Every closure lies in the top closure T = closure(Z^l), and
       a closure inside T of dimension dim T is T.  So a node with
       dim H >= dim T - 1 can only grow into T; it is not expanded, and T is
-      emitted once, by `_top_closure`.  This holds over Q[t] as well.
+      emitted once, closed from Z^l like any other lattice.  This holds
+      over Q[t] as well.
     * Saturation over Q.  With m = 0, iota^{-1}(H + Q.iota(v)) = Q.L + Q.v,
       since Q.L contains the rational kernel Q.L0 of iota.  So the grown
-      echelon is already closed and is its own key, and the coefficient
-      lattice is its saturation Z^l cap Q.L: the integer vectors that
-      annihilate an integer kernel basis of the echelon, one
-      `linalg.left_kernel`, with no elimination in image space.  With
-      symbols the closure can be larger than the grown span; it is closed
-      from the span of H and iota(v), and the memo of grown echelons keeps
-      it from being computed again.
+      echelon is already closed and is its own key, and
+      `_rational_closure` reads the closure off it, with no elimination in
+      image space.  With symbols the closure can be larger than the grown
+      span; it is closed from the span of H and iota(v), and the memo of
+      grown echelons keeps it from being computed again.
     """
-    top = _top_closure(model)
+    top = _closure(model, model.prefix_lattice(model.l).rows)
     zero = model.zero_subgroup()
     start = linalg._echelon(zero.coeff.rows)
     vectors = {}
@@ -502,7 +514,7 @@ def enumerate_closures(model: GroupModel, height=2):
                 continue
             if model.m == 0:
                 key = grown
-                sub = _spanned(model, node.dim + 1, linalg._saturation(grown, model.l))
+                sub = _rational_closure(model, grown)
             else:
                 sub = _subgroup(model, node.span + (model.point_of(v),))
                 key = linalg._echelon(sub.coeff.rows)

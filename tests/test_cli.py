@@ -174,6 +174,17 @@ class TestCommands:
         assert cli.run(argv + ["enumeration_max=19997"]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "EnumerationTooLarge"
 
+    def test_gamma_count_within_a_box_that_fits_the_limit(self, tmp_path, capsys):
+        # G mod the x-axis on the 5 x 3 box: the walk takes 5 + 15 steps, but
+        # the 15 box tuples fit enumeration_max = 15
+        cfg = write_config(tmp_path, {"h_prime": [[1, 0], [0, 1]], "h_dprime": [[1, 0]]})
+        argv = ["gamma", "count", "-c", cfg, "--limit"]
+        code, body = run_to_file(tmp_path, argv + ["enumeration_max=15"])
+        assert code == 0
+        assert json.loads(body)["count"] == 3
+        assert cli.run(argv + ["enumeration_max=14"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "EnumerationTooLarge"
+
     def test_locus_rank(self, tmp_path):
         cfg = write_config(tmp_path, {"D": 2})
         code, body = run_to_file(tmp_path, ["locus", "rank", "-c", cfg])

@@ -24,7 +24,7 @@ from slopechain import (
     enumerate_gamma,
     gamma_from_vectors,
 )
-from slopechain.gamma import box_bound
+from slopechain.gamma import _count_classes, box_bound
 from slopechain.model import enumerate_closures, span_contains
 from slopechain.polys import Poly
 
@@ -167,13 +167,27 @@ class TestCardMod:
         with pytest.raises(ValueError):
             card_mod(m, 0, full, zero)
 
+    def test_box_within_the_limit_is_counted(self):
+        # G mod the x-axis on the 5 x 3 box: 5 first coordinates, then 15
+        # points, so 20 steps; a limit the box of 15 tuples fits lets the walk
+        # run to the end, a smaller one bounds its steps
+        m = plane_model(3, 2)
+        full, x_axis = m.full_subgroup(), closure(m, [(1, 0)])
+        assert card_mod(m, 1, full, x_axis, limit=15) == 3
+        with pytest.raises(EnumerationTooLarge):
+            card_mod(m, 1, full, x_axis, limit=14)
+
     def test_sparse_relations_within_twice_the_box(self):
         # the box walk of G mod 0 on SPARSE_RELATIONS at lambda = 2 reduces
         # every one of its 44,919 tuples; the lattice walk stays under 2|B|
+        # (`card_mod` would walk a box within its limit with no step limit)
         m = build_model(SPARSE_RELATIONS)
-        box = math.prod(2 * box_bound(s, 2) + 1 for s in m.scales)
+        bounds = [box_bound(s, 2) for s in m.scales]
+        box = math.prod(2 * b + 1 for b in bounds)
         assert box == 44919
-        assert card_mod(m, 2, m.full_subgroup(), m.zero_subgroup(), limit=2 * box) == box
+        full, zero = m.full_subgroup().coeff, m.zero_subgroup().coeff
+        assert _count_classes([-b for b in bounds], bounds, full, zero, 2 * box) == box
+        assert card_mod(m, 2, m.full_subgroup(), m.zero_subgroup()) == box
 
 
 def box_card_mod(witnesses, h_prime, h_dprime):
@@ -249,8 +263,9 @@ def _walk_limit(model, lam):
 class TestLatticeWalkAgainstBoxWalk:
     """`card_mod` and `card_translate` walk the lattice of H'; the box walks
     they replaced are the oracle, on every nested pair among the closures of
-    height <= `height` and {0, G}.  Each walk is given a step limit of twice
-    the box (see `_walk_limit`) and must not reach it."""
+    height <= `height` and {0, G}.  A box within their limit is walked with
+    no step limit, so each walk is also run by `_count_classes` under a step
+    limit of twice the box (see `_walk_limit`) and must not reach it."""
 
     @staticmethod
     def pool(model, height):
@@ -269,6 +284,7 @@ class TestLatticeWalkAgainstBoxWalk:
         model = build_model(config)
         omega = enumerate_gamma(model, lam)
         limit = _walk_limit(model, lam)
+        bounds = [box_bound(s, lam) for s in model.scales]
         pool = self.pool(model, height)
         for hp in pool:
             # the oracle filters the witnesses once per H'
@@ -276,11 +292,17 @@ class TestLatticeWalkAgainstBoxWalk:
             for hdp in pool:
                 if span_contains(model, hp, hdp):
                     want = box_card_mod(inside, hp, hdp)
-                    assert card_mod(model, lam, hp, hdp, limit) == want, (hp, hdp)
+                    assert card_mod(model, lam, hp, hdp) == want, (hp, hdp)
+                    lo = [-b for b in bounds]
+                    assert _count_classes(lo, bounds, hp.coeff, hdp.coeff, limit) == want
             for x in translates:
                 x = x[:model.l]
                 want = box_card_translate(omega.witnesses, x, hp)
-                assert card_translate(model, lam, x, hp, limit) == want, (hp, x)
+                assert card_translate(model, lam, x, hp) == want, (hp, x)
+                lo = [-b - a for b, a in zip(bounds, x)]
+                hi = [b - a for b, a in zip(bounds, x)]
+                kernel = model.kernel_lattice()
+                assert _count_classes(lo, hi, hp.coeff, kernel, limit) == want
 
 
 class TestCombine:
@@ -352,7 +374,7 @@ class TestDistributionChecks:
     def test_plane_model_bounded(self):
         m = plane_model(9, 3)
         chain = build_chain(m)
-        report = distribution_checks(m, chain, F(1, 2), scale_factor=2, height=1)
+        report = distribution_checks(m, chain, F(1, 2), height=1)
         assert report.bracket_ok
         upper_base = report.upper[1]
         # the motivating candidate H = G appears at the last step

@@ -27,8 +27,8 @@ from slopechain.model import (
     Subgroup,
     Sublattice,
     _prefix_ranks,
+    _rational_closure,
     _relations,
-    _spanned,
     _subgroup,
     box_primitives,
     image_lines,
@@ -587,6 +587,45 @@ ALL_ZERO = rational_model(2, [(0, 0), (0, 0)], (2,) * 2)
 NO_GENERATORS = rational_model(3, [], ())
 
 
+@st.composite
+def rational_closure_cases(draw):
+    """A `rational_enumeration_cases` model with 0-3 coefficient rows, each
+    a box vector, a kernel row, a zero row, the sum of two earlier rows or a
+    unit vector (the unit vectors together close to closure(Z^l))."""
+    model, height = draw(rational_enumeration_cases())
+    l = model.l
+    kinds = {
+        "box": st.tuples(*[st.integers(-height, height)] * l),
+        "zero": st.just((0,) * l),
+    }
+    if model.kernel_lattice().rows:
+        kinds["kernel"] = st.sampled_from(model.kernel_lattice().rows)
+    if l:
+        kinds["unit"] = st.sampled_from(model.prefix_lattice(l).rows)
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(sorted(kinds) + (["sum"] if rows else [])))
+        if kind == "sum":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(tuple(map(add, a, b)))
+        else:
+            rows.append(draw(kinds[kind]))
+    return model, rows
+
+
+class TestRationalClosureOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(rational_closure_cases())
+    @example((NO_GENERATORS, [()]))
+    @example((ALL_ZERO, [(1, 0), (0, 1)]))
+    @example((PLANE_IMAGES, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))  # the top is a plane
+    def test_saturation_matches_image_elimination(self, case):
+        # the integer saturation of Q.L + Q.L0 against the Fraction
+        # elimination in image space: same dimension, lattice and span
+        model, rows = case
+        assert closure(model, rows) == _old_closure(model, rows)
+
+
 class TestEnumerateClosuresOracle:
     @settings(max_examples=40, deadline=None)
     @given(rational_enumeration_cases())
@@ -609,18 +648,15 @@ class TestEnumerateClosuresOracle:
         # over Q a grown echelon is already closed: its integer saturation,
         # with the nonzero images of its rows, is the subgroup its images span
         model, height = case
-        kernel_rank = model.kernel_lattice().rank
         grown_echelons = {
             linalg._echelon_insert(linalg._echelon(sub.coeff.rows), v)
             for sub in enumerate_closures(model, height)
             for v in box_primitives(model.l, height)
         }
         for grown in grown_echelons - {None}:
-            dim = len(grown) - kernel_rank
-            if dim == model.n:
-                continue  # G, which keeps the identity basis as its span
-            saturated = _spanned(model, dim, linalg._saturation(grown, model.l))
-            assert saturated == _subgroup(model, [model.point_of(row) for row in grown])
+            assert _rational_closure(model, grown) == _subgroup(
+                model, [model.point_of(row) for row in grown]
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(models_with_lattice())
