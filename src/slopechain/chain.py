@@ -140,13 +140,13 @@ class RootedRational:
 
 
 def phi(model: GroupModel, subgroup: Subgroup) -> PhiValue:
-    """Exponent vector of phi(H); the per-j rank jumps of the profile.
+    """Exponent vector of phi(H): the per-j rank jumps of its rank profile.
 
-    Computed both as successive differences and through the S_{l+1} = 1
-    rewriting sum_j rk(Gamma_j cap H) log(S_j/S_{j+1}); the two must agree.
+    The S_{l+1} = 1 rewriting sum_j rk(Gamma_j cap H) log(S_j/S_{j+1}) has
+    the same exponent vector, r_j - r_{j-1} on log S_j, so it is not
+    computed separately.
     """
-    profile = rank_profile(model, subgroup)
-    return phi_from_profile(model, profile)
+    return phi_from_profile(rank_profile(model, subgroup))
 
 
 def _rank_jumps(gamma_ranks, base=None) -> tuple[int, ...]:
@@ -158,17 +158,8 @@ def _rank_jumps(gamma_ranks, base=None) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip(ranks, ranks[1:]))
 
 
-def phi_from_profile(model: GroupModel, profile: RankProfile) -> PhiValue:
-    ranks = (0,) + profile.gamma_ranks
-    jumps = _rank_jumps(profile.gamma_ranks)
-    alt = [0] * model.l
-    for j in range(1, model.l + 1):
-        alt[j - 1] += ranks[j]
-        if j < model.l:
-            alt[j] -= ranks[j]
-    if tuple(alt) != jumps:
-        raise InternalInvariantError("the two phi computations disagree")
-    return PhiValue(jumps)
+def phi_from_profile(profile: RankProfile) -> PhiValue:
+    return PhiValue(_rank_jumps(profile.gamma_ranks))
 
 
 @dataclass(frozen=True)
@@ -201,34 +192,20 @@ class Chain:
         return tuple(node.dim for node in self.nodes)
 
 
-def _frak(model, node_lo: ChainNode, node_hi: ChainNode,
-          prof_lo: RankProfile, prof_hi: RankProfile) -> RootedRational:
-    """frak_S for one step, computed from the double-quotient rank jumps and
-    re-derived from exp of the slope; both must coincide."""
-    root = node_hi.dim - node_lo.dim
-    radicand = power_product(
-        model.scales, _rank_jumps(prof_hi.gamma_ranks, prof_lo.gamma_ranks)
-    )
-    via_slope = power_product(model.scales, (node_hi.phi - node_lo.phi).exponents)
-    if radicand != via_slope:
-        raise InternalInvariantError("frak_S formulas disagree")
-    return RootedRational(radicand, root)
-
-
 def _assemble(model: GroupModel, subgroups) -> Chain:
-    nodes = []
-    profiles = []
-    for sub in subgroups:
-        profile = rank_profile(model, sub)
-        nodes.append(ChainNode(sub, sub.dim, phi_from_profile(model, profile)))
-        profiles.append(profile)
+    """Chain nodes and steps; frak_S of a step is exp of its slope, the
+    radicand prod S_j^{e_j} of the slope's phi difference under the root
+    dim H_{i+1} - dim H_i."""
+    nodes = [ChainNode(sub, sub.dim, phi(model, sub)) for sub in subgroups]
     steps = []
-    for i in range(len(nodes) - 1):
-        lo, hi = nodes[i], nodes[i + 1]
+    for lo, hi in zip(nodes, nodes[1:]):
         if hi.dim <= lo.dim:
             raise InternalInvariantError("chain dimensions must strictly increase")
         slope = SlopeValue(hi.phi - lo.phi, hi.dim - lo.dim)
-        steps.append(ChainStep(_frak(model, lo, hi, profiles[i], profiles[i + 1]), slope))
+        frak = RootedRational(
+            power_product(model.scales, slope.numerator.exponents), slope.denominator
+        )
+        steps.append(ChainStep(frak, slope))
     for i in range(len(steps) - 1):
         if compare_slopes(model, steps[i].slope, steps[i + 1].slope) <= 0:
             raise InternalInvariantError("chain slopes must strictly decrease")
@@ -241,10 +218,11 @@ def _build_chain_fast(model: GroupModel) -> Chain:
     The best phi among dimension-d subgroups is f(d) = sum_j min(r_j, d) c_j
     with r_j = rk Gamma_j and c_j = log(S_j/S_{j+1}) >= 0 (S_{l+1} = 1); the
     chain dimensions are the vertices where the exact slope of f strictly
-    drops, and the vertex subgroup is the closure of the prefix lattice
-    realizing that rank.
+    drops.  Over Q, rk Gamma_j = dim span Gamma_j, so every Gamma_j with
+    r_j = d spans the same subspace; the vertex of dimension d is the prefix
+    closure of the first such j.
     """
-    n, l = model.n, model.l
+    n = model.n
     full = model.full_subgroup()
     r = (0,) + rank_profile(model, full).gamma_ranks
 
@@ -258,7 +236,6 @@ def _build_chain_fast(model: GroupModel) -> Chain:
             vertices.append(d)
     vertices.append(n)
 
-    scales = model.scales + (Fraction(1),)
     subgroups = []
     for d in vertices:
         if d == 0:
@@ -266,10 +243,7 @@ def _build_chain_fast(model: GroupModel) -> Chain:
         elif d == n:
             subgroups.append(full)
         else:
-            j = next(
-                j for j in range(1, l + 1) if r[j] == d and scales[j - 1] > scales[j]
-            )
-            vertex = closure(model, model.prefix_lattice(j))
+            vertex = model.prefix_closure(r.index(d))
             if vertex.dim != d:
                 raise InternalInvariantError("prefix closure has unexpected dimension")
             subgroups.append(vertex)
@@ -280,7 +254,7 @@ def _prefix_candidates(model: GroupModel):
     """Distinct prefix closures (the zero subgroup first) and the full group."""
     seen = {}
     for j in range(model.l + 1):
-        sub = closure(model, model.prefix_lattice(j))
+        sub = model.prefix_closure(j)
         seen.setdefault((sub.dim, sub.coeff.rows), sub)
     full = model.full_subgroup()
     seen.setdefault((full.dim, full.coeff.rows), full)
@@ -499,7 +473,7 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     for key, cand in sorted(candidates.items()):
         profile = rank_profile(model, cand)
         if profile not in segment_excess:
-            phi_k = phi_from_profile(model, profile)
+            phi_k = phi_from_profile(profile)
             chis = [_chi(cand.dim, phi_k, lo, hi) for lo, hi in zip(chain.nodes, chain.nodes[1:])]
             segment_excess[profile] = (
                 tuple(chi.exponents for chi in chis),

@@ -100,6 +100,29 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _seed(value):
+    if not _is_int(value) or not -(2 ** 63) <= value < 2 ** 64:
+        _fail("seed", "must be a 64-bit integer")
+    return value
+
+
+def _limit(key, value):
+    if key not in _LIMIT_KEYS:
+        _fail(f"limits.{key}", "unknown limit")
+    if not _is_int(value) or value <= 0:
+        _fail(f"limits.{key}", "must be a positive integer")
+    return value
+
+
+def _override(name, text):
+    """A command-line override read as the JSON value it would be in the
+    config, so that it meets the config's rule for its key."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        _fail(name, f"bad override {text!r}")
+
+
 def parse_config(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
@@ -152,18 +175,12 @@ def parse_config(text: str) -> RunConfig:
             _fail("epsilon", f"must lie strictly between 0 and 1, got {eps}")
         cfg.epsilon = eps
     if "seed" in raw:
-        if not _is_int(raw["seed"]) or not -(2 ** 63) <= raw["seed"] < 2 ** 64:
-            _fail("seed", "must be a 64-bit integer")
-        cfg.seed = raw["seed"]
+        cfg.seed = _seed(raw["seed"])
     if "limits" in raw:
         if not isinstance(raw["limits"], dict):
             _fail("limits", "must be an object")
         for key, value in raw["limits"].items():
-            if key not in _LIMIT_KEYS:
-                _fail(f"limits.{key}", "unknown limit")
-            if not _is_int(value) or value <= 0:
-                _fail(f"limits.{key}", "must be a positive integer")
-            setattr(cfg.limits, key, value)
+            setattr(cfg.limits, key, _limit(key, value))
     if "lambda" in raw:
         lam = _exact("lambda", raw["lambda"])
         if lam <= 0:
@@ -479,7 +496,7 @@ _COMMANDS = {
 def _add_common(parser):
     parser.add_argument("-c", "--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", help="override the config seed")
     parser.add_argument(
         "--limit", action="append", default=[], metavar="KEY=VALUE",
         help="override a limit, e.g. --limit enumeration_max=20000000",
@@ -518,13 +535,10 @@ def run(argv) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.echo["seed"] = args.seed
+            cfg.seed = cfg.echo["seed"] = _seed(_override("seed", args.seed))
         for override in args.limit:
             key, _, value = override.partition("=")
-            if key not in _LIMIT_KEYS or not value.lstrip("-").isdigit() or int(value) <= 0:
-                raise ValidationError(f"limits.{key}", f"bad override {override!r}")
-            setattr(cfg.limits, key, int(value))
+            setattr(cfg.limits, key, _limit(key, _override(f"limits.{key}", value)))
         model = build_model(cfg.model)
         payload = handler(cfg, model)
         if isinstance(payload, str):

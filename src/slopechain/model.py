@@ -9,17 +9,18 @@ over Q (a line can carry a rank-2 subgroup).
 
 Connected algebraic subgroups of a vector group are exactly the linear
 subspaces.  A subgroup H is carried as (dimension, coefficient lattice
-iota^{-1}(H) in Z^l, spanning points), where iota maps an integer vector v to
-sum v_j gamma_j.  Coefficient lattices are saturated, contain iota^{-1}(0),
-and are kept in Hermite normal form, so subgroup equality is plain equality
-of (dimension, lattice).
+iota^{-1}(H) in Z^l), where iota maps an integer vector v to sum v_j gamma_j;
+the two determine H, and spanning points are built from them when read.
+Coefficient lattices are saturated, contain iota^{-1}(0), and are kept in
+Hermite normal form, so subgroup equality is plain equality of
+(dimension, lattice).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
@@ -64,16 +65,24 @@ class Sublattice:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A connected algebraic subgroup of the vector group.
-
-    `span` is a tuple of points (iota of the coefficient basis, zero images
-    dropped; the identity basis for the full group), spanning H over the
-    symbol fraction field.
-    """
+    """A connected algebraic subgroup of the vector group, determined by its
+    dimension and its coefficient lattice; `model` only builds `span`."""
 
     dim: int
     coeff: Sublattice
-    span: tuple
+    model: GroupModel = field(compare=False, repr=False)
+
+    @cached_property
+    def span(self) -> tuple:
+        """Points spanning H over the symbol fraction field: the identity
+        basis for the full group, otherwise the nonzero images of the
+        coefficient basis."""
+        model = self.model
+        if self.dim == model.n:
+            one = Fraction(1) if model.m == 0 else Poly.const(1, model.m)
+            zero = model.zero_point()
+            return tuple(zero[:i] + (one,) + zero[i + 1:] for i in range(model.n))
+        return tuple(pt for pt in map(model.point_of, self.coeff.rows) if any(pt))
 
     def __repr__(self):
         return f"Subgroup(dim={self.dim}, coeff={[list(r) for r in self.coeff.rows]})"
@@ -157,18 +166,12 @@ class GroupModel:
 
     def zero_subgroup(self) -> Subgroup:
         if "zero" not in self._cache:
-            self._cache["zero"] = Subgroup(0, self.kernel_lattice(), ())
+            self._cache["zero"] = Subgroup(0, self.kernel_lattice(), self)
         return self._cache["zero"]
 
     def full_subgroup(self) -> Subgroup:
         if "full" not in self._cache:
-            ident = tuple(
-                tuple(1 if i == j else 0 for j in range(self.l)) for i in range(self.l)
-            )
-            one = Fraction(1) if self.m == 0 else Poly.const(1, self.m)
-            zero = self.zero_point()
-            span = tuple(zero[:i] + (one,) + zero[i + 1:] for i in range(self.n))
-            self._cache["full"] = Subgroup(self.n, Sublattice(self.l, ident), span)
+            self._cache["full"] = Subgroup(self.n, self.prefix_lattice(self.l), self)
         return self._cache["full"]
 
     def prefix_lattice(self, j) -> Sublattice:
@@ -176,6 +179,14 @@ class GroupModel:
             tuple(1 if k == i else 0 for k in range(self.l)) for i in range(j)
         )
         return Sublattice(self.l, rows)
+
+    def prefix_closure(self, j) -> Subgroup:
+        """The closure of Gamma_j, i.e. of the prefix lattice Z^j x 0, closed
+        on first request; the one place a prefix lattice is closed."""
+        key = ("prefix_closure", j)
+        if key not in self._cache:
+            self._cache[key] = _closure(self, self.prefix_lattice(j).rows)
+        return self._cache[key]
 
     def kernel_prefix_ranks(self):
         if "kernel_prefix" not in self._cache:
@@ -382,7 +393,7 @@ def _subgroup(model: GroupModel, points) -> Subgroup:
     coeff = _relations(
         [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
     )
-    return _spanned(model, model.n - len(kernel_dirs), coeff)
+    return Subgroup(model.n - len(kernel_dirs), Sublattice(model.l, coeff), model)
 
 
 def _rational_closure(model: GroupModel, ech) -> Subgroup:
@@ -395,14 +406,7 @@ def _rational_closure(model: GroupModel, ech) -> Subgroup:
         return model.zero_subgroup()
     if dim == model.n:
         return model.full_subgroup()
-    return _spanned(model, dim, linalg._saturation(ech, model.l))
-
-
-def _spanned(model: GroupModel, dim, coeff) -> Subgroup:
-    """The proper subgroup of dimension `dim` with the HNF coefficient
-    lattice `coeff`, spanned by the nonzero images of its rows."""
-    span = tuple(pt for pt in map(model.point_of, coeff) if any(pt))
-    return Subgroup(dim, Sublattice(model.l, coeff), span)
+    return Subgroup(dim, Sublattice(model.l, linalg._saturation(ech, model.l)), model)
 
 
 def _closure(model: GroupModel, rows) -> Subgroup:
@@ -480,7 +484,7 @@ def enumerate_closures(model: GroupModel, height=2):
     * Co-rank 1.  Every closure lies in the top closure T = closure(Z^l), and
       a closure inside T of dimension dim T is T.  So a node with
       dim H >= dim T - 1 can only grow into T; it is not expanded, and T is
-      emitted once, closed from Z^l like any other lattice.  This holds
+      emitted once, as the model's prefix closure of Z^l.  This holds
       over Q[t] as well.
     * Saturation over Q.  With m = 0, iota^{-1}(H + Q.iota(v)) = Q.L + Q.v,
       since Q.L contains the rational kernel Q.L0 of iota.  So the grown
@@ -490,7 +494,7 @@ def enumerate_closures(model: GroupModel, height=2):
       span; it is closed from the span of H and iota(v), and the memo of
       grown echelons keeps it from being computed again.
     """
-    top = _closure(model, model.prefix_lattice(model.l).rows)
+    top = model.prefix_closure(model.l)
     zero = model.zero_subgroup()
     start = linalg._echelon(zero.coeff.rows)
     vectors = {}

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slopechain.chain as chain_module
+import slopechain.model as model_module
 from slopechain import (
     AmbiguousCandidates,
     CertificateViolation,
+    GroupModel,
     IndexOutOfRange,
     ModelConfig,
     NotNested,
@@ -325,6 +327,39 @@ class TestSegmentExcessPerPositionVector:
         assert err.value.kind == expected["kind"]
         assert err.value.step == expected["step"]
         assert [list(row) for row in err.value.witness] == expected["witness"]
+
+
+class TestDerivedDataInOnePlace:
+    def test_closures_build_no_point_image(self, monkeypatch):
+        # (1, 0, 2) + (0, 1, -1) = (1, 1, 1): a relation, and a proper top closure
+        m = rational_model(3, [(1, 0, 2), (0, 1, -1), (1, 1, 1)], (12, 8, 5))
+
+        def point_of(model, vector):
+            raise AssertionError(f"point image built for {vector}")
+
+        monkeypatch.setattr(GroupModel, "point_of", point_of)
+        assert len(enumerate_closures(m, 2)) == 20
+        chain = build_chain(m)
+        assert chain.dims() == (0, 1, 2, 3)
+        assert verify_chain(m, chain, VerifyOptions(height=2)).telescoping_ok
+
+    def test_chain_verify_closes_each_prefix_lattice_once(self, tmp_path, monkeypatch):
+        # the build, the closure walk's top closure and both scaling rebuilds
+        # share one prefix closure per lattice Z^j x 0
+        real_closure = model_module._closure
+        closed = []
+
+        def counting(model, rows):
+            closed.append(rows)
+            return real_closure(model, rows)
+
+        monkeypatch.setattr(model_module, "_closure", counting)
+        out = tmp_path / "report"
+        argv = ["chain", "verify", "-c", str(GOLDEN / "sym_plane.json"), "--out", str(out)]
+        assert cli.run(argv) == 0
+        assert out.read_bytes() == (GOLDEN / "sym_plane.chain_verify.out").read_bytes()
+        prefixes = [tuple(tuple(int(k == i) for k in range(3)) for i in range(j)) for j in range(4)]
+        assert [closed.count(rows) for rows in prefixes] == [1, 1, 1, 1]
 
 
 class TestNFormula:

@@ -247,6 +247,22 @@ class TestParser:
     def test_built_once_per_process(self):
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            pytest.param(["--limit", "enumeration_max=--5"], id="limit-two-minus-signs"),
+            pytest.param(["--limit", "enumeration_max=\u0663"], id="limit-non-ascii-digit"),
+            pytest.param(["--seed", str(2 ** 64)], id="seed-beyond-64-bits"),
+        ],
+    )
+    def test_override_meets_the_config_rule(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path)
+        assert cli.run(["mu", "-c", cfg] + override) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "ValidationError"
+        field = "seed" if override[0] == "--seed" else "limits.enumeration_max"
+        assert error["message"].startswith(f"{field}: ")
+
     def test_limit_override_does_not_leak_into_next_run(self, tmp_path, capsys):
         # the 5 x 3 box exceeds enumeration_max = 10 only under the override
         cfg = write_config(tmp_path)

@@ -492,8 +492,7 @@ def _old_subgroup(model, dim, rows):
     coeff = _relations(
         [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
     )
-    span = tuple(pt for pt in map(model.point_of, coeff) if any(pt))
-    return Subgroup(dim, Sublattice(model.l, coeff), span)
+    return Subgroup(dim, Sublattice(model.l, coeff), model)
 
 
 def _old_closure(model, rows):
