@@ -18,9 +18,10 @@ a point lands on an edge only when H_i <= K <= H_{i+1}.
 
 Two constructions are implemented and cross-checked:
 
-* a closed form for rational models, where rk(Gamma_j cap K) equals
-  dim(K cap span Gamma_j) and the maximal phi per dimension is the concave
-  profile f(d) = sum_j min(r_j, d) log(S_j / S_{j+1});
+* a closed form for rational models: the maximal phi per dimension is the
+  concave profile f(d) = sum_j min(r_j, d) log(S_j / S_{j+1}) with
+  r_j = rk Gamma_j, so the chain members are the closures of the Gamma_j
+  whose rank is a dimension where the scales drop;
 * the greedy maximal-slope construction over a candidate set (prefix
   closures and the full group), which is the definitional route and the one
   used for symbolic models.
@@ -149,17 +150,10 @@ def phi(model: GroupModel, subgroup: Subgroup) -> PhiValue:
     return phi_from_profile(rank_profile(model, subgroup))
 
 
-def _rank_jumps(gamma_ranks, base=None) -> tuple[int, ...]:
-    """Per-j jumps (a_j - b_j) - (a_{j-1} - b_{j-1}) of the rank difference
-    a - b, with a_0 = b_0 = 0 and b = 0 when no base is given."""
-    if base is not None:
-        gamma_ranks = tuple(a - b for a, b in zip(gamma_ranks, base))
-    ranks = (0,) + tuple(gamma_ranks)
-    return tuple(b - a for a, b in zip(ranks, ranks[1:]))
-
-
 def phi_from_profile(profile: RankProfile) -> PhiValue:
-    return PhiValue(_rank_jumps(profile.gamma_ranks))
+    """The per-j rank jumps r_j - r_{j-1} of the profile, with r_0 = 0."""
+    ranks = (0,) + profile.gamma_ranks
+    return PhiValue(tuple(b - a for a, b in zip(ranks, ranks[1:])))
 
 
 @dataclass(frozen=True)
@@ -215,50 +209,33 @@ def _assemble(model: GroupModel, subgroups) -> Chain:
 def _build_chain_fast(model: GroupModel) -> Chain:
     """Closed form for rational models.
 
-    The best phi among dimension-d subgroups is f(d) = sum_j min(r_j, d) c_j
-    with r_j = rk Gamma_j and c_j = log(S_j/S_{j+1}) >= 0 (S_{l+1} = 1); the
-    chain dimensions are the vertices where the exact slope of f strictly
-    drops.  Over Q, rk Gamma_j = dim span Gamma_j, so every Gamma_j with
-    r_j = d spans the same subspace; the vertex of dimension d is the prefix
-    closure of the first such j.
+    Write r_j = rk Gamma_j and c_j = log(S_j/S_{j+1}) >= 0 with S_{l+1} = 1.
+    The best phi in dimension d is f(d) = sum_j min(r_j, d) c_j, and the
+    chain dimensions are 0, n and the d where the slope of f strictly drops.
+    The term min(r_j, d) c_j drops its slope by c_j at d = r_j and nowhere
+    else, so f drops its slope at d by the sum of the c_j with r_j = d, and
+    c_j > 0 exactly when S_j > S_{j+1}: the chain dimensions are 0, n and
+    every r_j with 0 < r_j < n and S_j > S_{j+1}.  Over Q, rk Gamma_j =
+    dim span Gamma_j, so all Gamma_j with r_j = d span one subspace; the
+    vertex of dimension d is the prefix closure of the first such j.
     """
-    n = model.n
-    full = model.full_subgroup()
-    r = (0,) + rank_profile(model, full).gamma_ranks
-
-    def f_ranks(d):
-        return tuple(min(rj, d) for rj in r[1:])
-
-    slopes = [PhiValue(_rank_jumps(f_ranks(d + 1), f_ranks(d))) for d in range(n)]
-    vertices = [0]
-    for d in range(1, n):
-        if phi_sign(model.scales, slopes[d - 1] - slopes[d]) > 0:
-            vertices.append(d)
-    vertices.append(n)
-
-    subgroups = []
-    for d in vertices:
-        if d == 0:
-            subgroups.append(model.zero_subgroup())
-        elif d == n:
-            subgroups.append(full)
-        else:
-            vertex = model.prefix_closure(r.index(d))
-            if vertex.dim != d:
-                raise InternalInvariantError("prefix closure has unexpected dimension")
-            subgroups.append(vertex)
+    ranks = rank_profile(model, model.full_subgroup()).gamma_ranks
+    scales = model.scales + (1,)
+    drops = {r for r, s, t in zip(ranks, scales, scales[1:]) if 0 < r < model.n and s > t}
+    subgroups = [model.zero_subgroup()]
+    for d in sorted(drops):
+        vertex = model.prefix_closure(ranks.index(d) + 1)
+        if vertex.dim != d:
+            raise InternalInvariantError("prefix closure has unexpected dimension")
+        subgroups.append(vertex)
+    subgroups.append(model.full_subgroup())
     return _assemble(model, subgroups)
 
 
 def _prefix_candidates(model: GroupModel):
     """Distinct prefix closures (the zero subgroup first) and the full group."""
-    seen = {}
-    for j in range(model.l + 1):
-        sub = model.prefix_closure(j)
-        seen.setdefault((sub.dim, sub.coeff.rows), sub)
-    full = model.full_subgroup()
-    seen.setdefault((full.dim, full.coeff.rows), full)
-    return list(seen.values())
+    prefixes = map(model.prefix_closure, range(model.l + 1))
+    return list(dict.fromkeys([*prefixes, model.full_subgroup()]))
 
 
 def _greedy_tower(model: GroupModel, info):
@@ -287,10 +264,11 @@ def _greedy_tower(model: GroupModel, info):
                 best.append(pos)
         dmax = max(info[pos][0].dim for pos in best)
         top = [pos for pos in best if info[pos][0].dim == dmax]
-        lattices = [info[pos][0].coeff.rows for pos in top]
-        if len(set(lattices)) > 1:
+        tied = list(dict.fromkeys(info[pos][0] for pos in top))
+        if len(tied) > 1:
             raise AmbiguousCandidates(
-                "two distinct maximal-dimension slope maximizers", lattices[0], lattices[1]
+                "two distinct maximal-dimension slope maximizers",
+                tied[0].coeff.rows, tied[1].coeff.rows,
             )
         tower.append(top[0])
     return tower
@@ -362,10 +340,8 @@ def n_formula(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup) -> Fract
     cap H''); the closed-form predictor of box-point counts in H' mod H''."""
     if not span_contains(model, h_prime, h_dprime):
         raise NotNested("H'' is not contained in H'")
-    jumps = _rank_jumps(
-        rank_profile(model, h_prime).gamma_ranks, rank_profile(model, h_dprime).gamma_ranks
-    )
-    return power_product(model.scales, jumps)
+    jumps = phi(model, h_prime) - phi(model, h_dprime)
+    return power_product(model.scales, jumps.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +379,11 @@ class VerifyOptions:
 SCALING_ALPHAS = (2, 3)
 
 
-def _chain_keys(chain: Chain):
-    return [(s.dim, s.coeff.rows) for s in chain.subgroups]
-
-
 def _scaled_chain(model: GroupModel, chain: Chain, alpha: int) -> Chain:
     """The chain of model.powered(alpha), which must have the members of
     `chain`; raises CertificateViolation("scaling") otherwise."""
     rebuilt = build_chain(model.powered(alpha))
-    if _chain_keys(rebuilt) != _chain_keys(chain):
+    if rebuilt.subgroups != chain.subgroups:
         raise CertificateViolation("scaling", f"chain changed under S -> S^{alpha}")
     return rebuilt
 
@@ -455,22 +427,20 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     models, a candidate family the prefix-closure construction missed.
     """
     options = options or VerifyOptions()
-    pool = list(enumerate_closures(model, options.height))
-    pool.extend(_random_lattice_closures(model, options))
-    pool.extend(chain.subgroups)
-    pool.append(model.full_subgroup())
-    candidates = {}
-    for sub in pool:
-        candidates.setdefault((sub.dim, sub.coeff.rows), sub)
-
-    chain_keys = _chain_keys(chain)
+    pool = dict.fromkeys([
+        *enumerate_closures(model, options.height),
+        *_random_lattice_closures(model, options),
+        *chain.subgroups,
+        model.full_subgroup(),
+    ])
     chain_profiles = [rank_profile(model, s) for s in chain.subgroups]
 
     # chi_i(K) and its sign depend on the position vector (dim K, ranks) only
     segment_excess = {}
     checks = []
     equality_witnesses = []
-    for key, cand in sorted(candidates.items()):
+    for cand in sorted(pool, key=lambda s: (s.dim, s.coeff.rows)):
+        lattice = cand.coeff.rows
         profile = rank_profile(model, cand)
         if profile not in segment_excess:
             phi_k = phi_from_profile(profile)
@@ -486,9 +456,9 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
             if sign > 0:
                 raise CertificateViolation(
                     "chi_positive",
-                    f"candidate {key[1]} lies above segment {i}",
+                    f"candidate {lattice} lies above segment {i}",
                     step=i,
-                    witness=key[1],
+                    witness=lattice,
                 )
             if sign == 0:
                 equal_steps.append(i)
@@ -498,24 +468,24 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
                 ):
                     raise CertificateViolation(
                         "equality_sandwich",
-                        f"candidate {key[1]} is on segment {i} but not between "
+                        f"candidate {lattice} is on segment {i} but not between "
                         "its endpoints",
                         step=i,
-                        witness=key[1],
+                        witness=lattice,
                     )
-                equality_witnesses.append((i, key[1]))
-        for idx, (ck, cp) in enumerate(zip(chain_keys, chain_profiles)):
-            if profile == cp and key != ck:
+                equality_witnesses.append((i, lattice))
+        for idx, (member, cp) in enumerate(zip(chain.subgroups, chain_profiles)):
+            if profile == cp and cand != member:
                 raise CertificateViolation(
                     "psi_injectivity",
-                    f"candidate {key[1]} shares the rank profile of chain "
+                    f"candidate {lattice} shares the rank profile of chain "
                     f"member {idx}",
                     step=idx,
-                    witness=key[1],
+                    witness=lattice,
                 )
         checks.append(
             CandidateCheck(
-                lattice=key[1],
+                lattice=lattice,
                 dim=cand.dim,
                 gamma_ranks=profile.gamma_ranks,
                 chi_exponents=chi_exps,
@@ -540,9 +510,8 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     for alpha in SCALING_ALPHAS:
         _scaled_chain(model, chain, alpha)
 
-    expected = power_product(
-        model.scales, _rank_jumps(rank_profile(model, model.full_subgroup()).gamma_ranks)
-    )
+    telescoped = phi(model, model.full_subgroup()) - phi(model, model.zero_subgroup())
+    expected = power_product(model.scales, telescoped.exponents)
     actual = Fraction(1)
     for step in chain.steps:
         actual *= step.frak_s.radicand

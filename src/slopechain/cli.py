@@ -532,8 +532,7 @@ def run(argv) -> int:
     action = getattr(args, "action", None)
     handler = _COMMANDS[(group, action)]
     try:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+        cfg = parse_config(_read_text(args.config))
         if args.seed is not None:
             cfg.seed = cfg.echo["seed"] = _seed(_override("seed", args.seed))
         for override in args.limit:
@@ -570,8 +569,17 @@ def run(argv) -> int:
         _emit_error(exc, args)
         return 1
     except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _emit_error(exc, args)
         return 1
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of a config file; undecodable bytes are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config is not UTF-8 text: {exc.reason}") from None
 
 
 def _emit_error(exc, args):

@@ -21,7 +21,14 @@ from itertools import combinations_with_replacement, product
 
 from .chain import Chain, RootedRational, _scaled_chain, n_formula
 from .errors import CertificateViolation, EnumerationTooLarge, NotNested
-from .model import GroupModel, Subgroup, enumerate_closures, rank_profile, span_contains
+from .model import (
+    GroupModel,
+    Subgroup,
+    _coefficient_vectors,
+    enumerate_closures,
+    rank_profile,
+    span_contains,
+)
 from .polys import as_fraction
 
 
@@ -75,8 +82,7 @@ def enumerate_gamma(model: GroupModel, lam=Fraction(1), limit=10 ** 7) -> GammaS
 
 def gamma_from_vectors(model: GroupModel, vectors, lam=Fraction(1)) -> GammaSet:
     """Build a GammaSet from explicit coefficient tuples (mostly for tests)."""
-    witnesses = (tuple(int(x) for x in v) for v in vectors)
-    return _gamma_set(model, as_fraction(lam), witnesses)
+    return _gamma_set(model, as_fraction(lam), _coefficient_vectors(model, vectors))
 
 
 def _first_witnesses(model: GroupModel, witnesses) -> dict:
@@ -116,7 +122,7 @@ def card_translate(model: GroupModel, lam, x_vector, h: Subgroup, limit=10 ** 7)
     n - x of L = iota^{-1}(H) in the box shifted by -x, counted by
     `_count_in_box` modulo iota^{-1}(0), which every coefficient lattice
     contains."""
-    x_vector = [int(v) for v in x_vector]
+    (x_vector,) = _coefficient_vectors(model, [x_vector])
     bounds = _box_bounds(model, lam)
     return _count_in_box(
         [-b - x for b, x in zip(bounds, x_vector)],

@@ -132,16 +132,33 @@ def _require_rational(model: GroupModel):
         )
 
 
-def _check_jet(model: GroupModel, npoints: int, order: int, degree: int, limit):
+def _check_jet(model: GroupModel, npoints: int, order: int, degrees, limit):
     """Refuse a symbolic model, a degree or order below 1, or a jet matrix of
-    more than `limit` entries, before anything is built."""
+    more than `limit` entries, before anything is built.
+
+    `degrees` ascend and the size grows with the degree, so only the last is
+    checked, and when it is too large the first oversized degree is found by
+    bisection; a range of degrees is never listed.
+    """
     _require_rational(model)
-    if order < 1 or degree < 1:
+    if order < 1 or degrees[0] < 1:
         raise ValueError("order and degree must be >= 1")
     n = model.n
-    size = math.comb(n + degree, n) * npoints * math.comb(n + order - 1, n)
-    if size > limit:
-        raise MatrixTooLarge(f"jet matrix with {size} entries exceeds {limit}")
+
+    def size(i):
+        return math.comb(n + degrees[i], n) * npoints * math.comb(n + order - 1, n)
+
+    # index(), not len(): a range longer than sys.maxsize has no len()
+    lo, hi = 0, degrees.index(degrees[-1])
+    if size(hi) <= limit:
+        return
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if size(mid) > limit:
+            hi = mid
+        else:
+            lo = mid + 1
+    raise MatrixTooLarge(f"jet matrix with {size(lo)} entries exceeds {limit}")
 
 
 def _homogenized_exponents(basis: MonomialBasis):
@@ -183,7 +200,7 @@ def jet_matrix(model: GroupModel, points, order: int, degree: int,
     one integer row per (point, derivative multi-index of total degree <
     order): the Hasse row of the point p/q times q^(D - |s|)."""
     points = tuple(points)
-    _check_jet(model, len(points), order, degree, limit)
+    _check_jet(model, len(points), order, (degree,), limit)
     points = tuple(tuple(as_fraction(c) for c in p) for p in points)
     basis = monomial_basis(model.n, degree)
     exponents = _homogenized_exponents(basis)
@@ -207,8 +224,7 @@ def _kernels(model: GroupModel, points, order: int, degrees, limit):
     nonzero factors.
     """
     points = tuple(points)
-    for degree in degrees:
-        _check_jet(model, len(points), order, degree, limit)
+    _check_jet(model, len(points), order, degrees, limit)
     jm = jet_matrix(model, points, order, degrees[-1], limit)
     rref, pivots = linalg.rat_rref(jm.rows, len(jm.basis))
     kernels = []
@@ -367,16 +383,20 @@ class LocusReport:
     thresholds: tuple        # (i, exact T * frak_S_i, display approx)
 
 
-class _ProbeSamples:
-    """Seed-reproducible sample points, built once and reused across degrees
-    so that membership verdicts are comparable."""
+def _epsilon(value) -> Fraction:
+    epsilon = as_fraction(value)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+    return epsilon
 
-    def __init__(self, model, chain, order_epsilon, samples, seed, limit):
-        epsilon = as_fraction(order_epsilon)
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+
+class _ProbeSamples:
+    """Seed-reproducible sample points around Gamma(S) = `omega`, built once
+    and reused across degrees so that membership verdicts are comparable."""
+
+    def __init__(self, model, chain, omega, epsilon, samples, seed, limit):
         rng = random.Random(seed)
-        self.omega = enumerate_gamma(model, Fraction(1), limit)
+        self.omega = omega
         eps_points = enumerate_gamma(model, 1 - epsilon, limit).points
         omega_two = enumerate_gamma(model, Fraction(2), limit)
         top = max(int(math.ceil(model.scales[0])) if model.l else 1, 1)
@@ -461,10 +481,13 @@ def locus_probe(model: GroupModel, chain: Chain, order: int, degree: int,
     """Verdict pair per chain index i: whether every sampled point of
     Gamma((1-eps)S) + H_i lies in the base locus, and whether every sampled
     point outside Gamma(S) + H_i lies outside it.  For the full group the
-    upper test is vacuous and reported as None."""
+    upper test is vacuous and reported as None.  The jet matrix is sized
+    from Gamma(S) before any sample is drawn."""
     _require_rational(model)
-    sampler = _ProbeSamples(model, chain, epsilon, samples, seed, enum_limit)
-    kernel = kernel_basis(model, sampler.omega.points, order, degree, limit)
+    epsilon = _epsilon(epsilon)
+    omega = enumerate_gamma(model, Fraction(1), enum_limit)
+    kernel = kernel_basis(model, omega.points, order, degree, limit)
+    sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
     return _probe(sampler, chain, kernel, None)
 
 
@@ -480,19 +503,21 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     reported beside the exact step thresholds T * frak_S_i for comparison
     (display only: the proportionality constants are not effective).  The
     kernels of all degrees come from one jet matrix at the largest degree and
-    one elimination.
+    one elimination, sized from Gamma(S) before any sample is drawn; an
+    ascending range of degrees is not listed before its sizes are checked.
     """
     _require_rational(model)
-    degrees = sorted(int(d) for d in degrees)
-    sampler = _ProbeSamples(model, chain, epsilon, samples, seed, enum_limit)
+    epsilon = _epsilon(epsilon)
+    if not (isinstance(degrees, range) and degrees.step > 0):
+        degrees = sorted(int(d) for d in degrees)
+    omega = enumerate_gamma(model, Fraction(1), enum_limit)
+    kernels = _kernels(model, omega.points, order, degrees, limit)[1] if degrees else ()
+    sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
     rows = []
     prev_members: dict = {}
     prev_nullity = -1
     prev_istar = None
     transitions = []
-    kernels = ()
-    if degrees:
-        _, kernels = _kernels(model, sampler.omega.points, order, degrees, limit)
     for degree, kernel in zip(degrees, kernels):
         rank = len(kernel.basis) - len(kernel.vectors)
         nullity = len(kernel.vectors)

@@ -419,16 +419,20 @@ def _closure(model: GroupModel, rows) -> Subgroup:
 def closure(model: GroupModel, lattice) -> Subgroup:
     """Smallest connected algebraic subgroup containing iota(lattice),
     returned with its full coefficient lattice iota^{-1}(H)."""
-    if isinstance(lattice, Sublattice):
-        rows = lattice.rows
-    else:
-        rows = tuple(tuple(int(x) for x in r) for r in lattice)
+    rows = lattice.rows if isinstance(lattice, Sublattice) else lattice
+    return _closure(model, _coefficient_vectors(model, rows))
+
+
+def _coefficient_vectors(model: GroupModel, vectors) -> tuple:
+    """The vectors as integer tuples; DimensionMismatch unless each has l
+    entries."""
+    rows = tuple(tuple(int(x) for x in v) for v in vectors)
     for row in rows:
         if len(row) != model.l:
             raise DimensionMismatch(
                 f"lattice vector has {len(row)} entries, expected {model.l}"
             )
-    return _closure(model, rows)
+    return rows
 
 
 def _prefix_ranks(rows, l):

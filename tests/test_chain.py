@@ -132,14 +132,45 @@ class TestBuildChain:
         assert [s.frak_s.radicand for s in ch.steps] == [F(7), F(1)]
 
     def test_fast_equals_greedy(self):
+        models = [
+            # all scales equal
+            rational_model(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)], (4, 4, 4)),
+            # S_l = 1: no drop after the last generator
+            rational_model(3, [(1, 0, 0), (0, 1, 0)], (6, 1)),
+            rational_model(2, [(1, 1), (0, 1)], (1, 1)),
+            # l = 0
+            rational_model(2, [], ()),
+            # a zero generator, first and between drops
+            rational_model(2, [(0, 0), (1, 0), (0, 1)], (9, 5, 2)),
+            rational_model(3, [(1, 0, 0), (0, 0, 0), (0, 1, 1)], (8, 3, 2)),
+            # drops at r_j = n, where the chain ends anyway
+            rational_model(2, [(1, 0), (0, 1), (1, 1)], (7, 5, 3)),
+            rational_model(1, [(1,), (2,)], (5, 2)),
+        ]
         rng = random.Random(31)
         for _ in range(40):
             n = rng.randint(1, 4)
             l = rng.randint(0, 4)
             gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(l)]
             scales = tuple(F(rng.randint(1, 50)) for _ in range(l))
-            m = rational_model(n, gens, scales)
+            models.append(rational_model(n, gens, scales))
+        for m in models:
             assert chain_keys(build_chain(m)) == chain_keys(build_chain_greedy(m))
+
+    def test_closed_form_checks_slopes_only_in_assemble(self, monkeypatch):
+        # n = 1000, l = 2: the closed form reads the vertices off the ranks
+        # and scales, so the only phi_sign calls are the r - 1 slope checks
+        # of _assemble, none per dimension
+        n = 1000
+        gens = [tuple(1 if k == j else 0 for k in range(n)) for j in range(2)]
+        m = rational_model(n, gens, (9, 4))
+        calls = []
+        real = chain_module.phi_sign
+        monkeypatch.setattr(chain_module, "phi_sign", lambda *a: calls.append(1) or real(*a))
+        ch = build_chain(m)
+        sign_calls = len(calls)
+        assert ch.dims() == (0, 1, 2, n)
+        assert sign_calls <= ch.r - 1
 
     def test_scale_tie_merges_segments(self):
         m = rational_model(2, [(1, 0), (0, 1)], (5, 5))

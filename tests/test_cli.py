@@ -367,6 +367,34 @@ class TestExitCodes:
         assert error["code"] == "MatrixTooLarge"
         assert error["message"] == "jet matrix with 825 entries exceeds 700"
 
+    @pytest.mark.parametrize("action, extra", [
+        ("probe", {"D": 12}),
+        ("sweep", {"D_range": [1, 12]}),
+    ])
+    def test_oversized_jet_is_refused_before_sampling(
+            self, tmp_path, monkeypatch, capsys, action, extra):
+        # 15 box points, T = 1, D = 12: 91 * 15 = 1365 > 700 entries
+        def no_samples(*args, **kwargs):
+            raise AssertionError("samples drawn before the jet size check")
+        monkeypatch.setattr(locus, "_ProbeSamples", no_samples)
+        cfg = write_config(tmp_path, dict(extra, limits={"matrix_max": 700}))
+        code = cli.run(["locus", action, "-c", cfg])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "MatrixTooLarge"
+
+    def test_huge_degree_range_is_refused_without_listing_it(self, tmp_path, capsys):
+        # 3 box points, T = 1: D has 3 (D + 1) entries, so D = 333,333 is
+        # the first of the 10^18 degrees over matrix_max = 10^6
+        cfg = write_config(tmp_path, {
+            "n": 1, "generators": [["1"]], "scales": ["2"], "D_range": [1, 10 ** 18],
+        })
+        code = cli.run(["locus", "sweep", "-c", cfg])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "MatrixTooLarge"
+        assert error["message"] == "jet matrix with 1000002 entries exceeds 1000000"
+
     def test_candidate_box_over_enumeration_max_maps_to_one(self, tmp_path, capsys):
         # 7^3 = 343 box vectors of height 3 exceed enumeration_max = 100
         cfg = write_config(tmp_path, {
@@ -386,3 +414,43 @@ class TestExitCodes:
         code = cli.run(["chain", "build", "-c", str(path)])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "ValidationError"
+
+
+class TestInputOutputErrors:
+    """File errors are JSON errors on stdout, coded by the exception class,
+    with exit code 1 and nothing on stderr."""
+
+    def _error(self, capsys, argv):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        return json.loads(captured.out)["error"]
+
+    def test_missing_config(self, tmp_path, capsys):
+        error = self._error(capsys, ["chain", "build", "-c", str(tmp_path / "none.json")])
+        assert error["code"] == "FileNotFoundError"
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        error = self._error(capsys, ["chain", "build", "-c", str(tmp_path)])
+        assert error["code"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize("command, key", [
+        (["chain", "build"], "out"),
+        (["locus", "sweep"], "csv_out"),
+    ])
+    def test_unwritable_output(self, tmp_path, capsys, command, key):
+        target = str(tmp_path / "missing" / "report")
+        if key == "out":
+            argv = command + ["-c", write_config(tmp_path), "--out", target]
+        else:
+            cfg = write_config(tmp_path, {"D_range": [1, 2], "csv_out": target})
+            argv = command + ["-c", cfg]
+        error = self._error(capsys, argv)
+        assert error["code"] == "FileNotFoundError"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(dict(BASE, symbols=["é"]), ensure_ascii=False).encode("latin-1"))
+        error = self._error(capsys, ["chain", "build", "-c", str(path)])
+        assert error["code"] == "ParseError"
+        assert "UTF-8" in error["message"]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from slopechain import (
     CertificateViolation,
+    DimensionMismatch,
     EnumerationTooLarge,
     GroupModel,
     ModelConfig,
@@ -127,6 +128,21 @@ class TestCardMod:
         diag = closure(m, [(1, 1)])
         # direct enumeration oracle: points (k, k) need |k| < 2
         assert card_mod(m, 1, diag, m.zero_subgroup()) == 3
+
+    @pytest.mark.parametrize("x_vector", [[0], [0, 0, 5]])
+    def test_translate_vector_of_wrong_length(self, x_vector):
+        # l = 2: a short or long vector must not cut the box to its length
+        m = plane_model(3, 2)
+        with pytest.raises(DimensionMismatch) as err:
+            card_translate(m, 1, x_vector, m.full_subgroup())
+        assert str(err.value) == f"lattice vector has {len(x_vector)} entries, expected 2"
+
+    @pytest.mark.parametrize("vector", [(1,), (1, 0, 0)])
+    def test_gamma_from_vector_of_wrong_length(self, vector):
+        m = plane_model(3, 2)
+        with pytest.raises(DimensionMismatch) as err:
+            gamma_from_vectors(m, [(0, 0), vector])
+        assert str(err.value) == f"lattice vector has {len(vector)} entries, expected 2"
 
     def test_classes_mod_x_axis(self):
         m = plane_model(3, 2)
