@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -212,6 +213,8 @@ def parse_config(text: str) -> RunConfig:
 def _scalar_json(value):
     """A rational as "p/q"; an affine-linear Poly with a symbol term as
     {"const": "p/q", "coeffs": {"t<k>": "p/q"}}."""
+    if isinstance(value, Fraction):
+        return str(value)
     if not isinstance(value, Poly):
         return str(as_fraction(value))
     const = Fraction(0)
@@ -242,6 +245,50 @@ def _echo_config(raw, model_cfg):
 
 def _point_json(point):
     return [_scalar_json(c) for c in point]
+
+
+_escape = json.encoder.encode_basestring_ascii
+_STR, _INT = {str}, {int}
+
+
+def _json_text(value, pad="\n"):
+    """Exactly `json.dumps(value, sort_keys=True, indent=2)`, for a value
+    whose lines start with `pad`.
+
+    With an indent `json` writes through its Python encoder, one generator
+    step per element, which is most of the cost of a large report.  Here a
+    list of only str or only int, such as one row of a point matrix, is
+    written with one `str.join` over a C map (strings go through the escaper
+    `json` itself uses); dicts with string keys, other lists and scalars are
+    written directly, so a small report is not slower either.  Anything else
+    (empty or non-str-keyed containers, tuples, NaN, subclasses) is written
+    by `json.dumps` and re-indented: JSON text holds no raw newline outside
+    its layout.
+    """
+    kind = type(value)
+    if kind is list and value:
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        if kinds == _STR:
+            cells = map(_escape, value)
+        elif kinds == _INT:
+            cells = map(repr, value)
+        else:
+            cells = [_json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(cells)}{pad}]"
+    if kind is str:
+        return _escape(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is dict and value and all(type(k) is str for k in value):
+        inner = pad + "  "
+        items = (f"{_escape(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +601,7 @@ def run(argv) -> int:
                 },
             }
             report.update(payload)
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = _json_text(report) + "\n"
         out_path = args.out or cfg.out
         if out_path:
             with open(out_path, "w") as fh:
@@ -593,7 +640,7 @@ def _emit_error(exc, args):
             body["error"]["step"] = exc.step
         if exc.witness is not None:
             body["error"]["witness"] = [list(r) for r in exc.witness]
-    sys.stdout.write(json.dumps(body, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(body) + "\n")
 
 
 def main(argv=None) -> int:

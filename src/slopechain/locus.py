@@ -405,14 +405,15 @@ class _ProbeSamples:
         self.lower = []
         self.upper = []
         for node_idx, sub in enumerate(node.subgroup for node in chain.nodes):
+            support = [[(i, b) for i, b in enumerate(row) if b] for row in sub.span]
             pts = []
             for _ in range(samples):
-                base = eps_points[rng.randrange(len(eps_points))]
-                coords = list(base)
-                for row in sub.span:
+                coords = list(eps_points[rng.randrange(len(eps_points))])
+                for entries in support:
                     factor = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                     if factor:
-                        coords = [a + factor * b for a, b in zip(coords, row)]
+                        for i, b in entries:
+                            coords[i] += factor * b
                 pts.append(tuple(coords))
             self.lower.append(tuple(pts))
 

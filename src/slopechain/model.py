@@ -132,11 +132,13 @@ class GroupModel:
         """iota(v) = sum v_j gamma_j.
 
         Over Q each coordinate is one integer dot product of v with the
-        generators' column cleared to a common denominator, then one Fraction.
+        generators' column cleared to a common denominator, then one Fraction,
+        with no gcd where that denominator is 1.
         """
         if self.m == 0:
             return tuple(
-                Fraction(sum(map(mul, nums, vector)), den)
+                Fraction(sum(map(mul, nums, vector))) if den == 1
+                else Fraction(sum(map(mul, nums, vector)), den)
                 for nums, den in self._cleared_columns()
             )
         coords = list(self.zero_point())

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from slopechain import ModelConfig, build_model, cli, linalg, locus
+from slopechain import ModelConfig, build_model, cli, enumerate_gamma, linalg, locus
 from slopechain.errors import CertificateViolation, ParseError, ValidationError
 from slopechain.model import _parse_coordinate
 
@@ -295,6 +297,49 @@ class TestScalarJson:
         assert cli._scalar_json(_parse_coordinate(raw)) == want
         assert cli._scalar_json(self.model_coordinate(raw)) == want
         assert self.model_coordinate(want) == self.model_coordinate(raw)
+
+
+# quotes, backslashes, control characters and non-ASCII text, beside any text
+_texts = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\U0001d11ea') | st.characters(), max_size=6)
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _texts
+_rows = st.lists(
+    st.lists(st.integers(), max_size=3)
+    | st.lists(_texts, max_size=3)
+    | st.lists(st.integers() | _texts, max_size=3)
+    | st.lists(st.booleans(), max_size=3)
+    | st.lists(st.floats(), max_size=3)
+    | st.lists(st.none(), max_size=3),
+    max_size=4,
+)
+_json_values = st.recursive(
+    _scalars | _rows,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    """The report writer against `json.dumps(sort_keys=True, indent=2)`."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_texts, _json_values, max_size=5))
+    @example({"points": [["1/2", "-3"], ["0", "\u00e9\"\\"]], "witnesses": [[1, -2], [0, 0]]})
+    @example({"a": [[], [1]], "b": [], "c": {}, "d": [[True, 1], [1.5], [None], ["x", 2]]})
+    @example({"nested": {"rows": [[1, 2], [3, 4]], "deeper": {"e": [["\x00"]]}}})
+    def test_equals_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_non_string_keys_fall_back(self):
+        value = {"a": {1: [[1, 2]], 0: "x"}}
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_rational_points_stay_fractions(self):
+        # integer generators clear to denominator 1, the point_of shortcut
+        model = build_model(ModelConfig(
+            n=2, generators=((1, 0), (2, -1), (0, 3)), scales=(3, 2, 2)
+        ))
+        points = enumerate_gamma(model).points
+        assert points and all(type(c) is Fraction for p in points for c in p)
 
 
 class TestDeterminism:

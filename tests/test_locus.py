@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import chain as concat, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from slopechain import (
     MatrixTooLarge,
     ModelConfig,
+    SamplingExhausted,
     SymbolicModelNotSpecialized,
     build_chain,
     build_model,
@@ -246,6 +248,66 @@ class TestOutsideTranslates:
             assert verdicts == [_brute_outside(omega, sub, x) for x in queries + shifted]
             assert not any(verdicts[len(queries):])
             assert any(verdicts) == (sub.dim < model.n)
+
+
+def _dense_samples(model, chain, omega, epsilon, samples, seed, limit):
+    """The probe samples with each lower sample moved along every spanning
+    row by a dense Fraction update, drawn in the sampler's order: the
+    oracle of its sparse update.  Returns (lower, upper) per chain node."""
+    rng = random.Random(seed)
+    eps_points = enumerate_gamma(model, 1 - epsilon, limit).points
+    omega_two = enumerate_gamma(model, F(2), limit)
+    top = max(int(math.ceil(model.scales[0])) if model.l else 1, 1)
+    coord_bound = 2 * top + 2
+    lower, upper = [], []
+    for sub in (node.subgroup for node in chain.nodes):
+        pts = []
+        for _ in range(samples):
+            coords = list(eps_points[rng.randrange(len(eps_points))])
+            for row in sub.span:
+                factor = F(rng.randint(-9, 9), rng.randint(1, 4))
+                if factor:
+                    coords = [a + factor * b for a, b in zip(coords, row)]
+            pts.append(tuple(coords))
+        lower.append(tuple(pts))
+        if sub.dim == model.n:
+            upper.append(None)
+            continue
+        draws = (
+            tuple(F(rng.randint(-coord_bound, coord_bound), rng.randint(1, 3))
+                  for _ in range(model.n))
+            for _ in range(50 * samples)
+        )
+        outside = locus._outside_translates(omega.points, sub)
+        upper.append(tuple(islice(filter(outside, concat(omega_two.points, draws)), samples)))
+    return lower, upper
+
+
+@st.composite
+def probe_models(draw):
+    """Rational models with n, l <= 3, zero, dependent and fractional
+    generators, and tied scales."""
+    n, l = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    coord = st.builds(F, st.integers(-2, 2), st.sampled_from((1, 1, 2, 3)))
+    gens = [tuple(draw(coord) for _ in range(n)) for _ in range(l)]
+    scales = [draw(st.sampled_from((1, F(3, 2), 2, 3))) for _ in range(l)]
+    return rational_model(n, gens, scales)
+
+
+class TestProbeSamples:
+    @settings(max_examples=60, deadline=None)
+    @given(probe_models(), st.integers(0, 2 ** 32), st.sampled_from((F(1, 2), F(1, 3))))
+    def test_sparse_shifts_equal_dense_update(self, model, seed, epsilon):
+        chain = build_chain(model)
+        omega = enumerate_gamma(model)
+        lower, upper = _dense_samples(model, chain, omega, epsilon, 12, seed, 10 ** 5)
+        try:
+            sampler = locus._ProbeSamples(model, chain, omega, epsilon, 12, seed, 10 ** 5)
+        except SamplingExhausted:
+            assert () in upper
+            return
+        assert sampler.lower == lower and sampler.upper == upper
+        assert all(type(c) is F for pts in sampler.lower for p in pts for c in p)
 
 
 class TestThresholdSweep:
