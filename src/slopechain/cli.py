@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import repeat
 
 from . import __version__
 from .chain import (
@@ -35,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .gamma import card_mod, counting_check, enumerate_gamma
-from .locus import eval_rank, locus_probe, threshold_sweep
+from .locus import _sized_points, eval_rank, locus_probe, threshold_sweep
 from .model import GroupModel, ModelConfig, _parse_coordinate, build_model, closure
 from .polys import Poly, as_fraction
 
@@ -362,12 +363,34 @@ def _cmd_mu(cfg, model):
     }
 
 
+def _column_text(nums, den):
+    """str(Fraction(v, den)) of each integer v: "p/q" in lowest terms, or
+    "p" when den divides v, by one gcd and no Fraction."""
+    if den == 1:
+        return map(str, nums)
+    return [
+        str(v // den) if g == den else f"{v // g}/{den // g}"
+        for v, g in zip(nums, map(math.gcd, nums, repeat(den)))
+    ]
+
+
+def _points_json(omega):
+    """The rows of `_point_json` of the box set's points.  Over Q they are
+    written from the integer columns of the points (`GammaSet.columns`), with
+    no Fraction per coordinate; over Q[t] from the points themselves."""
+    if omega.columns is None:
+        return [_point_json(p) for p in omega.points]
+    return list(map(list, zip(*(_column_text(*col) for col in omega.columns))))
+
+
 def _cmd_gamma_enumerate(cfg, model):
+    """The box set Gamma(lambda S): its points, written by `_points_json`,
+    and one witness tuple per point."""
     omega = enumerate_gamma(model, cfg.lam, cfg.limits.enumeration_max)
     return {
         "lambda": str(cfg.lam),
         "cardinality": len(omega),
-        "points": [_point_json(p) for p in omega.points],
+        "points": _points_json(omega),
         "witnesses": [list(w) for w in omega.witnesses],
     }
 
@@ -421,7 +444,9 @@ def _require_D(cfg):
 
 def _cmd_locus_rank(cfg, model):
     omega = enumerate_gamma(model, Fraction(1), cfg.limits.enumeration_max)
-    result = eval_rank(model, omega.points, cfg.T, _require_D(cfg), cfg.limits.matrix_max)
+    degree, limit = _require_D(cfg), cfg.limits.matrix_max
+    points = _sized_points(model, omega, cfg.T, (degree,), limit)
+    result = eval_rank(model, points, cfg.T, degree, limit)
     return {
         "T": cfg.T,
         "D": cfg.D,

@@ -6,7 +6,8 @@ iota.  Members are group points, not coefficient tuples: tuples are reduced
 modulo the relation lattice iota^{-1}(0) to canonical coset representatives,
 so dependent or repeated generators never inflate a count.  A box set keeps
 one in-box witness tuple per point and builds the points themselves only
-when they are read; sum/difference sets work on witnesses.  Coset counts
+when they are read, over Q as integer columns over each coordinate's cleared
+denominator; sum/difference sets work on witnesses.  Coset counts
 enumerate no box: they walk the points of the coefficient lattice of H' in
 the box, coordinate by coordinate of its Hermite normal form.
 """
@@ -17,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
+from operator import add, mul
 
 from .chain import Chain, RootedRational, _scaled_chain, n_formula
 from .errors import CertificateViolation, EnumerationTooLarge, NotNested
@@ -37,8 +39,12 @@ class GammaSet:
     """Deduplicated box points with one in-box witness tuple per point.
 
     `entries` is sorted by canonical representative; each entry is
-    (representative mod kernel, witness coefficient tuple).  `points` holds
-    iota of each witness, in entry order, built on first read.
+    (representative mod kernel, witness coefficient tuple).  Both forms of
+    the points are built on first read, in entry order: `columns` (rational
+    models only, None over Q[t]) holds per coordinate the integer numerators
+    of the points over that coordinate's cleared denominator, and the
+    denominator; `points` holds iota of each witness as a tuple of scalars,
+    Fractions over Q.
     """
 
     lam: Fraction
@@ -46,8 +52,12 @@ class GammaSet:
     model: GroupModel = field(compare=False, repr=False)
 
     @cached_property
+    def columns(self):
+        return _integer_columns(self.model, self.witnesses)
+
+    @cached_property
     def points(self):
-        return tuple(map(self.model.point_of, self.witnesses))
+        return _points(self.model, self.witnesses, self.columns)
 
     @property
     def witnesses(self):
@@ -55,6 +65,40 @@ class GammaSet:
 
     def __len__(self):
         return len(self.entries)
+
+
+def _integer_columns(model: GroupModel, witnesses):
+    """iota of each witness of a rational model as integer columns, or None
+    for a symbolic model.  Per coordinate: (that coordinate of every point
+    as a numerator over the column's cleared denominator, the denominator),
+    with the column as `GroupModel._cleared_columns` clears it.
+
+    Each column is built with one C-level vector add over all witnesses per
+    nonzero generator entry, with no Fraction per coordinate.
+    """
+    if model.m:
+        return None
+    by_generator = list(zip(*witnesses))
+    columns = []
+    for nums, den in model._cleared_columns():
+        acc = [0] * len(witnesses)
+        for c, coefficients in zip(nums, by_generator):
+            if c:
+                acc = list(map(add, acc, map(mul, coefficients, repeat(c))))
+        columns.append((acc, den))
+    return tuple(columns)
+
+
+def _points(model: GroupModel, witnesses, columns):
+    """iota of each witness: over Q the rows of the integer `columns` of
+    these witnesses as Fractions, exactly `model.point_of` of each witness;
+    over Q[t] (`columns` None) `model.point_of` itself."""
+    if columns is None:
+        return tuple(map(model.point_of, witnesses))
+    return tuple(zip(*(
+        map(Fraction, nums) if den == 1 else map(Fraction, nums, repeat(den))
+        for nums, den in columns
+    )))
 
 
 def box_bound(scale, lam) -> int:
@@ -228,7 +272,8 @@ def combine(model: GroupModel, omega: GammaSet, count: int, mode: str, limit=10 
         sums = _first_witnesses(model, (
             tuple(a - b for a, b in zip(wa, wb)) for wa in kept for wb in kept
         ))
-    return tuple(model.point_of(w) for _, w in sorted(sums.items()))
+    witnesses = [w for _, w in sorted(sums.items())]
+    return _points(model, witnesses, _integer_columns(model, witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,14 @@ def _check_jet(model: GroupModel, npoints: int, order: int, degrees, limit):
     raise MatrixTooLarge(f"jet matrix with {size(lo)} entries exceeds {limit}")
 
 
+def _sized_points(model: GroupModel, omega, order: int, degrees, limit):
+    """The points of the box set `omega`, read only once `_check_jet` has
+    sized the jet matrix of the ascending `degrees` from len(omega): an
+    oversized jet builds no box point."""
+    _check_jet(model, len(omega), order, degrees, limit)
+    return omega.points
+
+
 def _homogenized_exponents(basis: MonomialBasis):
     """Exponents (D - |a|, a) of the basis monomials homogenized at degree D."""
     return tuple((basis.degree - sum(a),) + a for a in basis.exponents)
@@ -483,11 +491,13 @@ def locus_probe(model: GroupModel, chain: Chain, order: int, degree: int,
     Gamma((1-eps)S) + H_i lies in the base locus, and whether every sampled
     point outside Gamma(S) + H_i lies outside it.  For the full group the
     upper test is vacuous and reported as None.  The jet matrix is sized
-    from Gamma(S) before any sample is drawn."""
+    from the number of points of Gamma(S) before any of them is built or any
+    sample is drawn."""
     _require_rational(model)
     epsilon = _epsilon(epsilon)
     omega = enumerate_gamma(model, Fraction(1), enum_limit)
-    kernel = kernel_basis(model, omega.points, order, degree, limit)
+    points = _sized_points(model, omega, order, (degree,), limit)
+    kernel = kernel_basis(model, points, order, degree, limit)
     sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
     return _probe(sampler, chain, kernel, None)
 
@@ -504,15 +514,18 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     reported beside the exact step thresholds T * frak_S_i for comparison
     (display only: the proportionality constants are not effective).  The
     kernels of all degrees come from one jet matrix at the largest degree and
-    one elimination, sized from Gamma(S) before any sample is drawn; an
-    ascending range of degrees is not listed before its sizes are checked.
+    one elimination, sized from the number of points of Gamma(S) before any
+    of them is built or any sample is drawn; an ascending range of degrees is not listed before its sizes are checked.
     """
     _require_rational(model)
     epsilon = _epsilon(epsilon)
     if not (isinstance(degrees, range) and degrees.step > 0):
         degrees = sorted(int(d) for d in degrees)
     omega = enumerate_gamma(model, Fraction(1), enum_limit)
-    kernels = _kernels(model, omega.points, order, degrees, limit)[1] if degrees else ()
+    kernels = ()
+    if degrees:
+        points = _sized_points(model, omega, order, degrees, limit)
+        kernels = _kernels(model, points, order, degrees, limit)[1]
     sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
     rows = []
     prev_members: dict = {}

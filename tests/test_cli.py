@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slopechain import ModelConfig, build_model, cli, enumerate_gamma, linalg, locus
+from slopechain import GammaSet, ModelConfig, build_model, cli, enumerate_gamma, linalg, locus
 from slopechain.errors import CertificateViolation, ParseError, ValidationError
 from slopechain.model import _parse_coordinate
 
@@ -439,6 +439,26 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == "MatrixTooLarge"
         assert error["message"] == "jet matrix with 1000002 entries exceeds 1000000"
+
+    @pytest.mark.parametrize("action, extra", [
+        ("rank", {}),
+        ("probe", {}),
+        ("sweep", {"D_range": [1, 40]}),
+    ])
+    def test_oversized_jet_is_refused_before_any_box_point(
+            self, tmp_path, monkeypatch, capsys, action, extra):
+        # 99 * 79 = 7821 box points, T = 3: even D = 1 has 4 * 7821 * 10
+        # entries, far over matrix_max = 1000, which len(omega) tells
+        def no_points(omega):
+            raise AssertionError("box points built before the jet size check")
+        monkeypatch.setattr(GammaSet, "points", property(no_points))
+        cfg = write_config(tmp_path, dict(
+            extra, n=3, generators=[["1", "0", "0"], ["0", "1", "0"]], scales=["50", "40"],
+            T=3, D=40, limits={"matrix_max": 1000},
+        ))
+        code = cli.run(["locus", action, "-c", cfg])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "MatrixTooLarge"
 
     def test_candidate_box_over_enumeration_max_maps_to_one(self, tmp_path, capsys):
         # 7^3 = 343 box vectors of height 3 exceed enumeration_max = 100

@@ -1,6 +1,8 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from slopechain import (
     CertificateViolation,
     DimensionMismatch,
     EnumerationTooLarge,
+    GammaSet,
     GroupModel,
     ModelConfig,
     NotNested,
@@ -89,7 +92,21 @@ class TestEnumerate:
 
 class TestLazyPoints:
     """`gamma count` and `gamma check` read witnesses only: the one image
-    they need is that of the H' and H'' lattice generators, to close them."""
+    they need is that of the H' and H'' lattice generators, to close them.
+    A rational `gamma enumerate` writes its points from integer columns and
+    builds no Fraction point."""
+
+    @pytest.mark.parametrize("config", ["plane_basic", "fractional_unsorted"])
+    def test_rational_enumerate_builds_no_fraction_point(self, tmp_path, monkeypatch, config):
+        def no_point(*args):
+            raise AssertionError("Fraction box point built")
+
+        monkeypatch.setattr(GroupModel, "point_of", no_point)
+        monkeypatch.setattr(GammaSet, "points", property(no_point))
+        out = tmp_path / "report"
+        code = cli.run(["gamma", "enumerate", "-c", str(GOLDEN / f"{config}.json"), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / f"{config}.gamma_enumerate.out").read_bytes()
 
     @pytest.mark.parametrize("config", ["plane_basic", "dependent_three"])
     @pytest.mark.parametrize("action", ["count", "check"])
@@ -115,6 +132,61 @@ class TestLazyPoints:
         code = cli.run(["gamma", action, "-c", str(GOLDEN / f"{config}.json"), "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == (GOLDEN / f"{config}.gamma_{action}.out").read_bytes()
+
+
+_ENTRIES = [F(0), F(1), F(-1), F(3), F(-2), F(1, 2), F(-2, 3), F(5, 6), F(-7, 4)]
+
+
+@st.composite
+def _model_specs(draw):
+    """(n, generators, scales) of a small rational model, with a dependent
+    generator or an all-zero coordinate column at times."""
+    n, l = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    gens = [draw(st.lists(st.sampled_from(_ENTRIES), min_size=n, max_size=n)) for _ in range(l)]
+    if l >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        gens.append([a * x + b * y for x, y in zip(gens[0], gens[1])])
+    if gens and draw(st.booleans()):
+        zero = draw(st.integers(0, n - 1))
+        for gen in gens:
+            gen[zero] = F(0)
+    scales = draw(st.lists(
+        st.sampled_from([F(1), F(3, 2), F(2)]), min_size=len(gens), max_size=len(gens)
+    ))
+    return n, gens, scales
+
+
+class TestIntegerColumns:
+    """Box points over Q from integer columns, against `point_of` and the
+    `_scalar_json` text of each of its coordinates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_model_specs(), lam=st.sampled_from([F(1, 2), F(1), F(2)]))
+    @example(  # fractional, negative, zero and dependent (g1 + g3) generators
+        spec=(2, [(F(1, 2), F(-2, 3)), (0, 0), (-1, F(5, 6)), (F(-1, 2), F(1, 6))], [2, 2, 2, 1]),
+        lam=F(1, 2),
+    )
+    @example(spec=(3, [(1, 0, F(1, 3)), (F(-2, 5), 0, 2)], [2, 3]), lam=F(1))  # zero column
+    @example(spec=(2, [], []), lam=F(2))  # l = 0
+    def test_text_rows_equal_point_of(self, spec, lam):
+        model = rational_model(*spec)
+        omega = enumerate_gamma(model, lam)
+        assert cli._points_json(omega) == [
+            [cli._scalar_json(c) for c in model.point_of(w)] for w in omega.witnesses
+        ]
+        assert omega.points == tuple(map(model.point_of, omega.witnesses))
+        # sum and difference sets of a few points, through the same columns
+        few = gamma_from_vectors(model, omega.witnesses[:8])
+        sums = gamma_from_vectors(model, [
+            tuple(map(operator.add, a, b)) for a, b in combinations_with_replacement(few.witnesses, 2)
+        ]).witnesses
+        diffs = gamma_from_vectors(model, [
+            tuple(map(operator.sub, a, b)) for a in sums for b in sums
+        ]).witnesses
+        for mode, kept in (("sumset", sums), ("diffset", diffs)):
+            points = combine(model, few, 2, mode)
+            assert points == tuple(map(model.point_of, kept))
+            assert all(type(c) is F for p in points for c in p)
 
 
 class TestCardMod:
