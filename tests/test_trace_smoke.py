@@ -4,7 +4,8 @@
 and reads some of their arguments (`rat_rref(rows, ncols)`, `image_lines`).
 One traced `chain verify` per ring, through `cli.run`, must give the golden
 report and record the closure enumeration; over Q its subgroup inclusions
-and its closures must run no elimination.  One traced `locus sweep` must
+and its closures must run no elimination, and over Q[t] its closures must
+multiply no polynomials.  One traced `locus sweep` must
 give the golden report from one jet matrix and one elimination in all.  A traced `gamma enumerate` must count one point per box
 entry, and a traced `gamma count` must make one lattice walk and enumerate
 no box.
@@ -62,8 +63,11 @@ def test_traced_chain_verify(tmp_path, config):
         # subgroup inclusion compares lattices and runs no elimination
         assert table["model.span_contains"][0] > 0
         assert tracer.child_calls("model.span_contains", "linalg.rank") == 0
-        # rational closures are saturated in integers: no Fraction elimination
-        assert "linalg.nullspace" not in table
+    # rational closures are saturated in integers and symbolic ones are read
+    # off integer specializations: no Fraction elimination, no Poly product
+    assert "linalg.nullspace" not in table
+    if config == "sym_plane":
+        assert tracer.counters["polys.mul.calls"] == 0
     # uninstalled: the module binds the plain function again
     assert not hasattr(cli.run, "__wrapped__")
 
