@@ -17,14 +17,21 @@ The graded basis of degree D is a prefix of the basis of any larger degree
 E, and the degree-E rows cut to that prefix are the degree-D rows times
 q^(E-D).  The RREF of a column prefix is the prefix of the RREF, so one
 elimination at the largest degree gives the rank and the canonical kernel of
-every degree of a sweep.  Each kernel vector, with its denominators cleared,
-is still re-checked against every jet row of its degree in integers.
+every degree of a sweep.  The kernel vector of free column f is zero past
+f, so the degree-D kernel is the first nullity(D) vectors of the largest
+degree's kernel cut to the degree-D columns.  That nesting is checked, and
+each vector, cleared of denominators, is re-checked once against every jet
+row of the largest degree in integers.
 
 The base locus of (points, T, D) is the common zero set of the kernel of the
 jet matrix.  Membership is tested by evaluating the kernel basis (computed
 once), never by re-running eliminations per point, because probe loops
 evaluate thousands of points: the cleared kernel vectors are evaluated at
 the homogenized point (q, p), which vanishes exactly where the section does.
+Evaluated at degree E >= D, a degree-D section takes q^(E-D) times its
+degree-D value.  So a sweep evaluates each sample once, at its largest
+degree, and keeps the position of the first vector that does not vanish
+there: the sample is in the degree-D base locus iff it is >= nullity(D).
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain as concat, islice, repeat
-from operator import mul
+from itertools import accumulate, islice, repeat
+from operator import getitem, mul
 
 from . import linalg
 from .chain import Chain
@@ -227,9 +234,11 @@ def _kernels(model: GroupModel, points, order: int, degrees, limit):
 
     Every size is checked before anything is built, so an oversized range
     fails at its first oversized degree.  Each degree's kernel is read off
-    the prefix of the RREF, and each of its cleared vectors is re-checked
-    against every row cut to that prefix: the degree's jet rows up to
-    nonzero factors.
+    the prefix of the RREF and checked to be the first vectors of the
+    largest degree's kernel cut to its columns, zero past the cut.  So each
+    distinct vector is re-checked once, cleared, against every jet row of
+    the largest degree: cut to a prefix, those are the jet rows of every
+    smaller degree up to nonzero factors.
     """
     points = tuple(points)
     _check_jet(model, len(points), order, degrees, limit)
@@ -240,11 +249,14 @@ def _kernels(model: GroupModel, points, order: int, degrees, limit):
         ncols = math.comb(model.n + degree, model.n)
         basis = MonomialBasis(model.n, degree, jm.basis.exponents[:ncols])
         vectors = linalg._rref_kernel(rref, pivots, ncols)
-        kernel = KernelBasis(basis, jm.points, order, degree, tuple(vectors))
-        for terms in kernel._terms:
-            if any(_dot(row, terms) for row in jm.rows):
-                raise InternalInvariantError("kernel vector fails a jet constraint")
-        kernels.append(kernel)
+        kernels.append(KernelBasis(basis, jm.points, order, degree, tuple(vectors)))
+    for kernel in kernels:
+        ncols, head = len(kernel.basis), kernels[-1].vectors[:len(kernel.vectors)]
+        if kernel.vectors != tuple(v[:ncols] for v in head) or any(any(v[ncols:]) for v in head):
+            raise InternalInvariantError(f"kernel at D={kernel.degree} is not nested")
+    for terms in kernels[-1]._terms:
+        if any(_dot(row, terms) for row in jm.rows):
+            raise InternalInvariantError("kernel vector fails a jet constraint")
     return jm, kernels
 
 
@@ -268,18 +280,40 @@ def evaluate_section(basis: MonomialBasis, coeffs, point) -> Fraction:
     return total
 
 
+def _first_outside(kernel: KernelBasis, point) -> int:
+    """The position of the first kernel vector whose section does not vanish
+    at the Fraction point, or the nullity if every one does.  The cleared
+    sections are evaluated at the homogenized integer point (q, p), in
+    integers: the value of q^(D-|a|) x^a there is a plain product of powers."""
+    terms = kernel._terms
+    if not terms:
+        return 0
+    powers = _homogenized_powers(point, kernel.degree)
+    values = [math.prod(map(getitem, powers, e)) for e in kernel._exponents]
+    return next((i for i, t in enumerate(terms) if _dot(values, t)), len(terms))
+
+
+class _Members:
+    """Base-locus membership of a sweep's sample points in the nested
+    kernels read off `top`, the kernel of its largest degree: one evaluation
+    per sample, by `key`, serves every degree."""
+
+    def __init__(self, top: KernelBasis):
+        self.top = top
+        self.first = {}
+
+    def inside(self, kernel: KernelBasis, key, point) -> bool:
+        first = self.first.get(key)
+        if first is None:
+            first = self.first[key] = _first_outside(self.top, point)
+        return first >= len(kernel.vectors)
+
+
 def in_base_locus(kernel: KernelBasis, point) -> bool:
     """Whether every kernel section vanishes at the point; an empty kernel
-    means the base locus is everything.  The cleared sections are evaluated
-    at the homogenized integer point, in integers."""
+    means the base locus is everything."""
     point = tuple(as_fraction(c) for c in point)
-    if not kernel.vectors:
-        return True
-    values = _jet_row(
-        _homogenized_powers(point, kernel.degree), (0,) * (len(point) + 1),
-        kernel._exponents,
-    )
-    return not any(_dot(values, terms) for terms in kernel._terms)
+    return _first_outside(kernel, point) == len(kernel.vectors)
 
 
 @dataclass(frozen=True)
@@ -335,29 +369,48 @@ def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
 # membership in Gamma(S) + H
 
 
-def _outside_translates(points, subgroup):
-    """The predicate "x lies outside points + span(H)".
+def _outside_translates(omega, subgroup):
+    """The predicates "x lies outside omega + span(H)" for the box set
+    `omega` of a rational model: one on the integer rows of a box set of the
+    same model (numerators over the column denominators of `omega.columns`),
+    one on Fraction points.
 
     Two vectors lie in one translate of span(H) exactly when they have the
     same canonical representative mod span(H): the vector with the pivot
-    columns of the span's integer echelon eliminated.  The representatives of
-    `points` are built once, so each query is one reduction and one set
-    lookup, whatever the dimension of H.
+    columns of the span's fully reduced integer echelon eliminated, row k
+    subtracted x[c_k] / lead_k times.  Representatives are kept times
+    K = lcm(column denominators) * lcm(leads), so for a box point every
+    division is exact.  A Fraction point w/e is reduced as K w, and its
+    representative times K is that over e, an integer vector only if e
+    divides it.  The representatives of `omega` are built once, so each
+    query is one reduction and one set lookup, whatever the dimension of H.
     """
     echelon = [
         (linalg._lead(row), row)
         for row in linalg._echelon(map(linalg._cleared, subgroup.span))
     ]
+    nums, dens = zip(*omega.columns)
+    scale = math.lcm(*dens) * math.lcm(*(row[c] for c, row in echelon))
+    lifts = [scale // den for den in dens]
 
-    def representative(x):
+    def reduced(z):
         for c, row in echelon:
-            if x[c]:
-                f = x[c] / row[c]
-                x = [a - f * b for a, b in zip(x, row)]
-        return tuple(x)
+            if z[c]:
+                f = z[c] // row[c]
+                z = [a - f * b for a, b in zip(z, row)]
+        return tuple(z)
 
-    reps = set(map(representative, points))
-    return lambda x: representative(x) not in reps
+    def lifted(row):
+        return reduced(list(map(mul, row, lifts)))
+
+    reps = set(map(lifted, zip(*nums)))
+
+    def outside_point(x):
+        e = math.lcm(*(c.denominator for c in x))
+        z = reduced([c.numerator * (e // c.denominator) * scale for c in x])
+        return any(a % e for a in z) or tuple(a // e for a in z) not in reps
+
+    return (lambda row: lifted(row) not in reps), outside_point
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +453,15 @@ def _epsilon(value) -> Fraction:
 
 class _ProbeSamples:
     """Seed-reproducible sample points around Gamma(S) = `omega`, built once
-    and reused across degrees so that membership verdicts are comparable."""
+    and reused across degrees so that membership verdicts are comparable.
+    Points of Gamma(2S) are filtered as integer rows, and only the kept ones
+    become Fractions."""
 
     def __init__(self, model, chain, omega, epsilon, samples, seed, limit):
         rng = random.Random(seed)
-        self.omega = omega
         eps_points = enumerate_gamma(model, 1 - epsilon, limit).points
-        omega_two = enumerate_gamma(model, Fraction(2), limit)
+        nums_two, dens_two = zip(*enumerate_gamma(model, Fraction(2), limit).columns)
+        rows_two = list(zip(*nums_two))
         top = max(int(math.ceil(model.scales[0])) if model.l else 1, 1)
         coord_bound = 2 * top + 2
 
@@ -435,23 +490,28 @@ class _ProbeSamples:
                 )
                 for _ in range(50 * samples)
             )
-            outside = _outside_translates(self.omega.points, sub)
-            found = tuple(islice(filter(outside, concat(omega_two.points, draws)), samples))
+            outside_row, outside_point = _outside_translates(omega, sub)
+            found = [
+                tuple(map(Fraction, row, dens_two))
+                for row in islice(filter(outside_row, rows_two), samples)
+            ]
+            found.extend(islice(filter(outside_point, draws), samples - len(found)))
             if not found:
                 raise SamplingExhausted(
                     f"no points outside Gamma(S) + H_{node_idx} were found"
                 )
-            self.upper.append(found)
+            self.upper.append(tuple(found))
 
 
-def _witness(kernel, points, inside_wanted, memory, key):
-    """The first sample whose base-locus membership is not `inside_wanted`,
-    or None.  Without `memory` it stops at that witness; with it (a sweep's
-    record of earlier memberships, by `key` and sample position) it
-    evaluates every sample and checks that none re-enters the base locus."""
+def _witness(members, kernel, points, inside_wanted, memory, key):
+    """The first sample whose membership in the base locus of `kernel`, as
+    `members` decides it, is not `inside_wanted`, or None.  Samples are
+    keyed by `key` and their position.  Without `memory` it stops at that
+    witness; with it (a sweep's record of earlier memberships) it evaluates
+    every sample and checks that none re-enters the base locus."""
     witness = None
     for p_idx, p in enumerate(points):
-        inside = in_base_locus(kernel, p)
+        inside = members.inside(kernel, key + (p_idx,), p)
         if memory is not None:
             if memory.get(key + (p_idx,)) is False and inside:
                 raise CertificateViolation(
@@ -466,16 +526,20 @@ def _witness(kernel, points, inside_wanted, memory, key):
     return witness
 
 
-def _probe(sampler, chain, kernel, memory):
+def _probe(sampler, chain, members, kernel, memory):
     """One LocusEntry per chain index, from the sampler's fixed points."""
     entries = []
     for idx, node in enumerate(chain.nodes):
-        lower_witness = _witness(kernel, sampler.lower[idx], True, memory, ("lower", idx))
+        lower_witness = _witness(
+            members, kernel, sampler.lower[idx], True, memory, ("lower", idx)
+        )
         outside = sampler.upper[idx]
         if outside is None:
             upper, upper_witness = None, None
         else:
-            upper_witness = _witness(kernel, outside, False, memory, ("upper", idx))
+            upper_witness = _witness(
+                members, kernel, outside, False, memory, ("upper", idx)
+            )
             upper = upper_witness is None
         entries.append(LocusEntry(
             idx, node.dim, lower_witness is None, upper, lower_witness, upper_witness,
@@ -499,7 +563,7 @@ def locus_probe(model: GroupModel, chain: Chain, order: int, degree: int,
     points = _sized_points(model, omega, order, (degree,), limit)
     kernel = kernel_basis(model, points, order, degree, limit)
     sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
-    return _probe(sampler, chain, kernel, None)
+    return _probe(sampler, chain, _Members(kernel), kernel, None)
 
 
 def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
@@ -515,7 +579,9 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     (display only: the proportionality constants are not effective).  The
     kernels of all degrees come from one jet matrix at the largest degree and
     one elimination, sized from the number of points of Gamma(S) before any
-    of them is built or any sample is drawn; an ascending range of degrees is not listed before its sizes are checked.
+    of them is built or any sample is drawn; an ascending range of degrees
+    is not listed before its sizes are checked.  Each sample is evaluated
+    once, against the kernel of the largest degree, for every degree.
     """
     _require_rational(model)
     epsilon = _epsilon(epsilon)
@@ -527,6 +593,7 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
         points = _sized_points(model, omega, order, degrees, limit)
         kernels = _kernels(model, points, order, degrees, limit)[1]
     sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
+    members = _Members(kernels[-1]) if kernels else None
     rows = []
     prev_members: dict = {}
     prev_nullity = -1
@@ -541,7 +608,8 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
             )
         prev_nullity = nullity
         verdicts = [
-            (e.lower, e.upper) for e in _probe(sampler, chain, kernel, prev_members)
+            (e.lower, e.upper)
+            for e in _probe(sampler, chain, members, kernel, prev_members)
         ]
         both = [
             idx

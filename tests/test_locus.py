@@ -2,12 +2,14 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import chain as concat, islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from slopechain import (
+    InternalInvariantError,
     MatrixTooLarge,
     ModelConfig,
     SamplingExhausted,
@@ -220,6 +222,32 @@ def _brute_outside(points, sub, x):
     )
 
 
+def _fraction_outside(points, subgroup):
+    """The predicate "x lies outside points + span(H)" from Fraction
+    representatives mod span(H), the pivot columns of the span's integer
+    echelon eliminated one row at a time: the oracle of the integer
+    representatives of `locus._outside_translates`."""
+    echelon = [
+        (linalg._lead(row), row)
+        for row in linalg._echelon(map(linalg._cleared, subgroup.span))
+    ]
+
+    def representative(x):
+        for c, row in echelon:
+            if x[c]:
+                f = x[c] / row[c]
+                x = [a - f * b for a, b in zip(x, row)]
+        return tuple(x)
+
+    reps = set(map(representative, points))
+    return lambda x: representative(x) not in reps
+
+
+def _rows(gamma_set):
+    """The integer rows of a rational box set, over its column denominators."""
+    return list(zip(*(nums for nums, _ in gamma_set.columns)))
+
+
 class TestOutsideTranslates:
     @pytest.mark.parametrize("model", [
         line_model(3),
@@ -230,8 +258,9 @@ class TestOutsideTranslates:
     ])
     def test_matches_rank_brute_force(self, model):
         rng = random.Random(3)
-        omega = enumerate_gamma(model).points
-        queries = list(enumerate_gamma(model, 2).points) + [
+        omega_set, omega_two = enumerate_gamma(model), enumerate_gamma(model, 2)
+        omega = omega_set.points
+        queries = list(omega_two.points) + [
             tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(model.n))
             for _ in range(40)
         ]
@@ -244,9 +273,10 @@ class TestOutsideTranslates:
                 for row in sub.span:
                     f = F(rng.randint(-9, 9), rng.randint(1, 4))
                     shifted.append(tuple(a + f * b for a, b in zip(p, row)))
-            outside = locus._outside_translates(omega, sub)
+            outside_row, outside = locus._outside_translates(omega_set, sub)
             verdicts = [outside(x) for x in queries + shifted]
             assert verdicts == [_brute_outside(omega, sub, x) for x in queries + shifted]
+            assert list(map(outside_row, _rows(omega_two))) == verdicts[:len(omega_two)]
             assert not any(verdicts[len(queries):])
             assert any(verdicts) == (sub.dim < model.n)
 
@@ -279,7 +309,7 @@ def _dense_samples(model, chain, omega, epsilon, samples, seed, limit):
                   for _ in range(model.n))
             for _ in range(50 * samples)
         )
-        outside = locus._outside_translates(omega.points, sub)
+        outside = _fraction_outside(omega.points, sub)
         upper.append(tuple(islice(filter(outside, concat(omega_two.points, draws)), samples)))
     return lower, upper
 
@@ -293,6 +323,45 @@ def probe_models(draw):
     gens = [tuple(draw(coord) for _ in range(n)) for _ in range(l)]
     scales = [draw(st.sampled_from((1, F(3, 2), 2, 3))) for _ in range(l)]
     return rational_model(n, gens, scales)
+
+
+@st.composite
+def span_cases(draw):
+    """A probe model, the rows of a span H of any dimension 0..n with
+    fractional entries, and points with denominators 1-3."""
+    model = draw(probe_models())
+    n = model.n
+    coord = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    point = st.tuples(*[coord] * n)
+    rows = draw(st.lists(point, max_size=n))
+    return model, tuple(rows), draw(st.lists(point, max_size=12))
+
+
+class TestIntegerRepresentatives:
+    """The integer representatives mod span(H) against the Fraction ones."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(span_cases(), st.integers(0, 2 ** 32))
+    def test_verdicts_equal_fraction_oracle(self, case, seed):
+        model, rows, draws = case
+        rng = random.Random(seed)
+        sub = SimpleNamespace(span=rows)
+        omega, omega_two = enumerate_gamma(model), enumerate_gamma(model, 2)
+        oracle = _fraction_outside(omega.points, sub)
+        outside_row, outside = locus._outside_translates(omega, sub)
+        # points of omega moved along H lie inside
+        shifted = []
+        for p in omega.points:
+            coords = list(p)
+            for row in rows:
+                f = F(rng.randint(-9, 9), rng.randint(1, 3))
+                coords = [a + f * b for a, b in zip(coords, row)]
+            shifted.append(tuple(coords))
+        queries = list(omega_two.points) + draws + shifted
+        verdicts = [outside(x) for x in queries]
+        assert verdicts == [oracle(x) for x in queries]
+        assert not any(verdicts[len(queries) - len(shifted):])
+        assert list(map(outside_row, _rows(omega_two))) == verdicts[:len(omega_two)]
 
 
 class TestProbeSamples:
@@ -339,6 +408,45 @@ class TestThresholdSweep:
         nullities = [row.nullity for row in report.rows]
         assert nullities == sorted(nullities)
 
+    def test_one_power_table_per_sample(self, monkeypatch):
+        m = rational_model(2, [(1, 0), (0, 1)], (3, 2))
+        chain = build_chain(m)
+        calls = []
+        powers = locus._homogenized_powers
+        monkeypatch.setattr(
+            locus, "_homogenized_powers", lambda p, d: calls.append((p, d)) or powers(p, d)
+        )
+        threshold_sweep(m, chain, 1, range(1, 7), F(1, 2), samples=30, seed=9)
+        omega = enumerate_gamma(m)
+        sampler = locus._ProbeSamples(m, chain, omega, F(1, 2), 30, 9, 10 ** 7)
+        samples = [
+            p
+            for lower, upper in zip(sampler.lower, sampler.upper)
+            for p in lower + (upper or ())
+        ]
+        # the jet matrix at D = 6 builds one table per box point; the
+        # probes of all six degrees build one per sample, at D = 6
+        assert calls == [(p, 6) for p in omega.points + tuple(samples)]
+
+    @pytest.mark.parametrize("tamper", ["scaled", "reversed"])
+    def test_non_nested_kernels_refused(self, monkeypatch, tamper):
+        # three points on the line: nullity 1, 2, 3 at D = 3, 4, 5
+        m = line_model(2)
+        chain = build_chain(m)
+        rref_kernel = linalg._rref_kernel
+
+        def tampered(rref, pivots, ncols):
+            vectors = rref_kernel(rref, pivots, ncols)
+            if ncols < len(rref[0]):
+                if tamper == "scaled":
+                    return [tuple(2 * x for x in v) for v in vectors]
+                return vectors[::-1]
+            return vectors
+
+        monkeypatch.setattr(linalg, "_rref_kernel", tampered)
+        with pytest.raises(InternalInvariantError, match="not nested"):
+            threshold_sweep(m, chain, 1, range(3, 6), F(1, 2), samples=10, seed=1)
+
     def test_trivial_chain_rank_bookkeeping(self):
         # no generators: Gamma(S) = {0}; with T = 2 the locus is everything
         # until degree... the origin constraints only ever cut 3 dimensions
@@ -352,6 +460,75 @@ class TestThresholdSweep:
             # the single box point {0} is a proper locus once sections exist
             assert row.verdicts[0][0] is True
             assert row.verdicts[1][1] is None
+
+
+def _per_degree_in_base_locus(kernel, point):
+    """The per-degree membership path: the cleared sections of this degree's
+    kernel evaluated afresh at the homogenized point (q, p), from a jet row
+    with sigma = 0: the oracle of the sweep's one evaluation per sample."""
+    if not kernel.vectors:
+        return True
+    values = locus._jet_row(
+        locus._homogenized_powers(point, kernel.degree), (0,) * (len(point) + 1),
+        kernel._exponents,
+    )
+    return not any(locus._dot(values, terms) for terms in kernel._terms)
+
+
+class _PerDegreeMembers:
+    """Stands in for `locus._Members`: every sample evaluated against the
+    kernel of every degree, whatever its key."""
+
+    def __init__(self, top):
+        pass
+
+    def inside(self, kernel, key, point):
+        return _per_degree_in_base_locus(kernel, point)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A probe model, T in {1, 2}, degrees 1..hi (at T = 2, or when the box
+    points span, the range starts at nullity 0), epsilon and a probe seed."""
+    return (
+        draw(probe_models()), draw(st.sampled_from((1, 2))), draw(st.integers(1, 6)),
+        draw(st.sampled_from((F(1, 2), F(1, 3)))), draw(st.integers(0, 2 ** 32)),
+    )
+
+
+class TestSweepMembershipAgainstPerDegreeOracle:
+    """Membership read off one evaluation per sample at the largest degree
+    against the per-degree evaluation: same rows, witnesses and probes."""
+
+    @staticmethod
+    def _run(model, chain, order, degrees, epsilon, seed):
+        entries = []
+        probe = locus._probe
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locus, "_probe", lambda *args: entries.append(probe(*args)) or entries[-1])
+            try:
+                report = threshold_sweep(
+                    model, chain, order, degrees, epsilon, samples=8, seed=seed
+                )
+            except SamplingExhausted:
+                return None
+        probes = [
+            locus_probe(model, chain, order, d, epsilon, samples=8, seed=seed)
+            for d in degrees
+        ]
+        return report, entries, probes
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_cases())
+    def test_sweep_and_probe_equal_oracle(self, case):
+        model, order, hi, epsilon, seed = case
+        chain = build_chain(model)
+        degrees = range(1, hi + 1)
+        got = self._run(model, chain, order, degrees, epsilon, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locus, "_Members", _PerDegreeMembers)
+            want = self._run(model, chain, order, degrees, epsilon, seed)
+        assert got == want
 
 
 def _hasse_row(point, sigma, basis):

@@ -5,10 +5,11 @@ and reads some of their arguments (`rat_rref(rows, ncols)`, `image_lines`).
 One traced `chain verify` per ring, through `cli.run`, must give the golden
 report and record the closure enumeration; over Q its subgroup inclusions
 and its closures must run no elimination, and over Q[t] its closures must
-multiply no polynomials.  One traced `locus sweep` must
-give the golden report from one jet matrix and one elimination in all.  A traced `gamma enumerate` must count one point per box
-entry, and a traced `gamma count` must make one lattice walk and enumerate
-no box.
+multiply no polynomials.  One traced `locus sweep` must give the golden
+report from one jet matrix and one elimination in all, and decide
+membership without calling `in_base_locus`.  A traced `gamma enumerate`
+must count one point per box entry, and a traced `gamma count` must make
+one lattice walk and enumerate no box.
 `bench/spans.py` is loaded from its file and not modified.
 """
 
@@ -83,6 +84,8 @@ def test_traced_locus_sweep_eliminates_once(tmp_path):
     assert tracer.child_calls("locus.threshold_sweep", "linalg.rat_rref") == 1
     assert table["linalg.rat_rref"][0] == 1
     assert "locus.kernel_basis" not in table
+    # membership is read off one evaluation per sample, not the public test
+    assert tracer.child_calls("locus.threshold_sweep", "locus.in_base_locus") == 0
 
 
 @pytest.mark.parametrize("action", ["enumerate", "count"])
