@@ -111,7 +111,11 @@ def _seed(value):
 def _limit(key, value):
     if key not in _LIMIT_KEYS:
         _fail(f"limits.{key}", "unknown limit")
-    if not _is_int(value) or value <= 0:
+    if key == "random_candidates":
+        # its default, 0, draws no random candidates
+        if not _is_int(value) or value < 0:
+            _fail(f"limits.{key}", "must be a non-negative integer")
+    elif not _is_int(value) or value <= 0:
         _fail(f"limits.{key}", "must be a positive integer")
     return value
 

@@ -7,7 +7,10 @@ read off the RREF by `_rref_kernel`, for all columns or for any prefix, and
 off the echelon itself, in integers, by `_integer_kernel`.  Lattice routines
 return canonical row-style Hermite normal forms (pivots positive, entries
 above a pivot reduced into [0, pivot), zero rows dropped), so lattice
-equality is plain tuple equality.  Everything is pure and deterministic.
+equality is plain tuple equality.  They share one HNF routine, `hnf`, which
+tracks no unimodular transform: a left kernel is read off one HNF of
+[A | I], and a saturation needs none when the echelon's pivots are all 1.
+Everything is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import gcd, lcm
 
 
 def _lead(row):
-    return next(j for j, x in enumerate(row) if x)
+    return row.index(next(filter(None, row)))
 
 
 def _echelon_reduce(rows, vec):
@@ -94,7 +97,15 @@ def _annihilator(vectors, ncols):
 
 def _saturation(rows, ncols):
     """HNF basis of Z^ncols cap span_Q(rows) for a canonical integer echelon:
-    the integer vectors that annihilate its right kernel."""
+    the integer vectors that annihilate its right kernel.
+
+    An echelon whose pivots are all 1 is its own saturation, and already in
+    HNF (its pivot columns are cleared): an integer x = sum c_i E_i in its
+    span has c_i = x[p_i] at the pivot p_i of row E_i, so every c_i is an
+    integer.
+    """
+    if all(next(filter(None, row)) == 1 for row in rows):
+        return tuple(rows)
     return _annihilator(_integer_kernel(rows, ncols), ncols)
 
 
@@ -146,62 +157,62 @@ def _rref_kernel(rref, pivots, ncols):
 # integer row lattices
 
 
-def _ident(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def hnf_transform(rows, ncols):
-    """(H, U) with U unimodular, U*A = H, H in row echelon with positive
-    pivots and reduced entries above them.  Zero rows of H sit at the bottom;
-    the matching rows of U span the left kernel of A."""
-    work = [list(map(int, row)) for row in rows]
-    m = len(work)
-    unimod = _ident(m)
-    r = 0
-    for c in range(ncols):
-        while True:
-            nonzero = [i for i in range(r, m) if work[i][c]]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: (abs(work[i][c]), i))
-            if i0 != r:
-                work[r], work[i0] = work[i0], work[r]
-                unimod[r], unimod[i0] = unimod[i0], unimod[r]
-            done = True
-            for i in range(r + 1, m):
-                if work[i][c]:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    unimod[i] = [a - q * b for a, b in zip(unimod[i], unimod[r])]
-                    if work[i][c]:
-                        done = False
-            if done:
-                break
-        if r < m and work[r][c]:
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-                unimod[r] = [-x for x in unimod[r]]
-            for i in range(r):
-                q = work[i][c] // work[r][c]
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    unimod[i] = [a - q * b for a, b in zip(unimod[i], unimod[r])]
-            r += 1
-    return [tuple(row) for row in work], [tuple(row) for row in unimod]
-
-
 def hnf(rows, ncols):
-    """Canonical row-style Hermite normal form; zero rows dropped."""
-    h, _ = hnf_transform(rows, ncols)
-    return tuple(row for row in h if any(row))
+    """Canonical row-style Hermite normal form of integer rows; zero rows
+    dropped.
+
+    Column by column, the rows not yet placed that are nonzero there are
+    folded into one by Euclid's algorithm on whole rows; that row, made
+    positive at the column, reduces the entries of the rows placed above
+    it into [0, pivot).
+    """
+    work = [row for row in rows if any(row)]
+    basis = []
+    for c in range(ncols):
+        pivot = None
+        rest = []
+        for row in work:
+            if not row[c]:
+                rest.append(row)
+                continue
+            if pivot is None:
+                pivot = row
+                continue
+            while row[c]:
+                q = pivot[c] // row[c]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]
+            if any(row):
+                rest.append(row)
+        if pivot is None:
+            continue
+        p = pivot[c]
+        if p < 0:
+            pivot, p = [-x for x in pivot], -p
+        for i, row in enumerate(basis):
+            q = row[c] // p
+            if q:
+                basis[i] = [a - q * b for a, b in zip(row, pivot)]
+        basis.append(pivot)
+        work = rest
+    return tuple(map(tuple, basis))
 
 
 def left_kernel(rows, ncols):
-    """HNF basis of {v in Z^m : v A = 0} for an integer matrix A (m rows)."""
+    """HNF basis of {v in Z^m : v A = 0} for an integer matrix A (m rows).
+
+    One HNF of [A | I_m], read off the rows whose A-part is zero.  The rows
+    of [A | I_m] span {(uA, u) : u in Z^m}, so the rows of an echelon basis
+    with a pivot past column ncols span its vectors (0, v), those with
+    vA = 0; they are in HNF among themselves, so by the uniqueness of the
+    HNF they are the HNF of the left kernel.
+    """
     m = len(rows)
-    h, u = hnf_transform(rows, ncols)
-    kernel_rows = [u[i] for i in range(m) if not any(h[i])]
-    return hnf(kernel_rows, m)
+    stacked = []
+    for i, row in enumerate(rows):
+        unit = [0] * m
+        unit[i] = 1
+        stacked.append([*row, *unit])
+    return tuple(row[ncols:] for row in hnf(stacked, ncols + m) if not any(row[:ncols]))
 
 
 def lattice_reduce(hnf_rows, pivots, vector):
@@ -217,16 +228,11 @@ def lattice_reduce(hnf_rows, pivots, vector):
 
 
 def primitive(vector):
-    """Divide out the content; first nonzero entry made positive."""
-    g = 0
-    for x in vector:
-        g = gcd(g, abs(int(x)))
-    if g == 0:
-        return tuple(0 for _ in vector)
-    vec = [int(x) // g for x in vector]
-    for x in vec:
-        if x:
-            if x < 0:
-                vec = [-y for y in vec]
-            break
-    return tuple(vec)
+    """Divide out the content; first nonzero entry made positive.  The
+    entries must be integers."""
+    g = gcd(*vector)
+    if not g:
+        return tuple(vector)
+    if next(filter(None, vector)) < 0:
+        g = -g
+    return tuple(vector) if g == 1 else tuple([x // g for x in vector])

@@ -5,9 +5,15 @@ right kernel of a matrix of `Poly`s, and `subgroup` closes a set of points
 from that kernel: the closure over Q(t) the library computes by integer
 specialization in `model._symbolic_closure`.  `rank` and `nullspace` take
 either ring.
+
+The integer lattice kernels the library had before it computed left
+kernels from one HNF of [A | I] are kept here too: `primitive`, `lead`,
+`hnf_transform` (the HNF with its unimodular transform), and `hnf` and
+`left_kernel` built on it.
 """
 
 from functools import reduce
+from math import gcd
 from operator import add, mul
 
 from slopechain import linalg
@@ -143,3 +149,82 @@ def closure(model, rows) -> Subgroup:
     """The closure of the integer coefficient `rows`, by `subgroup` of their
     images."""
     return subgroup(model, [model.point_of(r) for r in rows])
+
+
+def lead(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def primitive(vector):
+    """Divide out the content; first nonzero entry made positive."""
+    g = 0
+    for x in vector:
+        g = gcd(g, abs(int(x)))
+    if g == 0:
+        return tuple(0 for _ in vector)
+    vec = [int(x) // g for x in vector]
+    for x in vec:
+        if x:
+            if x < 0:
+                vec = [-y for y in vec]
+            break
+    return tuple(vec)
+
+
+def _ident(k):
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def hnf_transform(rows, ncols):
+    """(H, U) with U unimodular, U*A = H, H in row echelon with positive
+    pivots and reduced entries above them.  Zero rows of H sit at the bottom;
+    the matching rows of U span the left kernel of A."""
+    work = [list(map(int, row)) for row in rows]
+    m = len(work)
+    unimod = _ident(m)
+    r = 0
+    for c in range(ncols):
+        while True:
+            nonzero = [i for i in range(r, m) if work[i][c]]
+            if not nonzero:
+                break
+            i0 = min(nonzero, key=lambda i: (abs(work[i][c]), i))
+            if i0 != r:
+                work[r], work[i0] = work[i0], work[r]
+                unimod[r], unimod[i0] = unimod[i0], unimod[r]
+            done = True
+            for i in range(r + 1, m):
+                if work[i][c]:
+                    q = work[i][c] // work[r][c]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+                    unimod[i] = [a - q * b for a, b in zip(unimod[i], unimod[r])]
+                    if work[i][c]:
+                        done = False
+            if done:
+                break
+        if r < m and work[r][c]:
+            if work[r][c] < 0:
+                work[r] = [-x for x in work[r]]
+                unimod[r] = [-x for x in unimod[r]]
+            for i in range(r):
+                q = work[i][c] // work[r][c]
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+                    unimod[i] = [a - q * b for a, b in zip(unimod[i], unimod[r])]
+            r += 1
+    return [tuple(row) for row in work], [tuple(row) for row in unimod]
+
+
+def hnf(rows, ncols):
+    """Canonical row-style Hermite normal form; zero rows dropped."""
+    h, _ = hnf_transform(rows, ncols)
+    return tuple(row for row in h if any(row))
+
+
+def left_kernel(rows, ncols):
+    """HNF basis of {v in Z^m : v A = 0}, from the unimodular transform: the
+    rows of U that map to zero rows of H, reduced to HNF."""
+    m = len(rows)
+    h, u = hnf_transform(rows, ncols)
+    kernel_rows = [u[i] for i in range(m) if not any(h[i])]
+    return hnf(kernel_rows, m)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -64,6 +65,23 @@ class TestParseConfig:
     def test_limit_validation(self):
         with pytest.raises(ValidationError):
             cli.parse_config(json.dumps(dict(BASE, limits={"sample_count": 0})))
+
+    def test_random_candidates_accepts_its_default(self):
+        # 0 is the default of random_candidates, so it must be accepted; no
+        # other limit may be 0
+        cfg = cli.parse_config(json.dumps(dict(BASE, limits={"random_candidates": 0})))
+        assert cfg.limits.random_candidates == 0 == cli.Limits().random_candidates
+        for value in (-1, True):
+            with pytest.raises(ValidationError) as err:
+                cli.parse_config(json.dumps(dict(BASE, limits={"random_candidates": value})))
+            assert err.value.field == "limits.random_candidates"
+
+    def test_readme_config_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("Config is a flat JSON object:\n\n```json\n", 1)[1]
+        path = tmp_path / "cfg.json"
+        path.write_text(block.split("```", 1)[0])
+        assert cli.run(["chain", "build", "-c", str(path), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("extra, field", [
         pytest.param({"generators": [[1.5, "0"], ["0", "1"]]}, "generators", id="float"),
@@ -264,6 +282,15 @@ class TestParser:
         assert error["code"] == "ValidationError"
         field = "seed" if override[0] == "--seed" else "limits.enumeration_max"
         assert error["message"].startswith(f"{field}: ")
+
+    def test_random_candidates_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["chain", "build", "-c", cfg, "--limit"]
+        assert run_to_file(tmp_path, argv + ["random_candidates=0"])[0] == 0
+        assert cli.run(argv + ["random_candidates=-1"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "ValidationError"
+        assert error["message"].startswith("limits.random_candidates: ")
 
     def test_limit_override_does_not_leak_into_next_run(self, tmp_path, capsys):
         # the 5 x 3 box exceeds enumeration_max = 10 only under the override

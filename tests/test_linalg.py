@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from slopechain import Sublattice, linalg
@@ -224,7 +225,7 @@ class TestHNF:
 def _in_integer_span(rows, target, cols):
     """Brute-force membership of target in the row lattice (HNF oracle-free:
     solve with the transform)."""
-    h, u = linalg.hnf_transform(rows, cols)
+    h, u = oracles.hnf_transform(rows, cols)
     vec = list(target)
     for i, row in enumerate(h):
         piv = next((j for j, x in enumerate(row) if x), None)
@@ -250,6 +251,86 @@ class TestLeftKernel:
                 ]
                 assert not any(combo)
             assert len(kernel) == rows - oracles.rank([[F(x) for x in r] for r in m])
+
+
+def _draw_integer_matrix(data):
+    """0..6 rows by 0..6 columns, with zero rows, repeated rows and zero
+    columns, entries up to 10^9 in size."""
+    nrows = data.draw(st.integers(0, 6))
+    ncols = data.draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 9, 10 ** 9))
+    m = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        kind = data.draw(st.sampled_from(["keep", "keep", "zero", "repeat"]))
+        if kind == "zero":
+            m[i] = [0] * ncols
+        elif kind == "repeat":
+            m[i] = list(m[data.draw(st.integers(0, nrows - 1))])
+    for c in range(ncols):
+        if data.draw(st.integers(0, 3)) == 0:
+            for row in m:
+                row[c] = 0
+    return m, ncols
+
+
+@st.composite
+def _echelons(draw):
+    """(canonical integer echelon, ncols): rows with leads 1..4 at increasing
+    pivot columns, zero in the other pivot columns, made canonical by
+    `_echelon`, so both unit and non-unit pivots occur."""
+    ncols = draw(st.integers(1, 6))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)))
+    rows = []
+    for c in pivots:
+        row = [0] * ncols
+        row[c] = draw(st.sampled_from([1, 1, 2, 3, 4]))
+        for j in range(c + 1, ncols):
+            if j not in pivots:
+                row[j] = draw(st.integers(-6, 6))
+        rows.append(row)
+    ech = linalg._echelon(rows)
+    assert len(ech) == len(pivots) and linalg._echelon(ech) == ech
+    return ech, ncols
+
+
+class TestIntegerKernelsAgainstOracles:
+    """The lattice kernels against the unimodular-transform references of
+    `oracles`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equal_oracles(self, data):
+        m, ncols = _draw_integer_matrix(data)
+        assert linalg.hnf(m, ncols) == oracles.hnf(m, ncols)
+        assert linalg.left_kernel(m, ncols) == oracles.left_kernel(m, ncols)
+        for row in m:
+            assert linalg.primitive(row) == oracles.primitive(row)
+            if any(row):
+                assert linalg._lead(row) == oracles.lead(row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_echelons())
+    @example(case=(((1, 0, 2), (0, 1, -3)), 3))
+    @example(case=(((2, 1, 0), (0, 0, 1)), 3))
+    @example(case=(((3, 0, 1, 2),), 4))
+    @example(case=((), 2))
+    def test_saturation_equals_annihilator_of_kernel(self, case):
+        ech, ncols = case
+        kernel = linalg._integer_kernel(ech, ncols)
+        transposed = [[w[j] for w in kernel] for j in range(ncols)]
+        reference = oracles.left_kernel(transposed, len(kernel))
+        assert linalg._saturation(ech, ncols) == linalg._annihilator(kernel, ncols) == reference
+
+    def test_unit_pivots_need_no_left_kernel(self, monkeypatch):
+        def refuse(rows, ncols):
+            raise AssertionError("left_kernel called")
+
+        monkeypatch.setattr(linalg, "left_kernel", refuse)
+        ech = linalg._echelon([[1, 2, 0, 3], [0, 0, 1, -4]])
+        assert linalg._saturation(ech, 4) == ech
+        # a pivot of 2 still takes the kernel route
+        with pytest.raises(AssertionError, match="left_kernel called"):
+            linalg._saturation(linalg._echelon([[2, 1, 0, 0]]), 4)
 
 
 class TestDeterminism:

@@ -4,12 +4,12 @@
 and reads some of their arguments (`rat_rref(rows, ncols)`, `image_lines`).
 One traced `chain verify` per ring, through `cli.run`, must give the golden
 report and record the closure enumeration; over Q its subgroup inclusions
-and its closures must run no elimination, and over Q[t] its closures must
-multiply no polynomials.  One traced `locus sweep` must give the golden
-report from one jet matrix and one elimination in all, and decide
-membership without calling `in_base_locus`.  A traced `gamma enumerate`
-must count one point per box entry, and a traced `gamma count` must make
-one lattice walk and enumerate no box.
+and its closures must run no elimination and each left kernel must be one
+HNF, and over Q[t] its closures must multiply no polynomials.  One traced
+`locus sweep` must give the golden report from one jet matrix and one
+elimination in all, and decide membership without calling `in_base_locus`.
+A traced `gamma enumerate` must count one point per box entry, and a traced
+`gamma count` must make one lattice walk and enumerate no box.
 `bench/spans.py` is loaded from its file and not modified.
 """
 
@@ -64,6 +64,11 @@ def test_traced_chain_verify(tmp_path, config):
         # subgroup inclusion compares lattices and runs no elimination
         assert table["model.span_contains"][0] > 0
         assert tracer.child_calls("model.span_contains", "linalg.rank") == 0
+        # a left kernel is one HNF of [A | I], with no unimodular transform
+        assert "linalg.hnf_transform" not in table
+        kernels = table["linalg.left_kernel"][0]
+        assert kernels > 0
+        assert tracer.child_calls("linalg.left_kernel", "linalg.hnf") == kernels
     # rational closures are saturated in integers and symbolic ones are read
     # off integer specializations: no Fraction elimination, no Poly product
     assert "linalg.nullspace" not in table
