@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import __version__
 from .chain import (
@@ -253,7 +253,7 @@ def _point_json(point):
 
 
 _escape = json.encoder.encode_basestring_ascii
-_STR, _INT = {str}, {int}
+_STR, _INT, _ROWS = {str}, {int}, {list, tuple}
 
 
 def _json_text(value, pad="\n"):
@@ -264,11 +264,14 @@ def _json_text(value, pad="\n"):
     step per element, which is most of the cost of a large report.  Here a
     list of only str or only int, such as one row of a point matrix, is
     written with one `str.join` over a C map (strings go through the escaper
-    `json` itself uses); dicts with string keys, other lists and scalars are
+    `json` itself uses), and a matrix (a list of non-empty list or tuple
+    rows whose cells are all str or all int, such as the points or the
+    witnesses of a box set) with one join over the rows' joins, with no
+    Python call per row; dicts with string keys, other lists and scalars are
     written directly, so a small report is not slower either.  Anything else
-    (empty or non-str-keyed containers, tuples, NaN, subclasses) is written
-    by `json.dumps` and re-indented: JSON text holds no raw newline outside
-    its layout.
+    (empty or non-str-keyed containers, other tuples, NaN, subclasses) is
+    written by `json.dumps` and re-indented: JSON text holds no raw newline
+    outside its layout.
     """
     kind = type(value)
     if kind is list and value:
@@ -278,6 +281,11 @@ def _json_text(value, pad="\n"):
             cells = map(_escape, value)
         elif kinds == _INT:
             cells = map(repr, value)
+        elif kinds <= _ROWS and all(value) and (fmt := _cell_format(value)):
+            cell = inner + "  "
+            rows = map((',' + cell).join, map(map, repeat(fmt), value))
+            joined = f"{inner}],{inner}[{cell}".join(rows)
+            return f"[{inner}[{cell}{joined}{inner}]{pad}]"
         else:
             cells = [_json_text(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(cells)}{pad}]"
@@ -294,6 +302,13 @@ def _json_text(value, pad="\n"):
         items = (f"{_escape(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
         return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+
+
+def _cell_format(rows):
+    """The writer of every cell of `rows` when the cells are all str or all
+    int, else None."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    return _escape if kinds == _STR else repr if kinds == _INT else None
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +399,7 @@ def _points_json(omega):
     no Fraction per coordinate; over Q[t] from the points themselves."""
     if omega.columns is None:
         return [_point_json(p) for p in omega.points]
-    return list(map(list, zip(*(_column_text(*col) for col in omega.columns))))
+    return list(zip(*(_column_text(*col) for col in omega.columns)))
 
 
 def _cmd_gamma_enumerate(cfg, model):
@@ -395,7 +410,7 @@ def _cmd_gamma_enumerate(cfg, model):
         "lambda": str(cfg.lam),
         "cardinality": len(omega),
         "points": _points_json(omega),
-        "witnesses": [list(w) for w in omega.witnesses],
+        "witnesses": list(omega.witnesses),
     }
 
 
@@ -617,7 +632,7 @@ def run(argv) -> int:
         model = build_model(cfg.model)
         payload = handler(cfg, model)
         if isinstance(payload, str):
-            text = payload
+            parts = (payload,)
         else:
             report = {
                 "schema": SCHEMA,
@@ -630,13 +645,14 @@ def run(argv) -> int:
                 },
             }
             report.update(payload)
-            text = _json_text(report) + "\n"
+            # the newline is written on its own, not appended to a copy
+            parts = (_json_text(report), "\n")
         out_path = args.out or cfg.out
         if out_path:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
         return 0
     except CertificateViolation as exc:
         _emit_error(exc, args)
@@ -669,7 +685,7 @@ def _emit_error(exc, args):
             body["error"]["step"] = exc.step
         if exc.witness is not None:
             body["error"]["witness"] = [list(r) for r in exc.witness]
-    sys.stdout.write(_json_text(body) + "\n")
+    sys.stdout.writelines((_json_text(body), "\n"))
 
 
 def main(argv=None) -> int:

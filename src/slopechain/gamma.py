@@ -4,23 +4,28 @@ sets, and the empirical side of the counting and distribution estimates.
 Gamma(lambda S) is the image of the integer box |n_j| < lambda*S_j under
 iota.  Members are group points, not coefficient tuples: tuples are reduced
 modulo the relation lattice iota^{-1}(0) to canonical coset representatives,
-so dependent or repeated generators never inflate a count.  A box set keeps
-one in-box witness tuple per point and builds the points themselves only
-when they are read, over Q as integer columns over each coordinate's cleared
-denominator; sum/difference sets work on witnesses.  Coset counts
-enumerate no box: they walk the points of the coefficient lattice of H' in
-the box, coordinate by coordinate of its Hermite normal form.
+so dependent or repeated generators never inflate a count.  Tuples are
+reduced in fixed-size chunks, column by column, with one C-level map per
+column and HNF row (`linalg.lattice_reduce_columns`), and not at all when
+the relation lattice is 0.  A box set keeps one in-box witness tuple per
+point and builds the points themselves only when they are read, over Q as
+integer columns over each coordinate's cleared denominator; sum/difference
+sets work on witnesses.  Coset counts enumerate no box: they walk the points
+of the coefficient lattice of H' in the box, coordinate by coordinate of its
+Hermite normal form, and reduce each last interval of the walk as one batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, islice, product, repeat
 from operator import add, mul
 
+from . import linalg
 from .chain import Chain, RootedRational, _scaled_chain, n_formula
 from .errors import CertificateViolation, EnumerationTooLarge, NotNested
 from .model import (
@@ -129,15 +134,31 @@ def gamma_from_vectors(model: GroupModel, vectors, lam=Fraction(1)) -> GammaSet:
     return _gamma_set(model, as_fraction(lam), _coefficient_vectors(model, vectors))
 
 
+# witnesses reduced per `linalg.lattice_reduce_columns` call: bounds the
+# columns held at once, whatever the size of the box
+_CHUNK = 4096
+
+
 def _first_witnesses(model: GroupModel, witnesses) -> dict:
     """{canonical representative mod iota^{-1}(0): first witness reducing
-    to it}, so each group point is kept once with its first witness."""
-    reduce = model.kernel_lattice().reduce
+    to it}, in the order of first occurrence, so each group point is kept
+    once with its first witness.
+
+    The witness tuples are reduced `_CHUNK` at a time, as columns, by
+    `linalg.lattice_reduce_columns`; when iota^{-1}(0) = 0 each witness is
+    its own representative.  `dict.setdefault` mapped over the chunk keeps
+    the first witness of each representative with no Python step per tuple.
+    """
+    kernel = model.kernel_lattice()
     seen = {}
-    for witness in witnesses:
-        rep = reduce(witness)
-        if rep not in seen:
-            seen[rep] = witness
+    witnesses = iter(witnesses)
+    while chunk := list(islice(witnesses, _CHUNK)):
+        reps = chunk
+        if kernel.rows:
+            reps = zip(*linalg.lattice_reduce_columns(
+                kernel.rows, kernel.pivots, zip(*chunk)
+            ))
+        deque(map(seen.setdefault, reps, chunk), 0)
     return seen
 
 
@@ -198,7 +219,9 @@ def _count_classes(lo, hi, outer, inner, limit) -> int:
     steps when every side of B holds at least 3 values (at most l |B| in
     any case); more than `limit` raise EnumerationTooLarge.  The points are
     identified modulo L'' by their canonical representatives; when L'' = 0
-    the last interval is counted by its length.
+    the last interval is counted by its length, and otherwise its points
+    partial + c r_last are reduced as one batch, column by column
+    (`linalg.lattice_reduce_columns`).
     """
     rows, pivots = outer.rows, outer.pivots
     width = len(lo)
@@ -235,12 +258,18 @@ def _count_classes(lo, hi, outer, inner, limit) -> int:
         if counted:
             count += high - low + 1
             return
+        if i == last:
+            columns = (
+                range(s + low * a, s + (high + 1) * a, a) if a else [s] * (high - low + 1)
+                for s, a in zip(partial, row)
+            )
+            classes.update(zip(*linalg.lattice_reduce_columns(
+                inner.rows, inner.pivots, columns
+            )))
+            return
         point = [s + low * a for s, a in zip(partial, row)]
         for _ in range(low, high + 1):
-            if i == last:
-                classes.add(inner.reduce(point))
-            else:
-                walk(i + 1, point)
+            walk(i + 1, point)
             point = [s + a for s, a in zip(point, row)]
 
     walk(0, [0] * width)

@@ -10,14 +10,18 @@ above a pivot reduced into [0, pivot), zero rows dropped), so lattice
 equality is plain tuple equality.  They share one HNF routine, `hnf`, which
 tracks no unimodular transform: a left kernel is read off one HNF of
 [A | I], and a saturation needs none when the echelon's pivots are all 1.
-Everything is pure and deterministic.
+Coset representatives modulo an HNF come one vector at a time
+(`lattice_reduce`) or many at once, column by column
+(`lattice_reduce_columns`).  Everything is pure and deterministic.
 """
 
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import floordiv, mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +229,20 @@ def lattice_reduce(hnf_rows, pivots, vector):
             for j in range(c, len(vec)):
                 vec[j] -= q * row[j]
     return tuple(vec)
+
+
+def lattice_reduce_columns(hnf_rows, pivots, columns):
+    """`lattice_reduce` of many vectors at once, given as `columns` (entry j
+    holds coordinate j of every vector): the same steps, each one C-level
+    map over a whole column.  Returns the columns of the representatives;
+    a column no step touches is returned as given."""
+    columns = list(columns)
+    for row, c in zip(hnf_rows, pivots):
+        q = list(map(floordiv, columns[c], repeat(row[c])))
+        for j in range(c, len(columns)):
+            if row[j]:
+                columns[j] = list(map(sub, columns[j], map(mul, q, repeat(row[j]))))
+    return columns
 
 
 def primitive(vector):

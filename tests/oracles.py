@@ -9,7 +9,9 @@ either ring.
 The integer lattice kernels the library had before it computed left
 kernels from one HNF of [A | I] are kept here too: `primitive`, `lead`,
 `hnf_transform` (the HNF with its unimodular transform), and `hnf` and
-`left_kernel` built on it.
+`left_kernel` built on it.  So is the reduction of box tuples modulo the
+relation lattice one tuple at a time, `first_witnesses`, that
+`gamma._first_witnesses` replaced by column-wise chunks.
 """
 
 from functools import reduce
@@ -228,3 +230,16 @@ def left_kernel(rows, ncols):
     h, u = hnf_transform(rows, ncols)
     kernel_rows = [u[i] for i in range(m) if not any(h[i])]
     return hnf(kernel_rows, m)
+
+
+def first_witnesses(model, witnesses) -> dict:
+    """{canonical representative mod iota^{-1}(0): first witness reducing to
+    it}, in the order of first occurrence, one `Sublattice.reduce` per
+    tuple."""
+    reduce = model.kernel_lattice().reduce
+    seen = {}
+    for witness in witnesses:
+        rep = reduce(witness)
+        if rep not in seen:
+            seen[rep] = witness
+    return seen

@@ -353,6 +353,14 @@ class TestJsonText:
     @example({"points": [["1/2", "-3"], ["0", "\u00e9\"\\"]], "witnesses": [[1, -2], [0, 0]]})
     @example({"a": [[], [1]], "b": [], "c": {}, "d": [[True, 1], [1.5], [None], ["x", 2]]})
     @example({"nested": {"rows": [[1, 2], [3, 4]], "deeper": {"e": [["\x00"]]}}})
+    # matrices: one row, tuple rows, an empty row, mixed, bool and float
+    # cells, and a matrix nested in a list
+    @example({"one": [["a", "\u00e9"]], "int": [[-1, 0, 2 ** 70]]})
+    @example({"points": [("1/2", "-3"), ("0", "x")], "witnesses": [(1, -2), [0, 0]]})
+    @example({"a": [[1], [], [2]], "b": [["x"], ()]})
+    @example({"a": [["x", 1], ["y", 2]], "b": [[1, 2], ["x", "y"]]})
+    @example({"a": [[True, False], [True]], "b": [[1, True]], "c": [[1.5, 2.0], [-0.0]]})
+    @example({"a": [[[1, 2], [3, 4]], [["x"]], [[]]]})
     def test_equals_json_dumps(self, value):
         assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 

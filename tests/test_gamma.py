@@ -2,12 +2,15 @@ import math
 import operator
 import random
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from slopechain import (
     CertificateViolation,
     DimensionMismatch,
@@ -16,6 +19,7 @@ from slopechain import (
     GroupModel,
     ModelConfig,
     NotNested,
+    Sublattice,
     build_chain,
     build_model,
     card_mod,
@@ -26,7 +30,9 @@ from slopechain import (
     counting_check,
     distribution_checks,
     enumerate_gamma,
+    gamma,
     gamma_from_vectors,
+    linalg,
 )
 from slopechain.gamma import _count_classes, box_bound
 from slopechain.model import enumerate_closures, span_contains
@@ -172,7 +178,7 @@ class TestIntegerColumns:
         model = rational_model(*spec)
         omega = enumerate_gamma(model, lam)
         assert cli._points_json(omega) == [
-            [cli._scalar_json(c) for c in model.point_of(w)] for w in omega.witnesses
+            tuple(cli._scalar_json(c) for c in model.point_of(w)) for w in omega.witnesses
         ]
         assert omega.points == tuple(map(model.point_of, omega.witnesses))
         # sum and difference sets of a few points, through the same columns
@@ -264,6 +270,21 @@ class TestCardMod:
         assert card_mod(m, 1, full, x_axis, limit=15) == 3
         with pytest.raises(EnumerationTooLarge):
             card_mod(m, 1, full, x_axis, limit=14)
+
+    @pytest.mark.parametrize("limit", [4, 19, 64, 65])
+    def test_walk_limit_modulo_a_line(self, limit):
+        # G mod the line of (1, 1, 0) on the 5 x 3 x 3 box: 5 first
+        # coordinates, 15 second ones, then an interval of 3 per prefix, so
+        # 5 + 15 + 45 = 65 steps; each last interval is counted in full
+        # before its points are reduced as one batch
+        m = rational_model(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (3, 2, 2))
+        full, line = m.full_subgroup().coeff, closure(m, [(1, 1, 0)]).coeff
+        lo, hi = [-2, -1, -1], [2, 1, 1]
+        if limit < 65:
+            with pytest.raises(EnumerationTooLarge):
+                _count_classes(lo, hi, full, line, limit)
+        else:
+            assert _count_classes(lo, hi, full, line, limit) == 7 * 3
 
     def test_sparse_relations_within_twice_the_box(self):
         # the box walk of G mod 0 on SPARSE_RELATIONS at lambda = 2 reduces
@@ -391,6 +412,84 @@ class TestLatticeWalkAgainstBoxWalk:
                 hi = [b - a for b, a in zip(bounds, x)]
                 kernel = model.kernel_lattice()
                 assert _count_classes(lo, hi, hp.coeff, kernel, limit) == want
+
+
+@st.composite
+def reduction_cases(draw):
+    """(l, HNF rows, witness stream): a lattice of rank 0..l in Z^l,
+    `linalg.hnf` of a few small integer rows, so pivots other than 1 occur,
+    and up to 40 tuples drawn from a few, so representatives repeat."""
+    l = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(st.integers(-6, 6), min_size=l, max_size=l),
+        max_size=draw(st.integers(0, l)),
+    ))
+    pool = draw(st.lists(st.tuples(*[st.integers(-30, 30)] * l), min_size=1, max_size=8))
+    return l, linalg.hnf(rows, l), draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+# chunk sizes for `gamma._CHUNK`: streams of several chunks, and the real one
+_CHUNKS = st.sampled_from((1, 2, 3, 7, gamma._CHUNK))
+
+
+def box_tuples(model, lam):
+    """The tuples of the box |n_j| < lam S_j, in the order `enumerate_gamma`
+    reads them."""
+    return product(*(range(-b, b + 1) for b in (box_bound(s, lam) for s in model.scales)))
+
+
+class TestColumnReductionAgainstOracle:
+    """Box tuples reduced column-wise in chunks (`gamma._first_witnesses`,
+    `linalg.lattice_reduce_columns`) against one `Sublattice.reduce` per
+    tuple (`oracles.first_witnesses`): the same representatives, the same
+    first witness of each and the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reduction_cases(), _CHUNKS)
+    @example((2, (), [(1, 2), (1, 2), (0, -1)]), 1)  # relation lattice 0
+    @example((3, ((2, 1, 5), (0, 3, 4)), []), 1)  # empty stream
+    def test_first_witnesses(self, case, chunk):
+        l, rows, stream = case
+        model = SimpleNamespace(kernel_lattice=lambda: Sublattice(l, rows))
+        with mock.patch.object(gamma, "_CHUNK", chunk):
+            got = gamma._first_witnesses(model, iter(stream))
+        assert list(got.items()) == list(oracles.first_witnesses(model, stream).items())
+        pivots = Sublattice(l, rows).pivots
+        reduced = linalg.lattice_reduce_columns(
+            rows, pivots, [[v[j] for v in stream] for j in range(l)]
+        )
+        assert len(reduced) == l
+        assert list(zip(*reduced)) == [linalg.lattice_reduce(rows, pivots, v) for v in stream]
+
+    @settings(max_examples=40, deadline=None)
+    @given(box_cases(), _CHUNKS)
+    @example((SPARSE_RELATIONS, F(1), 1), 7)
+    @example((ModelConfig(  # symbolic, g3 = g1 + g2
+        n=2, generators=((Poly.symbol(1, 1), Poly.const(1, 1)), (Poly.const(2, 1), Poly()),
+                         (Poly.symbol(1, 1) + Poly.const(2, 1), Poly.const(1, 1))),
+        scales=(2, 2, 2), symbols=("tau",),
+    ), F(1), 1), 3)
+    def test_box_sets(self, case, chunk):
+        config, lam, _ = case
+        model = build_model(config)
+        with mock.patch.object(gamma, "_CHUNK", chunk):
+            omega = enumerate_gamma(model, lam)
+            few = gamma_from_vectors(model, omega.witnesses[:6])
+            got = [combine(model, few, 2, mode) for mode in ("sumset", "diffset")]
+        want = oracles.first_witnesses(model, box_tuples(model, lam))
+        assert omega.entries == tuple(sorted(want.items()))
+        with mock.patch.object(gamma, "_first_witnesses", oracles.first_witnesses):
+            assert got == [combine(model, few, 2, mode) for mode in ("sumset", "diffset")]
+
+    def test_stream_of_many_chunks(self):
+        # 44,919 tuples, eleven chunks of the real size, and a relation lattice
+        # whose pivot is not 1
+        model = build_model(SPARSE_RELATIONS)
+        assert [r[0] for r in model.kernel_lattice().rows] == [33]
+        omega = enumerate_gamma(model, 2)
+        want = tuple(sorted(oracles.first_witnesses(model, box_tuples(model, 2)).items()))
+        assert len(omega) == 44919 > 10 * gamma._CHUNK
+        assert omega.entries == want
 
 
 class TestCombine:
