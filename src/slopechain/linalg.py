@@ -2,7 +2,8 @@
 
 Matrices are sequences of rows.  Rational routines share one fraction-free
 integer echelon (`_echelon_insert`): rows are cleared of denominators, and
-Fractions appear only when the RREF is read off the echelon.  Kernels are
+Fractions appear only when the RREF is read off the echelon, which stops
+taking rows once its rank is the column count.  Kernels are
 read off the RREF by `_rref_kernel`, for all columns or for any prefix, and
 off the echelon itself, in integers, by `_integer_kernel`.  Lattice routines
 return canonical row-style Hermite normal forms (pivots positive, entries
@@ -124,8 +125,15 @@ def rat_rref(rows, ncols):
 
     Each row is cleared of denominators and folded into the integer echelon;
     the RREF is canonical, so dividing each echelon row by its pivot gives it.
+    Folding stops once the echelon has `ncols` rows: the RREF is then the
+    identity, and the rows after the one that filled the rank are never read.
     """
-    ech = _echelon(map(_cleared, rows))
+    ech = ()
+    if ncols:
+        for row in map(_cleared, rows):
+            ech = _echelon_insert(ech, row) or ech
+            if len(ech) == ncols:
+                break
     pivots = tuple(map(_lead, ech))
     rref = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ech, pivots)]
     return rref, pivots

@@ -23,15 +23,24 @@ degree's kernel cut to the degree-D columns.  That nesting is checked, and
 each vector, cleared of denominators, is re-checked once against every jet
 row of the largest degree in integers.
 
+The one elimination stops once its rank is the column count (the kernel is
+then empty), so the jet rows after that are never cleared.
+
 The base locus of (points, T, D) is the common zero set of the kernel of the
 jet matrix.  Membership is tested by evaluating the kernel basis (computed
 once), never by re-running eliminations per point, because probe loops
 evaluate thousands of points: the cleared kernel vectors are evaluated at
 the homogenized point (q, p), which vanishes exactly where the section does.
 Evaluated at degree E >= D, a degree-D section takes q^(E-D) times its
-degree-D value.  So a sweep evaluates each sample once, at its largest
-degree, and keeps the position of the first vector that does not vanish
-there: the sample is in the degree-D base locus iff it is >= nullity(D).
+degree-D value.  So a sweep evaluates each distinct sample point once, at
+its largest degree, and keeps the position of the first vector that does
+not vanish there: the point is in the degree-D base locus iff it is >=
+nullity(D).
+
+The probe's samples are integer points (q, p) from the draw to the
+evaluation, with q the lcm of the coordinate denominators, so sampling,
+the outside test against Gamma(S) + H and membership form no Fraction; only
+a witness that a report prints becomes the Fraction point p/q.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from . import linalg
 from .chain import Chain
 from .errors import (
     CertificateViolation,
+    EnumerationTooLarge,
     InternalInvariantError,
     MatrixTooLarge,
     SamplingExhausted,
@@ -181,12 +191,29 @@ def _homogenized_exponents(basis: MonomialBasis):
     return tuple((basis.degree - sum(a),) + a for a in basis.exponents)
 
 
-def _homogenized_powers(point, degree):
-    """Powers 0..degree of each coordinate of the integer point (q, p), where
-    point = p/q and q is the lcm of its coordinate denominators."""
+def _homogenized(point):
+    """The integer point (q, p) of the Fraction point p/q, q the lcm of its
+    coordinate denominators."""
     q = math.lcm(*(x.denominator for x in point))
-    coords = (q,) + tuple(x.numerator * (q // x.denominator) for x in point)
-    return [list(accumulate(repeat(c, degree), mul, initial=1)) for c in coords]
+    return (q,) + tuple(x.numerator * (q // x.denominator) for x in point)
+
+
+def _normalized(q, p):
+    """The integer point (q, p) divided by its content: for q > 0 the point
+    `_homogenized` gives for the Fraction point p/q."""
+    g = math.gcd(q, *p)
+    return (q, *p) if g == 1 else (q // g, *(x // g for x in p))
+
+
+def _fraction_point(point):
+    """The Fraction point p/q of the integer point (q, p)."""
+    q = point[0]
+    return tuple(Fraction(x, q) for x in point[1:])
+
+
+def _homogenized_powers(point, degree):
+    """Powers 0..degree of each coordinate of the integer point (q, p)."""
+    return [list(accumulate(repeat(c, degree), mul, initial=1)) for c in point]
 
 
 def _jet_row(powers, sigma, exponents):
@@ -222,7 +249,7 @@ def jet_matrix(model: GroupModel, points, order: int, degree: int,
     sigmas = _jet_orders(model.n, order)
     rows = []
     for point in points:
-        powers = _homogenized_powers(point, degree)
+        powers = _homogenized_powers(_homogenized(point), degree)
         for sigma in sigmas:
             rows.append(tuple(_jet_row(powers, (0,) + sigma, exponents)))
     return JetMatrix(basis, points, order, tuple(rows))
@@ -267,24 +294,13 @@ def kernel_basis(model: GroupModel, points, order: int, degree: int,
     return _kernels(model, points, order, (degree,), limit)[1][0]
 
 
-def evaluate_section(basis: MonomialBasis, coeffs, point) -> Fraction:
-    total = Fraction(0)
-    for c, alpha in zip(coeffs, basis.exponents):
-        if not c:
-            continue
-        term = c
-        for x, a in zip(point, alpha):
-            if a:
-                term *= x ** a
-        total += term
-    return total
-
-
 def _first_outside(kernel: KernelBasis, point) -> int:
     """The position of the first kernel vector whose section does not vanish
-    at the Fraction point, or the nullity if every one does.  The cleared
-    sections are evaluated at the homogenized integer point (q, p), in
-    integers: the value of q^(D-|a|) x^a there is a plain product of powers."""
+    at the point p/q, given as the integer point (q, p) with q > 0, or the
+    nullity if every one does.  The cleared sections are evaluated at (q, p)
+    in integers: the value of q^(D-|a|) x^a there is a plain product of
+    powers, and scaling (q, p) scales every value by the same nonzero
+    factor."""
     terms = kernel._terms
     if not terms:
         return 0
@@ -296,23 +312,23 @@ def _first_outside(kernel: KernelBasis, point) -> int:
 class _Members:
     """Base-locus membership of a sweep's sample points in the nested
     kernels read off `top`, the kernel of its largest degree: one evaluation
-    per sample, by `key`, serves every degree."""
+    per distinct sample point (q, p), normalized, serves every degree."""
 
     def __init__(self, top: KernelBasis):
         self.top = top
         self.first = {}
 
-    def inside(self, kernel: KernelBasis, key, point) -> bool:
-        first = self.first.get(key)
+    def inside(self, kernel: KernelBasis, point) -> bool:
+        first = self.first.get(point)
         if first is None:
-            first = self.first[key] = _first_outside(self.top, point)
+            first = self.first[point] = _first_outside(self.top, point)
         return first >= len(kernel.vectors)
 
 
 def in_base_locus(kernel: KernelBasis, point) -> bool:
     """Whether every kernel section vanishes at the point; an empty kernel
     means the base locus is everything."""
-    point = tuple(as_fraction(c) for c in point)
+    point = _homogenized(tuple(as_fraction(c) for c in point))
     return _first_outside(kernel, point) == len(kernel.vectors)
 
 
@@ -369,29 +385,38 @@ def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
 # membership in Gamma(S) + H
 
 
+def _integer_rows(columns):
+    """The integer rows of a rational box set's `columns`, over the column
+    denominators; the factors lifting each column to their lcm L; and L."""
+    nums, dens = zip(*columns)
+    den = math.lcm(*dens)
+    return list(zip(*nums)), [den // d for d in dens], den
+
+
 def _outside_translates(omega, subgroup):
     """The predicates "x lies outside omega + span(H)" for the box set
     `omega` of a rational model: one on the integer rows of a box set of the
     same model (numerators over the column denominators of `omega.columns`),
-    one on Fraction points.
+    one on integer points (e, w) of x = w/e, e > 0.
 
     Two vectors lie in one translate of span(H) exactly when they have the
     same canonical representative mod span(H): the vector with the pivot
     columns of the span's fully reduced integer echelon eliminated, row k
     subtracted x[c_k] / lead_k times.  Representatives are kept times
     K = lcm(column denominators) * lcm(leads), so for a box point every
-    division is exact.  A Fraction point w/e is reduced as K w, and its
+    division is exact.  A point w/e is reduced as K w, and its
     representative times K is that over e, an integer vector only if e
-    divides it.  The representatives of `omega` are built once, so each
-    query is one reduction and one set lookup, whatever the dimension of H.
+    divides it; so any positive multiple of (e, w) gives the same verdict.
+    The representatives of `omega` are built once, so each query is one
+    reduction and one set lookup, whatever the dimension of H.
     """
     echelon = [
         (linalg._lead(row), row)
         for row in linalg._echelon(map(linalg._cleared, subgroup.span))
     ]
-    nums, dens = zip(*omega.columns)
-    scale = math.lcm(*dens) * math.lcm(*(row[c] for c, row in echelon))
-    lifts = [scale // den for den in dens]
+    rows, lifts, den = _integer_rows(omega.columns)
+    leads = math.lcm(*(row[c] for c, row in echelon))
+    scale, lifts = den * leads, [f * leads for f in lifts]
 
     def reduced(z):
         for c, row in echelon:
@@ -403,11 +428,11 @@ def _outside_translates(omega, subgroup):
     def lifted(row):
         return reduced(list(map(mul, row, lifts)))
 
-    reps = set(map(lifted, zip(*nums)))
+    reps = set(map(lifted, rows))
 
-    def outside_point(x):
-        e = math.lcm(*(c.denominator for c in x))
-        z = reduced([c.numerator * (e // c.denominator) * scale for c in x])
+    def outside_point(point):
+        e = point[0]
+        z = reduced([w * scale for w in point[1:]])
         return any(a % e for a in z) or tuple(a // e for a in z) not in reps
 
     return (lambda row: lifted(row) not in reps), outside_point
@@ -454,46 +479,57 @@ def _epsilon(value) -> Fraction:
 class _ProbeSamples:
     """Seed-reproducible sample points around Gamma(S) = `omega`, built once
     and reused across degrees so that membership verdicts are comparable.
-    Points of Gamma(2S) are filtered as integer rows, and only the kept ones
-    become Fractions."""
+
+    Each sample is an integer point (q, p) of p/q, normalized as
+    `_homogenized` gives it, and is built in integers from the draw on.  A
+    lower sample is a row of Gamma((1-eps)S) moved by a/b (b in 1..4) along
+    each spanning point of H, over the common denominator lcm(column
+    denominators) * lcm(span denominators) * 12.  The upper samples are the
+    rows of Gamma(2S) outside Gamma(S) + H, filtered as integer rows, then
+    random draws outside it.  `_fraction_point` gives the point p/q of a
+    sample that a report prints.
+    """
 
     def __init__(self, model, chain, omega, epsilon, samples, seed, limit):
         rng = random.Random(seed)
-        eps_points = enumerate_gamma(model, 1 - epsilon, limit).points
-        nums_two, dens_two = zip(*enumerate_gamma(model, Fraction(2), limit).columns)
-        rows_two = list(zip(*nums_two))
+        eps_rows, eps_lifts, eps_den = _integer_rows(
+            enumerate_gamma(model, 1 - epsilon, limit).columns
+        )
+        two_rows, two_lifts, two_den = _integer_rows(
+            enumerate_gamma(model, Fraction(2), limit).columns
+        )
         top = max(int(math.ceil(model.scales[0])) if model.l else 1, 1)
         coord_bound = 2 * top + 2
 
         self.lower = []
         self.upper = []
         for node_idx, sub in enumerate(node.subgroup for node in chain.nodes):
-            support = [[(i, b) for i, b in enumerate(row) if b] for row in sub.span]
+            span_den = math.lcm(*(x.denominator for row in sub.span for x in row))
+            lifts, unit = [12 * span_den * f for f in eps_lifts], 12 * eps_den
+            support = [
+                [(i, x.numerator * (span_den // x.denominator)) for i, x in enumerate(row) if x]
+                for row in sub.span
+            ]
             pts = []
             for _ in range(samples):
-                coords = list(eps_points[rng.randrange(len(eps_points))])
+                coords = list(map(mul, eps_rows[rng.randrange(len(eps_rows))], lifts))
                 for entries in support:
-                    factor = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                    if factor:
-                        for i, b in entries:
-                            coords[i] += factor * b
-                pts.append(tuple(coords))
+                    a, b = rng.randint(-9, 9), rng.randint(1, 4)
+                    if a:
+                        f = a * (unit // b)
+                        for i, x in entries:
+                            coords[i] += f * x
+                pts.append(_normalized(unit * span_den, coords))
             self.lower.append(tuple(pts))
 
             if sub.dim == model.n:
                 self.upper.append(None)
                 continue
-            draws = (
-                tuple(
-                    Fraction(rng.randint(-coord_bound, coord_bound), rng.randint(1, 3))
-                    for _ in range(model.n)
-                )
-                for _ in range(50 * samples)
-            )
+            draws = (_draw(rng, model.n, coord_bound) for _ in range(50 * samples))
             outside_row, outside_point = _outside_translates(omega, sub)
             found = [
-                tuple(map(Fraction, row, dens_two))
-                for row in islice(filter(outside_row, rows_two), samples)
+                _normalized(two_den, list(map(mul, row, two_lifts)))
+                for row in islice(filter(outside_row, two_rows), samples)
             ]
             found.extend(islice(filter(outside_point, draws), samples - len(found)))
             if not found:
@@ -503,22 +539,30 @@ class _ProbeSamples:
             self.upper.append(tuple(found))
 
 
-def _witness(members, kernel, points, inside_wanted, memory, key):
+def _draw(rng, n, bound):
+    """A random point of coordinates a/b, |a| <= bound and b in 1..3 (a
+    drawn before b), as an integer point (q, p)."""
+    pairs = [(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(n)]
+    q = math.lcm(*(b for _, b in pairs))
+    return _normalized(q, [a * (q // b) for a, b in pairs])
+
+
+def _witness(members, kernel, points, inside_wanted, memory):
     """The first sample whose membership in the base locus of `kernel`, as
-    `members` decides it, is not `inside_wanted`, or None.  Samples are
-    keyed by `key` and their position.  Without `memory` it stops at that
-    witness; with it (a sweep's record of earlier memberships) it evaluates
-    every sample and checks that none re-enters the base locus."""
+    `members` decides it, is not `inside_wanted`, or None.  Without `memory`
+    it stops at that witness; with it (a sweep's record of earlier
+    memberships, by sample point) it evaluates every sample and checks that
+    none re-enters the base locus."""
     witness = None
-    for p_idx, p in enumerate(points):
-        inside = members.inside(kernel, key + (p_idx,), p)
+    for p in points:
+        inside = members.inside(kernel, p)
         if memory is not None:
-            if memory.get(key + (p_idx,)) is False and inside:
+            if memory.get(p) is False and inside:
                 raise CertificateViolation(
                     "locus_monotonicity",
                     f"point re-entered the base locus at D={kernel.degree}",
                 )
-            memory[key + (p_idx,)] = inside
+            memory[p] = inside
         if inside != inside_wanted and witness is None:
             witness = p
             if memory is None:
@@ -530,22 +574,28 @@ def _probe(sampler, chain, members, kernel, memory):
     """One LocusEntry per chain index, from the sampler's fixed points."""
     entries = []
     for idx, node in enumerate(chain.nodes):
-        lower_witness = _witness(
-            members, kernel, sampler.lower[idx], True, memory, ("lower", idx)
-        )
+        lower_witness = _witness(members, kernel, sampler.lower[idx], True, memory)
         outside = sampler.upper[idx]
         if outside is None:
             upper, upper_witness = None, None
         else:
-            upper_witness = _witness(
-                members, kernel, outside, False, memory, ("upper", idx)
-            )
+            upper_witness = _witness(members, kernel, outside, False, memory)
             upper = upper_witness is None
         entries.append(LocusEntry(
-            idx, node.dim, lower_witness is None, upper, lower_witness, upper_witness,
+            idx, node.dim, lower_witness is None, upper,
+            lower_witness and _fraction_point(lower_witness),
+            upper_witness and _fraction_point(upper_witness),
             0 if outside is None else len(outside),
         ))
     return tuple(entries)
+
+
+def _check_samples(chain: Chain, samples: int, enum_limit: int):
+    """Refuse more samples in all than `enum_limit`, `samples` at each chain
+    step, before any work."""
+    total = samples * len(chain.nodes)
+    if total > enum_limit:
+        raise EnumerationTooLarge(f"{total} probe samples exceed the limit {enum_limit}")
 
 
 def locus_probe(model: GroupModel, chain: Chain, order: int, degree: int,
@@ -554,11 +604,13 @@ def locus_probe(model: GroupModel, chain: Chain, order: int, degree: int,
     """Verdict pair per chain index i: whether every sampled point of
     Gamma((1-eps)S) + H_i lies in the base locus, and whether every sampled
     point outside Gamma(S) + H_i lies outside it.  For the full group the
-    upper test is vacuous and reported as None.  The jet matrix is sized
-    from the number of points of Gamma(S) before any of them is built or any
-    sample is drawn."""
+    upper test is vacuous and reported as None.  More samples in all than
+    `enum_limit` are refused first; the jet matrix is sized from the number
+    of points of Gamma(S) before any of them is built or any sample is
+    drawn."""
     _require_rational(model)
     epsilon = _epsilon(epsilon)
+    _check_samples(chain, samples, enum_limit)
     omega = enumerate_gamma(model, Fraction(1), enum_limit)
     points = _sized_points(model, omega, order, (degree,), limit)
     kernel = kernel_basis(model, points, order, degree, limit)
@@ -579,14 +631,17 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     (display only: the proportionality constants are not effective).  The
     kernels of all degrees come from one jet matrix at the largest degree and
     one elimination, sized from the number of points of Gamma(S) before any
-    of them is built or any sample is drawn; an ascending range of degrees
-    is not listed before its sizes are checked.  Each sample is evaluated
-    once, against the kernel of the largest degree, for every degree.
+    of them is built or any sample is drawn (more samples in all than
+    `enum_limit` are refused before that); an ascending range of degrees is
+    not listed before its sizes are checked.  Each distinct sample point is
+    evaluated once, against the kernel of the largest degree, for every
+    degree.
     """
     _require_rational(model)
     epsilon = _epsilon(epsilon)
     if not (isinstance(degrees, range) and degrees.step > 0):
         degrees = sorted(int(d) for d in degrees)
+    _check_samples(chain, samples, enum_limit)
     omega = enumerate_gamma(model, Fraction(1), enum_limit)
     kernels = ()
     if degrees:

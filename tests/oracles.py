@@ -11,9 +11,12 @@ kernels from one HNF of [A | I] are kept here too: `primitive`, `lead`,
 `hnf_transform` (the HNF with its unimodular transform), and `hnf` and
 `left_kernel` built on it.  So is the reduction of box tuples modulo the
 relation lattice one tuple at a time, `first_witnesses`, that
-`gamma._first_witnesses` replaced by column-wise chunks.
+`gamma._first_witnesses` replaced by column-wise chunks, and the value of a
+section at a Fraction point, `evaluate_section`, against which the locus
+tests check the integer evaluation.
 """
 
+from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import add, mul
@@ -243,3 +246,18 @@ def first_witnesses(model, witnesses) -> dict:
         if rep not in seen:
             seen[rep] = witness
     return seen
+
+
+def evaluate_section(basis, coeffs, point) -> Fraction:
+    """The section with `coeffs` on the monomial `basis`, evaluated at the
+    Fraction point term by term."""
+    total = Fraction(0)
+    for c, alpha in zip(coeffs, basis.exponents):
+        if not c:
+            continue
+        term = c
+        for x, a in zip(point, alpha):
+            if a:
+                term *= x ** a
+        total += term
+    return total

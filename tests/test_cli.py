@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
@@ -494,6 +495,34 @@ class TestExitCodes:
         code = cli.run(["locus", action, "-c", cfg])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "MatrixTooLarge"
+
+    @pytest.mark.parametrize("action", ["probe", "sweep"])
+    def test_sample_count_is_refused_before_any_work(
+            self, tmp_path, monkeypatch, capsys, action):
+        # plane_basic has 3 chain steps: 10^12 samples at each exceed
+        # enumeration_max = 10^7 before a jet matrix or a sample is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the sample count check")
+        golden = Path(__file__).resolve().parent / "golden" / "plane_basic.json"
+        argv = ["locus", action, "-c", str(golden), "--limit"]
+        with monkeypatch.context() as patched:
+            patched.setattr(locus, "jet_matrix", no_work)
+            patched.setattr(locus, "_ProbeSamples", no_work)
+            start = perf_counter()
+            code = cli.run(argv + ["sample_count=1000000000000"])
+            assert perf_counter() - start < 1
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "EnumerationTooLarge"
+        assert error["message"] == "3000000000000 probe samples exceed the limit 10000000"
+        # 33 samples at each step fit enumeration_max = 100 (and the 77
+        # box tuples of Gamma(2S)); 34 do not
+        limit = ["--limit", "enumeration_max=100"]
+        code, _ = run_to_file(tmp_path, argv + ["sample_count=33"] + limit)
+        assert code == 0
+        assert cli.run(argv + ["sample_count=34"] + limit) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["message"] == "102 probe samples exceed the limit 100"
 
     def test_candidate_box_over_enumeration_max_maps_to_one(self, tmp_path, capsys):
         # 7^3 = 343 box vectors of height 3 exceed enumeration_max = 100

@@ -81,9 +81,11 @@ class TestRatRref:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_fraction_gauss_jordan(self, data):
-        # zero rows, repeated rows, zero columns and large denominators
-        nrows = data.draw(st.integers(0, 6))
+        # zero rows, repeated rows, zero columns and large denominators; tall
+        # matrices (up to 12 rows over at most 4 columns) often reach full
+        # column rank before their last row
         ncols = data.draw(st.integers(0, 6))
+        nrows = data.draw(st.integers(0, 12 if ncols <= 4 else 6))
         entry = st.one_of(
             st.just(F(0)),
             st.integers(-9, 9).map(F),
@@ -102,6 +104,18 @@ class TestRatRref:
                 for row in m:
                     row[c] = F(0)
         assert linalg.rat_rref(m, ncols) == _rref_reference(m, ncols)
+
+    @pytest.mark.parametrize("ncols", [0, 1, 3])
+    def test_stops_at_full_column_rank(self, ncols):
+        # the rows after the one that fills the rank are never read
+        rows = [[2, 4, 0], [1, 2, 0], [0, F(3, 2), 1], [F(1, 2), 0, 5]]
+
+        def stream():
+            yield from (row[:ncols] for row in rows)
+            raise AssertionError("a row was read after the rank reached ncols")
+
+        identity = [tuple(F(int(i == j)) for j in range(ncols)) for i in range(ncols)]
+        assert linalg.rat_rref(stream(), ncols) == (identity, tuple(range(ncols)))
 
 
 class TestNullspace:

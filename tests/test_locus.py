@@ -27,7 +27,7 @@ from slopechain import (
     translate_section,
 )
 from slopechain import linalg, locus
-from slopechain.locus import evaluate_section
+from oracles import evaluate_section
 
 
 def rational_model(n, gens, scales):
@@ -248,6 +248,18 @@ def _rows(gamma_set):
     return list(zip(*(nums for nums, _ in gamma_set.columns)))
 
 
+def _integer_point(x, scale=1):
+    """The integer point (q, p) of the Fraction point p/q, q the lcm of its
+    denominators, times `scale`."""
+    q = math.lcm(*(c.denominator for c in x))
+    return tuple(scale * v for v in (q, *(c.numerator * (q // c.denominator) for c in x)))
+
+
+def _fraction_point(point):
+    """The Fraction point p/q of the integer point (q, p)."""
+    return tuple(F(p, point[0]) for p in point[1:])
+
+
 class TestOutsideTranslates:
     @pytest.mark.parametrize("model", [
         line_model(3),
@@ -274,8 +286,10 @@ class TestOutsideTranslates:
                     f = F(rng.randint(-9, 9), rng.randint(1, 4))
                     shifted.append(tuple(a + f * b for a, b in zip(p, row)))
             outside_row, outside = locus._outside_translates(omega_set, sub)
-            verdicts = [outside(x) for x in queries + shifted]
+            verdicts = [outside(_integer_point(x)) for x in queries + shifted]
             assert verdicts == [_brute_outside(omega, sub, x) for x in queries + shifted]
+            # a multiple of (q, p) is the same point
+            assert [outside(_integer_point(x, 6)) for x in queries] == verdicts[:len(queries)]
             assert list(map(outside_row, _rows(omega_two))) == verdicts[:len(omega_two)]
             assert not any(verdicts[len(queries):])
             assert any(verdicts) == (sub.dim < model.n)
@@ -358,7 +372,7 @@ class TestIntegerRepresentatives:
                 coords = [a + f * b for a, b in zip(coords, row)]
             shifted.append(tuple(coords))
         queries = list(omega_two.points) + draws + shifted
-        verdicts = [outside(x) for x in queries]
+        verdicts = [outside(_integer_point(x, rng.randint(1, 4))) for x in queries]
         assert verdicts == [oracle(x) for x in queries]
         assert not any(verdicts[len(queries) - len(shifted):])
         assert list(map(outside_row, _rows(omega_two))) == verdicts[:len(omega_two)]
@@ -376,8 +390,17 @@ class TestProbeSamples:
         except SamplingExhausted:
             assert () in upper
             return
-        assert sampler.lower == lower and sampler.upper == upper
-        assert all(type(c) is F for pts in sampler.lower for p in pts for c in p)
+        samples = [pts for pts in sampler.lower + sampler.upper if pts is not None]
+        assert all(type(c) is int for pts in samples for p in pts for c in p)
+        # each sample is the integer point (q, p) of its point p/q, q the lcm
+        # of the coordinate denominators
+        assert all(p == _integer_point(_fraction_point(p)) for pts in samples for p in pts)
+
+        def points(pts):
+            return None if pts is None else tuple(map(_fraction_point, pts))
+
+        assert list(map(points, sampler.lower)) == lower
+        assert list(map(points, sampler.upper)) == upper
 
 
 class TestThresholdSweep:
@@ -425,8 +448,12 @@ class TestThresholdSweep:
             for p in lower + (upper or ())
         ]
         # the jet matrix at D = 6 builds one table per box point; the
-        # probes of all six degrees build one per sample, at D = 6
-        assert calls == [(p, 6) for p in omega.points + tuple(samples)]
+        # probes of all six degrees build one per distinct sample point, at
+        # D = 6, in the order of first evaluation
+        assert len(set(samples)) < len(samples)
+        assert calls == [(_integer_point(p), 6) for p in omega.points] + [
+            (p, 6) for p in dict.fromkeys(samples)
+        ]
 
     @pytest.mark.parametrize("tamper", ["scaled", "reversed"])
     def test_non_nested_kernels_refused(self, monkeypatch, tamper):
@@ -464,26 +491,27 @@ class TestThresholdSweep:
 
 def _per_degree_in_base_locus(kernel, point):
     """The per-degree membership path: the cleared sections of this degree's
-    kernel evaluated afresh at the homogenized point (q, p), from a jet row
-    with sigma = 0: the oracle of the sweep's one evaluation per sample."""
+    kernel evaluated afresh at the homogenized point (q, p) of the Fraction
+    point, from a jet row with sigma = 0: the oracle of the sweep's one
+    evaluation per sample."""
     if not kernel.vectors:
         return True
     values = locus._jet_row(
-        locus._homogenized_powers(point, kernel.degree), (0,) * (len(point) + 1),
-        kernel._exponents,
+        locus._homogenized_powers(_integer_point(point), kernel.degree),
+        (0,) * (len(point) + 1), kernel._exponents,
     )
     return not any(locus._dot(values, terms) for terms in kernel._terms)
 
 
 class _PerDegreeMembers:
-    """Stands in for `locus._Members`: every sample evaluated against the
-    kernel of every degree, whatever its key."""
+    """Stands in for `locus._Members`: every sample, as a Fraction point,
+    evaluated against the kernel of every degree, however often it occurs."""
 
     def __init__(self, top):
         pass
 
-    def inside(self, kernel, key, point):
-        return _per_degree_in_base_locus(kernel, point)
+    def inside(self, kernel, point):
+        return _per_degree_in_base_locus(kernel, _fraction_point(point))
 
 
 @st.composite
