@@ -1,11 +1,10 @@
 """Exact dense linear algebra over Q, and integer row lattices.
 
 Matrices are sequences of rows.  Rational routines share one fraction-free
-integer echelon (`_echelon_insert`): rows are cleared of denominators, and
-Fractions appear only when the RREF is read off the echelon, which stops
-taking rows once its rank is the column count.  Kernels are
-read off the RREF by `_rref_kernel`, for all columns or for any prefix, and
-off the echelon itself, in integers, by `_integer_kernel`.  Lattice routines
+integer echelon (`_echelon_insert`), which `rat_rref` builds from integer
+rows and stops once its rank is the column count.  Kernels are read off
+that echelon in integers by `_integer_kernel`, for all columns or for any
+prefix; `nullspace` alone turns them into Fractions.  Lattice routines
 return canonical row-style Hermite normal forms (pivots positive, entries
 above a pivot reduced into [0, pivot), zero rows dropped), so lattice
 equality is plain tuple equality.  They share one HNF routine, `hnf`, which
@@ -18,7 +17,7 @@ Coset representatives modulo an HNF come one vector at a time
 
 from __future__ import annotations
 
-from bisect import bisect, bisect_left
+from bisect import bisect
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -53,8 +52,8 @@ def _echelon_insert(rows, vec):
     pivot columns eliminated everywhere else).  None if dependent.
 
     All arithmetic is fraction-free, which is what makes exhaustive span
-    enumeration affordable; it is the one elimination over Q, and rat_rref
-    reads the RREF off it.
+    enumeration affordable; it is the one elimination over Q, and every
+    kernel is read off it by `_integer_kernel`.
     """
     v = _echelon_reduce(rows, vec)
     if v is None:
@@ -80,10 +79,14 @@ def _echelon(rows):
 
 
 def _integer_kernel(rows, ncols):
-    """The right kernel of a canonical integer echelon, read off it in
-    integers, one vector per free column: the vector of `_rref_kernel` scaled
-    by the lcm of the pivots, so no Fraction is formed."""
-    pivots = [_lead(row) for row in rows]
+    """The right kernel of the first `ncols` columns of a canonical integer
+    echelon, read off it in integers, one vector per free column: the lcm of
+    the pivots there, and at each pivot minus the column's entry in that
+    row times the lcm over the pivot, so no Fraction is formed.  The echelon
+    of a column prefix is the echelon cut to the prefix without the rows
+    whose pivot is at or past `ncols`, which come last; so one echelon
+    serves every prefix."""
+    pivots = [c for c in map(_lead, rows) if c < ncols]
     scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
     kernel = []
     for free in sorted(set(range(ncols)) - set(pivots)):
@@ -120,49 +123,32 @@ def _cleared(row):
 
 
 def rat_rref(rows, ncols):
-    """Reduced row echelon form over Q of rows of ints or Fractions.  Returns
-    (rref rows, pivot columns).
-
-    Each row is cleared of denominators and folded into the integer echelon;
-    the RREF is canonical, so dividing each echelon row by its pivot gives it.
-    Folding stops once the echelon has `ncols` rows: the RREF is then the
-    identity, and the rows after the one that filled the rank are never read.
-    """
+    """(canonical integer echelon, pivot columns) of integer rows: each row
+    over its pivot entry is the reduced row echelon form over Q.  Folding
+    stops once the echelon has `ncols` rows, the identity: the rows after
+    the one that filled the rank are never read."""
     ech = ()
     if ncols:
-        for row in map(_cleared, rows):
+        for row in rows:
             ech = _echelon_insert(ech, row) or ech
             if len(ech) == ncols:
                 break
-    pivots = tuple(map(_lead, ech))
-    rref = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ech, pivots)]
-    return rref, pivots
+    return ech, tuple(map(_lead, ech))
+
+
+def _monic(vector):
+    """An integer kernel vector over Q, scaled to 1 at its free column, its
+    last nonzero entry."""
+    d = next(filter(None, reversed(vector)))
+    return tuple(Fraction(x, d) for x in vector)
 
 
 def nullspace(rows, ncols):
-    """Canonical basis of the right kernel {v : M v = 0} over Q, one vector
-    per free column: entry 1 there, pivot entries read off the RREF."""
-    return _rref_kernel(*rat_rref(rows, ncols), ncols)
-
-
-def _rref_kernel(rref, pivots, ncols):
-    """Canonical kernel basis of the first `ncols` columns of an RREF: one
-    vector per free column, entry 1 there and minus the RREF entries of that
-    column at the pivots.  The RREF of a column prefix is the RREF cut to the
-    prefix (rows with a later pivot vanish), so one RREF serves every
-    prefix."""
-    k = bisect_left(pivots, ncols)
-    pivot_set = set(pivots[:k])
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(rref[:k], pivots):
-            vec[pc] = -row[free]
-        basis.append(tuple(vec))
-    return basis
+    """Canonical basis of the right kernel {v : M v = 0} over Q of rows of
+    ints or Fractions, one vector per free column: entry 1 there, the rows
+    cleared of denominators and the kernel read off their echelon."""
+    ech, _ = rat_rref(map(_cleared, rows), ncols)
+    return list(map(_monic, _integer_kernel(ech, ncols)))
 
 
 # ---------------------------------------------------------------------------

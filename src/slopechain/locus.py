@@ -15,21 +15,24 @@ multiple of a row imposes the same condition.
 
 The graded basis of degree D is a prefix of the basis of any larger degree
 E, and the degree-E rows cut to that prefix are the degree-D rows times
-q^(E-D).  The RREF of a column prefix is the prefix of the RREF, so one
-elimination at the largest degree gives the rank and the canonical kernel of
-every degree of a sweep.  The kernel vector of free column f is zero past
-f, so the degree-D kernel is the first nullity(D) vectors of the largest
-degree's kernel cut to the degree-D columns.  That nesting is checked, and
-each vector, cleared of denominators, is re-checked once against every jet
-row of the largest degree in integers.
+q^(E-D).  The echelon of a column prefix is the prefix of the echelon, so
+one integer elimination at the largest degree gives the rank and the
+canonical kernel of every degree of a sweep, read off the echelon in
+integers: divided by its content, sign kept, each vector is the canonical
+one (1 at its free column) cleared of denominators, which only a reader of
+`KernelBasis.vectors` turns into Fractions.  The kernel vector of free
+column f is zero past f, so the degree-D kernel is the first nullity(D)
+vectors of the largest degree's kernel cut to the degree-D columns.  That
+nesting is checked, and each vector is re-checked once against every jet
+row of the largest degree.
 
 The one elimination stops once its rank is the column count (the kernel is
-then empty), so the jet rows after that are never cleared.
+then empty), so the jet rows after that are never read.
 
 The base locus of (points, T, D) is the common zero set of the kernel of the
 jet matrix.  Membership is tested by evaluating the kernel basis (computed
 once), never by re-running eliminations per point, because probe loops
-evaluate thousands of points: the cleared kernel vectors are evaluated at
+evaluate thousands of points: the integer kernel vectors are evaluated at
 the homogenized point (q, p), which vanishes exactly where the section does.
 Evaluated at degree E >= D, a degree-D section takes q^(E-D) times its
 degree-D value.  So a sweep evaluates each distinct sample point once, at
@@ -57,6 +60,7 @@ from . import linalg
 from .chain import Chain
 from .errors import (
     CertificateViolation,
+    DimensionMismatch,
     EnumerationTooLarge,
     InternalInvariantError,
     MatrixTooLarge,
@@ -124,7 +128,12 @@ class KernelBasis:
     points: tuple
     order: int
     degree: int
-    vectors: tuple
+    integer_vectors: tuple   # each divided by its content, sign kept
+
+    @cached_property
+    def vectors(self):
+        """The canonical basis over Q: each vector 1 at its free column."""
+        return tuple(map(linalg._monic, self.integer_vectors))
 
     @cached_property
     def _exponents(self):
@@ -132,13 +141,11 @@ class KernelBasis:
 
     @cached_property
     def _terms(self):
-        """Each vector with its denominators cleared, as (columns, integer
-        coefficients) of its nonzero entries."""
+        """Each vector as (columns, coefficients) of its nonzero entries."""
         terms = []
-        for vec in self.vectors:
-            cleared = linalg._cleared(vec)
-            cols = tuple(j for j, c in enumerate(cleared) if c)
-            terms.append((cols, tuple(cleared[j] for j in cols)))
+        for vec in self.integer_vectors:
+            cols = tuple(j for j, c in enumerate(vec) if c)
+            terms.append((cols, tuple(vec[j] for j in cols)))
         return tuple(terms)
 
 
@@ -189,6 +196,21 @@ def _sized_points(model: GroupModel, omega, order: int, degrees, limit):
 def _homogenized_exponents(basis: MonomialBasis):
     """Exponents (D - |a|, a) of the basis monomials homogenized at degree D."""
     return tuple((basis.degree - sum(a),) + a for a in basis.exponents)
+
+
+def _fraction_points(n, points):
+    """The points as Fraction tuples; DimensionMismatch unless each has n."""
+    points = tuple(tuple(map(as_fraction, p)) for p in points)
+    for p in points:
+        if len(p) != n:
+            raise DimensionMismatch(f"point has {len(p)} coordinates, expected {n}")
+    return points
+
+
+def _content_free(vector):
+    """An integer vector divided by its content, its sign kept."""
+    g = math.gcd(*vector)
+    return tuple(vector) if g == 1 else tuple([x // g for x in vector])
 
 
 def _homogenized(point):
@@ -243,7 +265,7 @@ def jet_matrix(model: GroupModel, points, order: int, degree: int,
     order): the Hasse row of the point p/q times q^(D - |s|)."""
     points = tuple(points)
     _check_jet(model, len(points), order, (degree,), limit)
-    points = tuple(tuple(as_fraction(c) for c in p) for p in points)
+    points = _fraction_points(model.n, points)
     basis = monomial_basis(model.n, degree)
     exponents = _homogenized_exponents(basis)
     sigmas = _jet_orders(model.n, order)
@@ -261,25 +283,26 @@ def _kernels(model: GroupModel, points, order: int, degrees, limit):
 
     Every size is checked before anything is built, so an oversized range
     fails at its first oversized degree.  Each degree's kernel is read off
-    the prefix of the RREF and checked to be the first vectors of the
-    largest degree's kernel cut to its columns, zero past the cut.  So each
-    distinct vector is re-checked once, cleared, against every jet row of
-    the largest degree: cut to a prefix, those are the jet rows of every
+    the prefix of the integer echelon and checked to be the first vectors of
+    the largest degree's kernel cut to its columns, zero past the cut.  So
+    each distinct vector is re-checked once against every jet row of the
+    largest degree: cut to a prefix, those are the jet rows of every
     smaller degree up to nonzero factors.
     """
     points = tuple(points)
     _check_jet(model, len(points), order, degrees, limit)
     jm = jet_matrix(model, points, order, degrees[-1], limit)
-    rref, pivots = linalg.rat_rref(jm.rows, len(jm.basis))
+    echelon, _ = linalg.rat_rref(jm.rows, len(jm.basis))
     kernels = []
     for degree in degrees:
         ncols = math.comb(model.n + degree, model.n)
         basis = MonomialBasis(model.n, degree, jm.basis.exponents[:ncols])
-        vectors = linalg._rref_kernel(rref, pivots, ncols)
-        kernels.append(KernelBasis(basis, jm.points, order, degree, tuple(vectors)))
+        vectors = tuple(map(_content_free, linalg._integer_kernel(echelon, ncols)))
+        kernels.append(KernelBasis(basis, jm.points, order, degree, vectors))
     for kernel in kernels:
-        ncols, head = len(kernel.basis), kernels[-1].vectors[:len(kernel.vectors)]
-        if kernel.vectors != tuple(v[:ncols] for v in head) or any(any(v[ncols:]) for v in head):
+        vectors = kernel.integer_vectors
+        ncols, head = len(kernel.basis), kernels[-1].integer_vectors[:len(vectors)]
+        if vectors != tuple(v[:ncols] for v in head) or any(any(v[ncols:]) for v in head):
             raise InternalInvariantError(f"kernel at D={kernel.degree} is not nested")
     for terms in kernels[-1]._terms:
         if any(_dot(row, terms) for row in jm.rows):
@@ -297,10 +320,9 @@ def kernel_basis(model: GroupModel, points, order: int, degree: int,
 def _first_outside(kernel: KernelBasis, point) -> int:
     """The position of the first kernel vector whose section does not vanish
     at the point p/q, given as the integer point (q, p) with q > 0, or the
-    nullity if every one does.  The cleared sections are evaluated at (q, p)
-    in integers: the value of q^(D-|a|) x^a there is a plain product of
-    powers, and scaling (q, p) scales every value by the same nonzero
-    factor."""
+    nullity if every one does.  The integer sections are evaluated at
+    (q, p): the value of q^(D-|a|) x^a there is a plain product of powers,
+    and scaling (q, p) scales every value by the same nonzero factor."""
     terms = kernel._terms
     if not terms:
         return 0
@@ -322,14 +344,14 @@ class _Members:
         first = self.first.get(point)
         if first is None:
             first = self.first[point] = _first_outside(self.top, point)
-        return first >= len(kernel.vectors)
+        return first >= len(kernel.integer_vectors)
 
 
 def in_base_locus(kernel: KernelBasis, point) -> bool:
     """Whether every kernel section vanishes at the point; an empty kernel
     means the base locus is everything."""
-    point = _homogenized(tuple(as_fraction(c) for c in point))
-    return _first_outside(kernel, point) == len(kernel.vectors)
+    (point,) = _fraction_points(kernel.basis.n, (point,))
+    return _first_outside(kernel, _homogenized(point)) == len(kernel.integer_vectors)
 
 
 @dataclass(frozen=True)
@@ -346,7 +368,7 @@ def eval_rank(model: GroupModel, points, order: int, degree: int,
     """Rank of the jet evaluation map; injectivity certifies a trivial base
     locus regime, surjectivity the interpolation regime."""
     jm, (kernel,) = _kernels(model, points, order, (degree,), limit)
-    rank = len(kernel.basis) - len(kernel.vectors)
+    rank = len(kernel.basis) - len(kernel.integer_vectors)
     return EvalRank(
         rank=rank,
         injective=(rank == len(jm.basis)),
@@ -359,7 +381,7 @@ def eval_rank(model: GroupModel, points, order: int, degree: int,
 def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
     """Coefficients of P(x - g); translation is plain substitution on the
     vector group, and the degree never grows."""
-    shift = tuple(as_fraction(c) for c in shift)
+    (shift,) = _fraction_points(basis.n, (shift,))
     index = basis.index()
     out = [Fraction(0)] * len(basis)
     for c, alpha in zip(coeffs, basis.exponents):
@@ -376,8 +398,7 @@ def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
                         nxt[key] = nxt.get(key, Fraction(0)) + term
             expansion = nxt
         for mon, coeff in expansion.items():
-            if coeff:
-                out[index[mon]] += coeff
+            out[index[mon]] += coeff
     return tuple(out)
 
 
@@ -655,40 +676,31 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     prev_istar = None
     transitions = []
     for degree, kernel in zip(degrees, kernels):
-        rank = len(kernel.basis) - len(kernel.vectors)
-        nullity = len(kernel.vectors)
+        nullity = len(kernel.integer_vectors)
+        rank = len(kernel.basis) - nullity
         if nullity < prev_nullity:
             raise CertificateViolation(
                 "locus_monotonicity", f"nullity dropped at D={degree}"
             )
         prev_nullity = nullity
-        verdicts = [
-            (e.lower, e.upper)
-            for e in _probe(sampler, chain, members, kernel, prev_members)
-        ]
-        both = [
-            idx
-            for idx, (lo, up) in enumerate(verdicts)
-            if lo and (up if up is not None else True)
-        ]
-        i_star = min(both) if both else None
+        entries = _probe(sampler, chain, members, kernel, prev_members)
+        verdicts = [(e.lower, e.upper) for e in entries]
+        # the first index whose lower verdict holds and upper one holds or is vacuous
+        i_star = next(
+            (i for i, (lo, up) in enumerate(verdicts) if lo and up is not False), None
+        )
         if i_star is not None and prev_istar is not None and i_star > prev_istar:
             raise CertificateViolation(
                 "locus_monotonicity",
                 f"both-true index increased from {prev_istar} to {i_star} at D={degree}",
             )
-        if i_star is not None:
-            if prev_istar is None or i_star != prev_istar:
-                transitions.append((degree, i_star))
+        if i_star is not None and i_star != prev_istar:
+            transitions.append((degree, i_star))
             prev_istar = i_star
         rows.append(SweepRow(degree, rank, nullity, tuple(verdicts), i_star))
     # exact T * frak_S_i as a RootedRational, with a display float beside it
     thresholds = tuple(
-        (
-            i,
-            chain.steps[i].frak_s.times(order),
-            order * chain.steps[i].frak_s.approx(),
-        )
-        for i in range(chain.r)
+        (i, step.frak_s.times(order), order * step.frak_s.approx())
+        for i, step in enumerate(chain.steps)
     )
     return LocusReport(tuple(rows), tuple(transitions), thresholds)

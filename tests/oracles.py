@@ -1,10 +1,12 @@
 """Reference eliminations the tests compare the library against.
 
-Fraction-free (Bareiss) elimination over Q[t1..tm] gives the rank and the
-right kernel of a matrix of `Poly`s, and `subgroup` closes a set of points
-from that kernel: the closure over Q(t) the library computes by integer
-specialization in `model._symbolic_closure`.  `rank` and `nullspace` take
-either ring.
+Fraction Gauss-Jordan elimination (`rref`) gives the RREF over Q, and the
+rank and the canonical right kernel over Q are read off it, independently
+of the library's integer echelon.  Fraction-free (Bareiss) elimination
+over Q[t1..tm] gives the rank and the right kernel of a matrix of `Poly`s,
+and `subgroup` closes a set of points from that kernel: the closure over
+Q(t) the library computes by integer specialization in
+`model._symbolic_closure`.  `rank` and `nullspace` take either ring.
 
 The integer lattice kernels the library had before it computed left
 kernels from one HNF of [A | I] are kept here too: `primitive`, `lead`,
@@ -21,7 +23,6 @@ from functools import reduce
 from math import gcd
 from operator import add, mul
 
-from slopechain import linalg
 from slopechain.model import Subgroup, Sublattice, _relations
 from slopechain.polys import Poly
 
@@ -30,8 +31,33 @@ def _is_poly(rows):
     return any(isinstance(e, Poly) for row in rows for e in row)
 
 
+def rref(rows, ncols):
+    """Fraction Gauss-Jordan elimination: (RREF rows, pivot columns)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in work[:r]], tuple(pivots)
+
+
 def rat_rank(rows, ncols) -> int:
-    return len(linalg.rat_rref(rows, ncols)[0])
+    return len(rref(rows, ncols)[1])
 
 
 def rank(rows) -> int:
@@ -45,10 +71,20 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, ncols):
-    """Right kernel basis over Q (`linalg.nullspace`) or over Q[t1..tm]."""
+    """Right kernel basis over Q[t1..tm], or the canonical one over Q read off
+    `rref`: one vector per free column, entry 1 there and minus the RREF
+    entries of that column at the pivots."""
     if _is_poly(rows):
         return poly_nullspace(rows)
-    return linalg.nullspace(rows, ncols)
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def _poly_entry(x) -> Poly:

@@ -419,10 +419,10 @@ class TestExitCodes:
 
     def test_internal_self_check_maps_to_one(self, tmp_path, monkeypatch, capsys):
         # the kernel read-off of the jet lab returns a non-kernel vector
-        def bogus_kernel(rref, pivots, ncols):
-            return [tuple([1] * ncols)]
+        def bogus_kernel(rows, ncols):
+            return [[1] * ncols]
         monkeypatch.setattr(
-            locus, "linalg", SimpleNamespace(**dict(vars(linalg), _rref_kernel=bogus_kernel))
+            locus, "linalg", SimpleNamespace(**dict(vars(linalg), _integer_kernel=bogus_kernel))
         )
         cfg = write_config(tmp_path)
         code = cli.run(["locus", "probe", "-c", cfg])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from slopechain import cli
+from slopechain import cli, linalg
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -66,3 +66,17 @@ def test_golden_report(name, argv, code, tmp_path, capsys):
     assert cli.run(list(argv) + ["-c", config, "--out", str(out)]) == code
     body = out.read_bytes() if code == 0 else capsys.readouterr().out.encode()
     assert body == golden_path(name, argv).read_bytes()
+
+
+@pytest.mark.parametrize("action", ["rank", "probe", "sweep"])
+def test_locus_reports_form_no_fraction_in_linalg(action, tmp_path, monkeypatch):
+    # the jet lab eliminates and reads its kernels in integers
+    def no_fraction(*args):
+        raise AssertionError("linalg formed a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    argv = ("locus", action)
+    out = tmp_path / "report"
+    config = str(GOLDEN / "plane_basic.json")
+    assert cli.run(list(argv) + ["-c", config, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden_path("plane_basic", argv).read_bytes()

@@ -52,31 +52,6 @@ class TestRank:
             assert oracles.rank(m) + len(kernel) == cols
 
 
-def _rref_reference(rows, ncols):
-    """Fraction Gauss-Jordan elimination: the oracle for rat_rref."""
-    work = [[F(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in work[:r]], tuple(pivots)
-
-
 class TestRatRref:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -103,18 +78,24 @@ class TestRatRref:
             if data.draw(st.integers(0, 3)) == 0:
                 for row in m:
                     row[c] = F(0)
-        assert linalg.rat_rref(m, ncols) == _rref_reference(m, ncols)
+        ech, pivots = linalg.rat_rref(map(linalg._cleared, m), ncols)
+        # a canonical integer echelon: primitive integer rows, positive leads
+        for row, c in zip(ech, pivots):
+            assert all(type(x) is int for x in row)
+            assert linalg.primitive(row) == row and linalg._lead(row) == c
+        view = [tuple(F(x, row[c]) for x in row) for row, c in zip(ech, pivots)]
+        assert (view, pivots) == oracles.rref(m, ncols)
 
     @pytest.mark.parametrize("ncols", [0, 1, 3])
     def test_stops_at_full_column_rank(self, ncols):
         # the rows after the one that fills the rank are never read
-        rows = [[2, 4, 0], [1, 2, 0], [0, F(3, 2), 1], [F(1, 2), 0, 5]]
+        rows = [[2, 4, 0], [1, 2, 0], [0, 3, 2], [1, 0, 10]]
 
         def stream():
             yield from (row[:ncols] for row in rows)
             raise AssertionError("a row was read after the rank reached ncols")
 
-        identity = [tuple(F(int(i == j)) for j in range(ncols)) for i in range(ncols)]
+        identity = tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
         assert linalg.rat_rref(stream(), ncols) == (identity, tuple(range(ncols)))
 
 
@@ -334,6 +315,22 @@ class TestIntegerKernelsAgainstOracles:
         transposed = [[w[j] for w in kernel] for j in range(ncols)]
         reference = oracles.left_kernel(transposed, len(kernel))
         assert linalg._saturation(ech, ncols) == linalg._annihilator(kernel, ncols) == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_prefix_kernels_equal_fraction_reference(self, data):
+        # on every column prefix, the integer kernel of the echelon is the
+        # Gauss-Jordan kernel (1 at each free column) times its free entry
+        m, ncols = _draw_integer_matrix(data)
+        ech, _ = linalg.rat_rref(m, ncols)
+        for k in range(ncols + 1):
+            prefix = [row[:k] for row in m]
+            reference = oracles.nullspace(prefix, k)
+            free = sorted(set(range(k)) - set(oracles.rref(prefix, k)[1]))
+            kernel = linalg._integer_kernel(ech, k)
+            assert len(kernel) == len(reference) == len(free)
+            for vec, ref, f in zip(kernel, reference, free):
+                assert vec[f] > 0 and vec == [vec[f] * x for x in ref]
 
     def test_unit_pivots_need_no_left_kernel(self, monkeypatch):
         def refuse(rows, ncols):

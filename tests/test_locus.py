@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from slopechain import (
+    DimensionMismatch,
     InternalInvariantError,
     MatrixTooLarge,
     ModelConfig,
@@ -137,6 +138,26 @@ class TestInBaseLocus:
         kb = kernel_basis(m, [(F(-1),), (F(0),), (F(1),)], 1, 3)
         assert not in_base_locus(kb, (F(2),))
         assert in_base_locus(kb, (F(1),))
+
+
+class TestPointDimension:
+    """Points with a coordinate count other than n are refused, never cut or
+    padded to fit."""
+
+    @pytest.mark.parametrize("call", [
+        lambda m: jet_matrix(m, [(3,)], 1, 1),
+        lambda m: jet_matrix(m, [(0, 0), (1, 2, 3)], 1, 1),
+        lambda m: kernel_basis(m, [(3,)], 1, 1),
+        lambda m: eval_rank(m, [(1, 2, 3)], 1, 1),
+        lambda m: in_base_locus(kernel_basis(m, [(0, 0)], 1, 1), (5, 1, 7)),
+        lambda m: in_base_locus(kernel_basis(m, [(0, 0)], 1, 1), (5,)),
+        lambda m: translate_section(monomial_basis(2, 1), (0, 1, 0), (1,)),
+    ], ids=["jet_matrix", "jet_matrix_second_point", "kernel_basis", "eval_rank",
+            "in_base_locus_long", "in_base_locus_short", "translate_section"])
+    def test_wrong_dimension_refused(self, call):
+        m = rational_model(2, [(1, 0), (0, 1)], (2, 2))
+        with pytest.raises(DimensionMismatch, match="coordinates, expected 2"):
+            call(m)
 
 
 class TestEvalRank:
@@ -457,20 +478,22 @@ class TestThresholdSweep:
 
     @pytest.mark.parametrize("tamper", ["scaled", "reversed"])
     def test_non_nested_kernels_refused(self, monkeypatch, tamper):
-        # three points on the line: nullity 1, 2, 3 at D = 3, 4, 5
+        # three points on the line: nullity 1, 2, 3 at D = 3, 4, 5.  Each
+        # kernel vector is kept divided by its content, which would undo a
+        # positive factor, so the scaling is by a negative one
         m = line_model(2)
         chain = build_chain(m)
-        rref_kernel = linalg._rref_kernel
+        integer_kernel = linalg._integer_kernel
 
-        def tampered(rref, pivots, ncols):
-            vectors = rref_kernel(rref, pivots, ncols)
-            if ncols < len(rref[0]):
+        def tampered(rows, ncols):
+            vectors = integer_kernel(rows, ncols)
+            if rows and ncols < len(rows[0]):
                 if tamper == "scaled":
-                    return [tuple(2 * x for x in v) for v in vectors]
+                    return [[-2 * x for x in v] for v in vectors]
                 return vectors[::-1]
             return vectors
 
-        monkeypatch.setattr(linalg, "_rref_kernel", tampered)
+        monkeypatch.setattr(linalg, "_integer_kernel", tampered)
         with pytest.raises(InternalInvariantError, match="not nested"):
             threshold_sweep(m, chain, 1, range(3, 6), F(1, 2), samples=10, seed=1)
 
@@ -608,9 +631,11 @@ class TestIntegerJetsAgainstFractionOracle:
                 _hasse_row(p, sigma, basis)
                 for p in points for sigma in monomial_basis(n, order - 1).exponents
             ]
-            oracle = tuple(linalg.nullspace(rows, len(basis)))
+            oracle = tuple(oracles.nullspace(rows, len(basis)))
             assert kernel.basis == basis and kernel.degree == degree
             assert kernel.vectors == oracle, degree
+            # the integer vectors are the oracle's cleared of denominators
+            assert kernel.integer_vectors == tuple(map(tuple, map(linalg._cleared, oracle)))
             rank = len(basis) - len(kernel.vectors)
             assert rank == oracles.rat_rank(rows, len(basis))
             for x in probes + points:

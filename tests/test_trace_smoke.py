@@ -88,6 +88,8 @@ def test_traced_locus_sweep_eliminates_once(tmp_path):
     assert tracer.child_calls("locus.threshold_sweep", "locus.jet_matrix") == 1
     assert tracer.child_calls("locus.threshold_sweep", "linalg.rat_rref") == 1
     assert table["linalg.rat_rref"][0] == 1
+    # the per-layer entry size is read off the integer rows and echelon
+    assert tracer.maxima["linalg.rat_rref.max_entry_bits"] > 0
     assert "locus.kernel_basis" not in table
     # membership is read off one evaluation per sample, not the public test
     assert tracer.child_calls("locus.threshold_sweep", "locus.in_base_locus") == 0
