@@ -12,7 +12,8 @@ point and builds the points themselves only when they are read, over Q as
 integer columns over each coordinate's cleared denominator; sum/difference
 sets work on witnesses.  Coset counts enumerate no box: they walk the points
 of the coefficient lattice of H' in the box, coordinate by coordinate of its
-Hermite normal form, and reduce each last interval of the walk as one batch.
+Hermite normal form, and queue the last intervals of the walk to reduce them
+`_CHUNK` points at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import combinations_with_replacement, islice, product, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import linalg
 from .chain import Chain, RootedRational, _scaled_chain, n_formula
@@ -64,9 +65,9 @@ class GammaSet:
     def points(self):
         return _points(self.model, self.witnesses, self.columns)
 
-    @property
+    @cached_property
     def witnesses(self):
-        return tuple(e[1] for e in self.entries)
+        return tuple(map(itemgetter(1), self.entries))
 
     def __len__(self):
         return len(self.entries)
@@ -134,8 +135,9 @@ def gamma_from_vectors(model: GroupModel, vectors, lam=Fraction(1)) -> GammaSet:
     return _gamma_set(model, as_fraction(lam), _coefficient_vectors(model, vectors))
 
 
-# witnesses reduced per `linalg.lattice_reduce_columns` call: bounds the
-# columns held at once, whatever the size of the box
+# witnesses, or queued points of the lattice walk, reduced per
+# `linalg.lattice_reduce_columns` call: bounds the columns held at once,
+# whatever the size of the box
 _CHUNK = 4096
 
 
@@ -220,8 +222,9 @@ def _count_classes(lo, hi, outer, inner, limit) -> int:
     any case); more than `limit` raise EnumerationTooLarge.  The points are
     identified modulo L'' by their canonical representatives; when L'' = 0
     the last interval is counted by its length, and otherwise its points
-    partial + c r_last are reduced as one batch, column by column
-    (`linalg.lattice_reduce_columns`).
+    partial + c r_last are queued column by column and reduced `_CHUNK`
+    points at a time (`linalg.lattice_reduce_columns`), so one call serves
+    many intervals and at most `_CHUNK` points and one interval are held.
     """
     rows, pivots = outer.rows, outer.pivots
     width = len(lo)
@@ -233,7 +236,15 @@ def _count_classes(lo, hi, outer, inner, limit) -> int:
     last = len(rows) - 1
     by_length = not inner.rows
     classes = set()
+    queued = [[] for _ in range(width)]     # points of last intervals, by column
     count = steps = 0
+
+    def reduce_queued():
+        classes.update(zip(*linalg.lattice_reduce_columns(
+            inner.rows, inner.pivots, queued
+        )))
+        for column in queued:
+            column.clear()
 
     def walk(i, partial):
         nonlocal count, steps
@@ -259,13 +270,11 @@ def _count_classes(lo, hi, outer, inner, limit) -> int:
             count += high - low + 1
             return
         if i == last:
-            columns = (
-                range(s + low * a, s + (high + 1) * a, a) if a else [s] * (high - low + 1)
-                for s, a in zip(partial, row)
-            )
-            classes.update(zip(*linalg.lattice_reduce_columns(
-                inner.rows, inner.pivots, columns
-            )))
+            k = high - low + 1
+            for column, s, a in zip(queued, partial, row):
+                column.extend(range(s + low * a, s + (high + 1) * a, a) if a else [s] * k)
+            if len(queued[0]) >= _CHUNK:
+                reduce_queued()
             return
         point = [s + low * a for s, a in zip(partial, row)]
         for _ in range(low, high + 1):
@@ -273,6 +282,8 @@ def _count_classes(lo, hi, outer, inner, limit) -> int:
             point = [s + a for s, a in zip(point, row)]
 
     walk(0, [0] * width)
+    if queued[0]:
+        reduce_queued()
     return count + len(classes)
 
 
@@ -329,9 +340,12 @@ def counting_check(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup,
     exponent is also fitted on log(count) vs log(lambda) and must round to
     the exact rank.  Each count is one `card_mod` lattice walk over the
     points of iota^{-1}(H') in the box, with `limit` bounding the walk as
-    in `_count_in_box`; H'' must lie in H'.
+    in `_count_in_box`; H'' must lie in H'.  ValueError unless there is at
+    least one lambda.
     """
     lambdas = [as_fraction(x) for x in lambdas]
+    if not lambdas:
+        raise ValueError("need at least one lambda")
     nval = n_formula(model, h_prime, h_dprime)
     rk_hi = rank_profile(model, h_prime).gamma_ranks
     rk_lo = rank_profile(model, h_dprime).gamma_ranks

@@ -380,7 +380,12 @@ def eval_rank(model: GroupModel, points, order: int, degree: int,
 
 def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
     """Coefficients of P(x - g); translation is plain substitution on the
-    vector group, and the degree never grows."""
+    vector group, and the degree never grows.  DimensionMismatch unless
+    `coeffs` has one coefficient per monomial of the basis."""
+    if len(coeffs) != len(basis):
+        raise DimensionMismatch(
+            f"section has {len(coeffs)} coefficients, the basis {len(basis)} monomials"
+        )
     (shift,) = _fraction_points(basis.n, (shift,))
     index = basis.index()
     out = [Fraction(0)] * len(basis)

@@ -276,7 +276,7 @@ class TestCardMod:
         # G mod the line of (1, 1, 0) on the 5 x 3 x 3 box: 5 first
         # coordinates, 15 second ones, then an interval of 3 per prefix, so
         # 5 + 15 + 45 = 65 steps; each last interval is counted in full
-        # before its points are reduced as one batch
+        # before its points are queued for reduction
         m = rational_model(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (3, 2, 2))
         full, line = m.full_subgroup().coeff, closure(m, [(1, 1, 0)]).coeff
         lo, hi = [-2, -1, -1], [2, 1, 1]
@@ -297,6 +297,16 @@ class TestCardMod:
         full, zero = m.full_subgroup().coeff, m.zero_subgroup().coeff
         assert _count_classes([-b for b in bounds], bounds, full, zero, 2 * box) == box
         assert card_mod(m, 2, m.full_subgroup(), m.zero_subgroup()) == box
+
+    @pytest.mark.parametrize("chunk", [1, gamma._CHUNK])
+    def test_sparse_relations_over_many_chunks(self, chunk):
+        # G mod 0 on SPARSE_RELATIONS at lambda = 2: the lattice of 0 is the
+        # nonzero relation lattice, so the walk queues its 44,919 points and
+        # reduces them `gamma._CHUNK` at a time, about eleven real chunks
+        m = build_model(SPARSE_RELATIONS)
+        assert m.zero_subgroup().coeff.rows
+        with mock.patch.object(gamma, "_CHUNK", chunk):
+            assert card_mod(m, 2, m.full_subgroup(), m.zero_subgroup()) == 44919
 
 
 def box_card_mod(witnesses, h_prime, h_dprime):
@@ -369,12 +379,19 @@ def _walk_limit(model, lam):
     return (2 if min(sides) >= 3 else model.l) * math.prod(sides)
 
 
+# chunk sizes for `gamma._CHUNK`: streams of several chunks, and the real one
+_CHUNKS = st.sampled_from((1, 2, 3, 7, gamma._CHUNK))
+
+
 class TestLatticeWalkAgainstBoxWalk:
     """`card_mod` and `card_translate` walk the lattice of H'; the box walks
     they replaced are the oracle, on every nested pair among the closures of
     height <= `height` and {0, G}.  A box within their limit is walked with
     no step limit, so each walk is also run by `_count_classes` under a step
-    limit of twice the box (see `_walk_limit`) and must not reach it."""
+    limit of twice the box (see `_walk_limit`) and must not reach it.  The
+    walks reduce their queued points `gamma._CHUNK` at a time, with the chunk
+    size drawn from `_CHUNKS`, so no count may depend on where the chunk
+    boundaries fall."""
 
     @staticmethod
     def pool(model, height):
@@ -385,33 +402,34 @@ class TestLatticeWalkAgainstBoxWalk:
 
     @settings(max_examples=30, deadline=None)
     @given(box_cases(), st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
-                                 min_size=1, max_size=2))
+                                 min_size=1, max_size=2), _CHUNKS)
     # the 44,919-tuple box: pairs among {0, G} only
-    @example((SPARSE_RELATIONS, F(2), 0), [[3, -2, 1, 0]])
-    def test_counts_equal_box_walk(self, case, translates):
+    @example((SPARSE_RELATIONS, F(2), 0), [[3, -2, 1, 0]], gamma._CHUNK)
+    def test_counts_equal_box_walk(self, case, translates, chunk):
         config, lam, height = case
         model = build_model(config)
         omega = enumerate_gamma(model, lam)
         limit = _walk_limit(model, lam)
         bounds = [box_bound(s, lam) for s in model.scales]
         pool = self.pool(model, height)
-        for hp in pool:
-            # the oracle filters the witnesses once per H'
-            inside = [w for w in omega.witnesses if hp.coeff.contains(w)]
-            for hdp in pool:
-                if span_contains(model, hp, hdp):
-                    want = box_card_mod(inside, hp, hdp)
-                    assert card_mod(model, lam, hp, hdp) == want, (hp, hdp)
-                    lo = [-b for b in bounds]
-                    assert _count_classes(lo, bounds, hp.coeff, hdp.coeff, limit) == want
-            for x in translates:
-                x = x[:model.l]
-                want = box_card_translate(omega.witnesses, x, hp)
-                assert card_translate(model, lam, x, hp) == want, (hp, x)
-                lo = [-b - a for b, a in zip(bounds, x)]
-                hi = [b - a for b, a in zip(bounds, x)]
-                kernel = model.kernel_lattice()
-                assert _count_classes(lo, hi, hp.coeff, kernel, limit) == want
+        with mock.patch.object(gamma, "_CHUNK", chunk):
+            for hp in pool:
+                # the oracle filters the witnesses once per H'
+                inside = [w for w in omega.witnesses if hp.coeff.contains(w)]
+                for hdp in pool:
+                    if span_contains(model, hp, hdp):
+                        want = box_card_mod(inside, hp, hdp)
+                        assert card_mod(model, lam, hp, hdp) == want, (hp, hdp)
+                        lo = [-b for b in bounds]
+                        assert _count_classes(lo, bounds, hp.coeff, hdp.coeff, limit) == want
+                for x in translates:
+                    x = x[:model.l]
+                    want = box_card_translate(omega.witnesses, x, hp)
+                    assert card_translate(model, lam, x, hp) == want, (hp, x)
+                    lo = [-b - a for b, a in zip(bounds, x)]
+                    hi = [b - a for b, a in zip(bounds, x)]
+                    kernel = model.kernel_lattice()
+                    assert _count_classes(lo, hi, hp.coeff, kernel, limit) == want
 
 
 @st.composite
@@ -426,10 +444,6 @@ def reduction_cases(draw):
     ))
     pool = draw(st.lists(st.tuples(*[st.integers(-30, 30)] * l), min_size=1, max_size=8))
     return l, linalg.hnf(rows, l), draw(st.lists(st.sampled_from(pool), max_size=40))
-
-
-# chunk sizes for `gamma._CHUNK`: streams of several chunks, and the real one
-_CHUNKS = st.sampled_from((1, 2, 3, 7, gamma._CHUNK))
 
 
 def box_tuples(model, lam):
@@ -544,6 +558,13 @@ class TestCountingCheck:
         report = counting_check(m, diag, m.zero_subgroup(), ["1", "2", "4"])
         assert report.rank == 1
         assert round(report.fitted_exponent) == 1
+
+    def test_no_lambda_refused(self):
+        m = plane_model(3, 2)
+        with mock.patch.object(gamma, "card_mod") as walk:
+            with pytest.raises(ValueError, match="at least one lambda"):
+                counting_check(m, m.full_subgroup(), m.zero_subgroup(), [])
+        walk.assert_not_called()
 
     def test_translate_bound(self):
         # counting in a coset never beats the doubled box count in the group

@@ -189,6 +189,13 @@ class TestTranslateSection:
         x2 = (F(0), F(0), F(1))
         assert translate_section(basis, x2, (F(1),)) == (F(1), F(-2), F(1))
 
+    @pytest.mark.parametrize("coeffs", [(1, 2), (1, 2, 3, 4)], ids=["short", "long"])
+    def test_coefficient_count_refused(self, coeffs):
+        # the degree-2 basis in one variable has 3 monomials; a vector of
+        # another length is refused, never cut or padded to fit
+        with pytest.raises(DimensionMismatch, match="3 monomials"):
+            translate_section(monomial_basis(1, 2), coeffs, (1,))
+
     def test_equivariance_with_shifted_kernel(self):
         # membership commutes with translating both the point set and the test
         # point; oracle: recompute the kernel on the shifted points

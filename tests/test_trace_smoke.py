@@ -9,7 +9,9 @@ HNF, and over Q[t] its closures must multiply no polynomials.  One traced
 `locus sweep` must give the golden report from one jet matrix and one
 elimination in all, and decide membership without calling `in_base_locus`.
 A traced `gamma enumerate` must count one point per box entry, and a traced
-`gamma count` must make one lattice walk and enumerate no box.
+`gamma count` must make one lattice walk and enumerate no box; modulo a
+nonzero lattice, the walk queues its last intervals and reduces them with
+one `linalg.lattice_reduce_columns` call per chunk, not one per interval.
 `bench/spans.py` is loaded from its file and not modified.
 """
 
@@ -108,3 +110,12 @@ def test_traced_gamma_counts_one_point_per_entry(tmp_path, action):
     omega = enumerate_gamma(build_model(cfg.model), cfg.lam)
     assert table["gamma.enumerate_gamma"][0] == 1
     assert tracer.counters["gamma.enumerate_gamma.points"] == len(omega.entries) == 15
+
+
+def test_traced_gamma_count_reduces_once_per_chunk(tmp_path):
+    # dependent_three counts the line of e_1 modulo 0, whose lattice is the
+    # relation lattice spanned by (1, 1, -1): its few last intervals fill
+    # less than one chunk, so they are reduced in one call
+    tracer = _traced_run(tmp_path, "dependent_three", ("gamma", "count"))
+    assert tracer.layer_table()["gamma.card_mod"][0] == 1
+    assert tracer.child_calls("gamma.card_mod", "linalg.lattice_reduce_columns") == 1
