@@ -61,6 +61,15 @@ from .polys import as_fraction
 # exact values built on exponent vectors
 
 
+def log_rational(x) -> float:
+    """log x for a positive rational x; where float(x) is out of range,
+    through the logs of its integer numerator and denominator."""
+    try:
+        return log(float(x))
+    except (OverflowError, ValueError):
+        return log(x.numerator) - log(x.denominator)
+
+
 @dataclass(frozen=True)
 class PhiValue:
     """sum_j exponents[j] * log S_j, exact."""
@@ -77,7 +86,7 @@ class PhiValue:
         return PhiValue(tuple(k * e for e in self.exponents))
 
     def approx(self, scales) -> float:
-        return float(sum(e * log(float(s)) for e, s in zip(self.exponents, scales) if e))
+        return float(sum(e * log_rational(s) for e, s in zip(self.exponents, scales) if e))
 
 
 def power_product(scales, exponents) -> Fraction:
@@ -132,8 +141,12 @@ class RootedRational:
         """factor * self for a positive rational factor."""
         return RootedRational(factor ** self.root * self.radicand, self.root)
 
-    def approx(self) -> float:
-        return float(self.radicand) ** (1.0 / self.root)
+    def approx(self) -> float | None:
+        """The value as a float, or None when the radicand does not fit one."""
+        try:
+            return float(self.radicand) ** (1.0 / self.root)
+        except OverflowError:
+            return None
 
 
 # ---------------------------------------------------------------------------

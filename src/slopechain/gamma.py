@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement, islice, product, repeat
 from operator import add, itemgetter, mul
 
 from . import linalg
-from .chain import Chain, RootedRational, _scaled_chain, n_formula
+from .chain import Chain, RootedRational, _scaled_chain, log_rational, n_formula
 from .errors import CertificateViolation, EnumerationTooLarge, NotNested
 from .model import (
     GroupModel,
@@ -360,16 +360,15 @@ def counting_check(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup,
         counts.append(c)
 
     fitted = None
-    distinct = sorted(set(lambdas))
-    if len(distinct) >= 2:
-        xs = [math.log(float(lam)) for lam in lambdas]
+    if len(set(lambdas)) >= 2:
+        xs = [log_rational(lam) for lam in lambdas]
         ys = [math.log(c) for c in counts]
         xbar = sum(xs) / len(xs)
         ybar = sum(ys) / len(ys)
         sxx = sum((x - xbar) ** 2 for x in xs)
         sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-        fitted = sxy / sxx
-        if round(fitted) != rank:
+        fitted = sxy / sxx if sxx else None
+        if fitted is not None and round(fitted) != rank:
             raise CertificateViolation(
                 "lambda_exponent",
                 f"fitted growth exponent {fitted:.3f} does not round to rank {rank}",

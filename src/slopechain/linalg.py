@@ -1,10 +1,11 @@
 """Exact dense linear algebra over Q, and integer row lattices.
 
 Matrices are sequences of rows.  Rational routines share one fraction-free
-integer echelon (`_echelon_insert`), which `rat_rref` builds from integer
-rows and stops once its rank is the column count.  Kernels are read off
-that echelon in integers by `_integer_kernel`, for all columns or for any
-prefix; `nullspace` alone turns them into Fractions.  Lattice routines
+integer echelon, (pivot column, row) pairs that carry each row's pivot:
+`_echelon` folds integer rows in by `_echelon_insert` until the rank is the
+row width, and `rat_rref` splits it into rows and pivots.  Kernels are read
+off it in integers by `_integer_kernel`, for all columns or for any prefix;
+`nullspace` alone turns them into Fractions.  Lattice routines
 return canonical row-style Hermite normal forms (pivots positive, entries
 above a pivot reduced into [0, pivot), zero rows dropped), so lattice
 equality is plain tuple equality.  They share one HNF routine, `hnf`, which
@@ -17,7 +18,7 @@ Coset representatives modulo an HNF come one vector at a time
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import insort
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -32,53 +33,56 @@ def _lead(row):
     return row.index(next(filter(None, row)))
 
 
-def _echelon_reduce(rows, vec):
+def _echelon_reduce(ech, vec):
     """The primitive remainder of an integer vector modulo a canonical integer
     echelon (its pivot columns cleared), or None if the vector lies in the
     echelon's span over Q.  Two vectors have equal remainders exactly when
     they extend the span to the same space."""
     v = list(vec)
-    for row in rows:
-        c = _lead(row)
+    for c, row in ech:
         if v[c]:
             f, g = row[c], v[c]
             v = [f * a - g * b for a, b in zip(v, row)]
     return primitive(v) if any(v) else None
 
 
-def _echelon_insert(rows, vec):
-    """Insert an integer vector into a canonical integer echelon (scaled RREF:
-    pivot columns strictly increasing, each row primitive with positive lead,
-    pivot columns eliminated everywhere else).  None if dependent.
+def _echelon_insert(ech, vec):
+    """Insert an integer vector into a canonical integer echelon, the scaled
+    RREF as (pivot, row) pairs: pivots increasing, rows primitive with
+    positive leads, pivot columns cleared elsewhere.  None if dependent.
 
     All arithmetic is fraction-free, which is what makes exhaustive span
     enumeration affordable; it is the one elimination over Q, and every
     kernel is read off it by `_integer_kernel`.
     """
-    v = _echelon_reduce(rows, vec)
+    v = _echelon_reduce(ech, vec)
     if v is None:
         return None
     lead = _lead(v)
     out = []
-    for row in rows:
+    for c, row in ech:
         if row[lead]:
             f, g = v[lead], row[lead]
             row = primitive([f * a - g * b for a, b in zip(row, v)])
-        out.append(row)
-    # clearing column `lead` moves no other row's lead, so only v needs placing
-    out.insert(bisect(out, lead, key=_lead), v)
+        out.append((c, row))
+    # clearing column `lead` moves no other row's pivot, so only v is placed
+    insort(out, (lead, v))
     return tuple(out)
 
 
 def _echelon(rows):
-    """The canonical integer echelon of the span of integer rows."""
+    """The canonical integer echelon of the span of integer rows.  Folding
+    stops once its rank is the row width, the identity: the rows after the
+    one that filled the rank are never read."""
     ech = ()
     for row in rows:
         ech = _echelon_insert(ech, row) or ech
+        if len(ech) == len(row):
+            break
     return ech
 
 
-def _integer_kernel(rows, ncols):
+def _integer_kernel(ech, ncols):
     """The right kernel of the first `ncols` columns of a canonical integer
     echelon, read off it in integers, one vector per free column: the lcm of
     the pivots there, and at each pivot minus the column's entry in that
@@ -86,13 +90,13 @@ def _integer_kernel(rows, ncols):
     of a column prefix is the echelon cut to the prefix without the rows
     whose pivot is at or past `ncols`, which come last; so one echelon
     serves every prefix."""
-    pivots = [c for c in map(_lead, rows) if c < ncols]
-    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    ech = [(c, row) for c, row in ech if c < ncols]
+    scale = lcm(*(row[c] for c, row in ech))
     kernel = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
+    for free in sorted(set(range(ncols)).difference(c for c, _ in ech)):
         vec = [0] * ncols
         vec[free] = scale
-        for row, c in zip(rows, pivots):
+        for c, row in ech:
             vec[c] = -row[free] * (scale // row[c])
         kernel.append(vec)
     return kernel
@@ -103,7 +107,7 @@ def _annihilator(vectors, ncols):
     return left_kernel([[w[j] for w in vectors] for j in range(ncols)], len(vectors))
 
 
-def _saturation(rows, ncols):
+def _saturation(ech, ncols):
     """HNF basis of Z^ncols cap span_Q(rows) for a canonical integer echelon:
     the integer vectors that annihilate its right kernel.
 
@@ -112,9 +116,9 @@ def _saturation(rows, ncols):
     span has c_i = x[p_i] at the pivot p_i of row E_i, so every c_i is an
     integer.
     """
-    if all(next(filter(None, row)) == 1 for row in rows):
-        return tuple(rows)
-    return _annihilator(_integer_kernel(rows, ncols), ncols)
+    if all(row[c] == 1 for c, row in ech):
+        return tuple(row for _, row in ech)
+    return _annihilator(_integer_kernel(ech, ncols), ncols)
 
 
 def _cleared(row):
@@ -123,17 +127,10 @@ def _cleared(row):
 
 
 def rat_rref(rows, ncols):
-    """(canonical integer echelon, pivot columns) of integer rows: each row
-    over its pivot entry is the reduced row echelon form over Q.  Folding
-    stops once the echelon has `ncols` rows, the identity: the rows after
-    the one that filled the rank are never read."""
-    ech = ()
-    if ncols:
-        for row in rows:
-            ech = _echelon_insert(ech, row) or ech
-            if len(ech) == ncols:
-                break
-    return ech, tuple(map(_lead, ech))
+    """`_echelon` of integer rows of width `ncols`, split into (rows, pivot
+    columns): each row over its pivot entry is the RREF over Q."""
+    ech = _echelon(rows)
+    return tuple(row for _, row in ech), tuple(c for c, _ in ech)
 
 
 def _monic(vector):
@@ -147,8 +144,7 @@ def nullspace(rows, ncols):
     """Canonical basis of the right kernel {v : M v = 0} over Q of rows of
     ints or Fractions, one vector per free column: entry 1 there, the rows
     cleared of denominators and the kernel read off their echelon."""
-    ech, _ = rat_rref(map(_cleared, rows), ncols)
-    return list(map(_monic, _integer_kernel(ech, ncols)))
+    return list(map(_monic, _integer_kernel(_echelon(map(_cleared, rows)), ncols)))
 
 
 # ---------------------------------------------------------------------------

@@ -220,13 +220,6 @@ def _homogenized(point):
     return (q,) + tuple(x.numerator * (q // x.denominator) for x in point)
 
 
-def _normalized(q, p):
-    """The integer point (q, p) divided by its content: for q > 0 the point
-    `_homogenized` gives for the Fraction point p/q."""
-    g = math.gcd(q, *p)
-    return (q, *p) if g == 1 else (q // g, *(x // g for x in p))
-
-
 def _fraction_point(point):
     """The Fraction point p/q of the integer point (q, p)."""
     q = point[0]
@@ -292,7 +285,8 @@ def _kernels(model: GroupModel, points, order: int, degrees, limit):
     points = tuple(points)
     _check_jet(model, len(points), order, degrees, limit)
     jm = jet_matrix(model, points, order, degrees[-1], limit)
-    echelon, _ = linalg.rat_rref(jm.rows, len(jm.basis))
+    rows, pivots = linalg.rat_rref(jm.rows, len(jm.basis))
+    echelon = tuple(zip(pivots, rows))
     kernels = []
     for degree in degrees:
         ncols = math.comb(model.n + degree, model.n)
@@ -436,10 +430,7 @@ def _outside_translates(omega, subgroup):
     The representatives of `omega` are built once, so each query is one
     reduction and one set lookup, whatever the dimension of H.
     """
-    echelon = [
-        (linalg._lead(row), row)
-        for row in linalg._echelon(map(linalg._cleared, subgroup.span))
-    ]
+    echelon = linalg._echelon(map(linalg._cleared, subgroup.span))
     rows, lifts, den = _integer_rows(omega.columns)
     leads = math.lcm(*(row[c] for c, row in echelon))
     scale, lifts = den * leads, [f * leads for f in lifts]
@@ -545,7 +536,7 @@ class _ProbeSamples:
                         f = a * (unit // b)
                         for i, x in entries:
                             coords[i] += f * x
-                pts.append(_normalized(unit * span_den, coords))
+                pts.append(linalg.primitive((unit * span_den, *coords)))
             self.lower.append(tuple(pts))
 
             if sub.dim == model.n:
@@ -554,7 +545,7 @@ class _ProbeSamples:
             draws = (_draw(rng, model.n, coord_bound) for _ in range(50 * samples))
             outside_row, outside_point = _outside_translates(omega, sub)
             found = [
-                _normalized(two_den, list(map(mul, row, two_lifts)))
+                linalg.primitive((two_den, *map(mul, row, two_lifts)))
                 for row in islice(filter(outside_row, two_rows), samples)
             ]
             found.extend(islice(filter(outside_point, draws), samples - len(found)))
@@ -570,7 +561,7 @@ def _draw(rng, n, bound):
     drawn before b), as an integer point (q, p)."""
     pairs = [(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(n)]
     q = math.lcm(*(b for _, b in pairs))
-    return _normalized(q, [a * (q // b) for a, b in pairs])
+    return linalg.primitive((q, *(a * (q // b) for a, b in pairs)))
 
 
 def _witness(members, kernel, points, inside_wanted, memory):
@@ -703,9 +694,9 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
             transitions.append((degree, i_star))
             prev_istar = i_star
         rows.append(SweepRow(degree, rank, nullity, tuple(verdicts), i_star))
-    # exact T * frak_S_i as a RootedRational, with a display float beside it
-    thresholds = tuple(
-        (i, step.frak_s.times(order), order * step.frak_s.approx())
-        for i, step in enumerate(chain.steps)
-    )
-    return LocusReport(tuple(rows), tuple(transitions), thresholds)
+    # exact T * frak_S_i as a RootedRational, with a display float or None
+    thresholds = []
+    for i, step in enumerate(chain.steps):
+        approx = step.frak_s.approx()
+        thresholds.append((i, step.frak_s.times(order), approx and order * approx))
+    return LocusReport(tuple(rows), tuple(transitions), tuple(thresholds))

@@ -441,7 +441,7 @@ def _symbolic_closure(model: GroupModel, rows) -> Subgroup:
     bound = min(model.n, len(base) - model.kernel_lattice().rank)
 
     def image_echelon(matrix):
-        return linalg._echelon([sum(map(mul, row, b)) for row in matrix] for b in base)
+        return linalg._echelon([sum(map(mul, row, b)) for row in matrix] for _, b in base)
 
     r = 0
     for a in _simplex(model.m, bound):
@@ -463,7 +463,8 @@ def _symbolic_closure(model: GroupModel, rows) -> Subgroup:
             conditions = linalg._echelon_insert(conditions, cond) or conditions
         if len(conditions) == model.l - len(base):
             break
-    return Subgroup(r, Sublattice(model.l, linalg._annihilator(conditions, model.l)), model)
+    coeff = linalg._annihilator([w for _, w in conditions], model.l)
+    return Subgroup(r, Sublattice(model.l, coeff), model)
 
 
 def _closure(model: GroupModel, rows) -> Subgroup:
@@ -502,8 +503,7 @@ def _prefix_ranks(rows, l):
     pivots below l - j.
     """
     ech = linalg._echelon(row[::-1] for row in rows)
-    leads = [linalg._lead(row) for row in ech]
-    return tuple(len(ech) - sum(c < l - j for c in leads) for j in range(l + 1))
+    return tuple(len(ech) - sum(c < l - j for c, _ in ech) for j in range(l + 1))
 
 
 def rank_profile(model: GroupModel, subgroup: Subgroup) -> RankProfile:

@@ -304,6 +304,41 @@ class TestParser:
         assert json.loads(out)["cardinality"] == 15
 
 
+class TestDisplayFloatsOfExactInputs:
+    """Exact inputs whose floats are out of range: the logs of rationals are
+    taken through their integer numerator and denominator, frak_approx is
+    null when the radicand is past the largest float, and so is an exponent
+    fitted on equal float logs."""
+
+    HUGE = {"scales": [str(2 ** 1024), "2"]}
+
+    @pytest.mark.parametrize("command, extra, want", [
+        ("chain build", HUGE, [None, 2.0]),
+        ("chain verify", HUGE, [None, 2.0]),
+        ("polygon export", HUGE, [0.0, 709.782712893384, 710.4758600739439]),
+        ("gamma check", {"lambdas": ["1", "1" + "0" * 400]}, 0.0),
+        ("gamma check", {"lambdas": ["1", "1/1" + "0" * 400]}, 0.0),
+        ("gamma check", {"lambdas": ["1", f"{10 ** 30 + 1}/{10 ** 30}"]}, None),
+    ], ids=["build", "verify", "polygon", "huge_lambda", "tiny_lambda", "equal_logs"])
+    def test_report_written(self, tmp_path, command, extra, want):
+        cfg = write_config(tmp_path, {"h_prime": [], "h_dprime": [], **extra})
+        code, body = run_to_file(tmp_path, [*command.split(), "-c", cfg])
+        assert code in (0, 2)
+        if command == "polygon export":
+            rows = [line.split(",") for line in body.decode().splitlines()[1:]]
+            assert [float(row[1]) for row in rows] == want
+            return
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in a JSON report")
+
+        report = json.loads(body, parse_constant=refuse)
+        if command == "gamma check":
+            assert report["fitted_exponent_approx"] == want
+        else:
+            assert [step["frak_approx"] for step in report["chain"]["steps"]] == want
+
+
 class TestScalarJson:
     @staticmethod
     def model_coordinate(raw):

@@ -272,7 +272,8 @@ def _draw_integer_matrix(data):
 def _echelons(draw):
     """(canonical integer echelon, ncols): rows with leads 1..4 at increasing
     pivot columns, zero in the other pivot columns, made canonical by
-    `_echelon`, so both unit and non-unit pivots occur."""
+    `_echelon` as (pivot, row) pairs, so both unit and non-unit pivots
+    occur."""
     ncols = draw(st.integers(1, 6))
     pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)))
     rows = []
@@ -284,8 +285,40 @@ def _echelons(draw):
                 row[j] = draw(st.integers(-6, 6))
         rows.append(row)
     ech = linalg._echelon(rows)
-    assert len(ech) == len(pivots) and linalg._echelon(ech) == ech
+    assert [c for c, _ in ech] == pivots
+    assert linalg._echelon(row for _, row in ech) == ech
     return ech, ncols
+
+
+class TestCarriedPivots:
+    @settings(max_examples=300, deadline=None)
+    @given(_echelons(), st.data())
+    def test_pivots_are_the_leads(self, case, data):
+        # an echelon grown by more rows still carries the lead of each row as
+        # its pivot, in increasing order, and clears it in the other rows;
+        # rat_rref is that echelon split into rows and pivots
+        start, ncols = case
+        row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+        rows = [r for _, r in start] + data.draw(st.lists(row, max_size=4))
+        ech = linalg._echelon(rows)
+        pivots = tuple(c for c, _ in ech)
+        assert pivots == tuple(sorted(set(pivots))) == oracles.rref(rows, ncols)[1]
+        for c, r in ech:
+            assert c == oracles.lead(r)
+            assert [other[c] != 0 for _, other in ech] == [other is r for _, other in ech]
+        assert linalg.rat_rref(rows, ncols) == (tuple(r for _, r in ech), pivots)
+
+    @pytest.mark.parametrize("ncols", [0, 1, 3])
+    def test_stops_at_full_rank(self, ncols):
+        # the rows after the one that fills the rank are never read
+        rows = [[2, 4, 0], [1, 2, 0], [0, 3, 2], [1, 0, 10]]
+
+        def stream():
+            yield from (row[:ncols] for row in rows)
+            raise AssertionError("a row was read after the rank reached the width")
+
+        identity = tuple((i, tuple(int(i == j) for j in range(ncols))) for i in range(ncols))
+        assert linalg._echelon(stream()) == identity
 
 
 class TestIntegerKernelsAgainstOracles:
@@ -305,9 +338,9 @@ class TestIntegerKernelsAgainstOracles:
 
     @settings(max_examples=300, deadline=None)
     @given(_echelons())
-    @example(case=(((1, 0, 2), (0, 1, -3)), 3))
-    @example(case=(((2, 1, 0), (0, 0, 1)), 3))
-    @example(case=(((3, 0, 1, 2),), 4))
+    @example(case=(((0, (1, 0, 2)), (1, (0, 1, -3))), 3))
+    @example(case=(((0, (2, 1, 0)), (2, (0, 0, 1))), 3))
+    @example(case=(((0, (3, 0, 1, 2)),), 4))
     @example(case=((), 2))
     def test_saturation_equals_annihilator_of_kernel(self, case):
         ech, ncols = case
@@ -322,7 +355,7 @@ class TestIntegerKernelsAgainstOracles:
         # on every column prefix, the integer kernel of the echelon is the
         # Gauss-Jordan kernel (1 at each free column) times its free entry
         m, ncols = _draw_integer_matrix(data)
-        ech, _ = linalg.rat_rref(m, ncols)
+        ech = linalg._echelon(m)
         for k in range(ncols + 1):
             prefix = [row[:k] for row in m]
             reference = oracles.nullspace(prefix, k)
@@ -338,7 +371,7 @@ class TestIntegerKernelsAgainstOracles:
 
         monkeypatch.setattr(linalg, "left_kernel", refuse)
         ech = linalg._echelon([[1, 2, 0, 3], [0, 0, 1, -4]])
-        assert linalg._saturation(ech, 4) == ech
+        assert linalg._saturation(ech, 4) == ((1, 2, 0, 3), (0, 0, 1, -4))
         # a pivot of 2 still takes the kernel route
         with pytest.raises(AssertionError, match="left_kernel called"):
             linalg._saturation(linalg._echelon([[2, 1, 0, 0]]), 4)

@@ -256,8 +256,8 @@ def _fraction_outside(points, subgroup):
     echelon eliminated one row at a time: the oracle of the integer
     representatives of `locus._outside_translates`."""
     echelon = [
-        (linalg._lead(row), row)
-        for row in linalg._echelon(map(linalg._cleared, subgroup.span))
+        (oracles.lead(row), row)
+        for _, row in linalg._echelon(map(linalg._cleared, subgroup.span))
     ]
 
     def representative(x):
@@ -492,9 +492,9 @@ class TestThresholdSweep:
         chain = build_chain(m)
         integer_kernel = linalg._integer_kernel
 
-        def tampered(rows, ncols):
-            vectors = integer_kernel(rows, ncols)
-            if rows and ncols < len(rows[0]):
+        def tampered(ech, ncols):
+            vectors = integer_kernel(ech, ncols)
+            if ech and ncols < len(ech[0][1]):
                 if tamper == "scaled":
                     return [[-2 * x for x in v] for v in vectors]
                 return vectors[::-1]

@@ -516,7 +516,7 @@ def _old_enumerate_closures_rational(model, height):
                     seen[grown] = None
                     nxt.append(grown)
         frontier = nxt
-    subgroups = [oracles.subgroup(model, ech) for ech in seen]
+    subgroups = [oracles.subgroup(model, [row for _, row in ech]) for ech in seen]
     subgroups.sort(key=lambda s: (s.dim, s.coeff.rows))
     return tuple(subgroups)
 
@@ -690,7 +690,8 @@ class TestEnumerateClosuresOracle:
             for v in box_primitives(model.l, height)
         }
         for grown in grown_echelons - {None}:
-            assert _rational_closure(model, grown) == oracles.closure(model, grown)
+            rows = [row for _, row in grown]
+            assert _rational_closure(model, grown) == oracles.closure(model, rows)
 
     @settings(max_examples=20, deadline=None)
     @given(models_with_lattice())

@@ -65,7 +65,8 @@ def test_traced_chain_verify(tmp_path, config):
     if config == "plane_basic":
         # subgroup inclusion compares lattices and runs no elimination
         assert table["model.span_contains"][0] > 0
-        assert tracer.child_calls("model.span_contains", "linalg.rank") == 0
+        for kernel in ("hnf", "left_kernel", "rat_rref", "nullspace"):
+            assert tracer.child_calls("model.span_contains", f"linalg.{kernel}") == 0
         # a left kernel is one HNF of [A | I], with no unimodular transform
         assert "linalg.hnf_transform" not in table
         kernels = table["linalg.left_kernel"][0]
