@@ -338,9 +338,10 @@ def counting_check(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup,
     Per lambda the exact ratio count / (lambda^rk * N) is recorded; the
     min/max bracket plays the role of the unknowable constants.  The growth
     exponent is also fitted on log(count) vs log(lambda) and must round to
-    the exact rank.  Each count is one `card_mod` lattice walk over the
-    points of iota^{-1}(H') in the box, with `limit` bounding the walk as
-    in `_count_in_box`; H'' must lie in H'.  ValueError unless there is at
+    the exact rank, when the float logs of the lambdas take at least two
+    values (otherwise it is None).  Each count is one `card_mod` lattice
+    walk over the points of iota^{-1}(H') in the box, with `limit` bounding
+    the walk as in `_count_in_box`; H'' must lie in H'.  ValueError unless there is at
     least one lambda.
     """
     lambdas = [as_fraction(x) for x in lambdas]
@@ -360,15 +361,15 @@ def counting_check(model: GroupModel, h_prime: Subgroup, h_dprime: Subgroup,
         counts.append(c)
 
     fitted = None
-    if len(set(lambdas)) >= 2:
-        xs = [log_rational(lam) for lam in lambdas]
+    xs = [log_rational(lam) for lam in lambdas]
+    if len(set(xs)) >= 2:
         ys = [math.log(c) for c in counts]
         xbar = sum(xs) / len(xs)
         ybar = sum(ys) / len(ys)
         sxx = sum((x - xbar) ** 2 for x in xs)
         sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-        fitted = sxy / sxx if sxx else None
-        if fitted is not None and round(fitted) != rank:
+        fitted = sxy / sxx  # sxx > 0: two distinct logs differ by at least 1e-16
+        if round(fitted) != rank:
             raise CertificateViolation(
                 "lambda_exponent",
                 f"fitted growth exponent {fitted:.3f} does not round to rank {rank}",

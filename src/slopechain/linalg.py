@@ -2,15 +2,16 @@
 
 Matrices are sequences of rows.  Rational routines share one fraction-free
 integer echelon, (pivot column, row) pairs that carry each row's pivot:
-`_echelon` folds integer rows in by `_echelon_insert` until the rank is the
-row width, and `rat_rref` splits it into rows and pivots.  Kernels are read
-off it in integers by `_integer_kernel`, for all columns or for any prefix;
-`nullspace` alone turns them into Fractions.  Lattice routines
-return canonical row-style Hermite normal forms (pivots positive, entries
-above a pivot reduced into [0, pivot), zero rows dropped), so lattice
-equality is plain tuple equality.  They share one HNF routine, `hnf`, which
-tracks no unimodular transform: a left kernel is read off one HNF of
-[A | I], and a saturation needs none when the echelon's pivots are all 1.
+`_echelon` folds integer rows in, each reduced once by `_echelon_reduce` and
+then placed by `_echelon_insert`, until the rank is the row width, and
+`rat_rref` splits it into rows and pivots.  Kernels are read off it in
+integers by `_integer_kernel`, for all columns or for any prefix.  Lattice
+routines return canonical row-style Hermite normal forms (pivots positive,
+entries above a pivot reduced into [0, pivot), zero rows dropped), so
+lattice equality is plain tuple equality.  They share one HNF routine,
+`hnf`, which tracks no unimodular transform: a left kernel is read off one
+HNF of [A | I], and a saturation needs none when the echelon's pivots are
+all 1.
 Coset representatives modulo an HNF come one vector at a time
 (`lattice_reduce`) or many at once, column by column
 (`lattice_reduce_columns`).  Everything is pure and deterministic.
@@ -46,37 +47,38 @@ def _echelon_reduce(ech, vec):
     return primitive(v) if any(v) else None
 
 
-def _echelon_insert(ech, vec):
-    """Insert an integer vector into a canonical integer echelon, the scaled
-    RREF as (pivot, row) pairs: pivots increasing, rows primitive with
-    positive leads, pivot columns cleared elsewhere.  None if dependent.
+def _echelon_insert(ech, rem):
+    """Place a remainder that `_echelon_reduce` returned into the canonical
+    integer echelon `ech`, the scaled RREF as (pivot, row) pairs: pivots
+    increasing, rows primitive with positive leads, pivot columns cleared
+    elsewhere.  Only the remainder's lead column is cleared in the rows.
 
     All arithmetic is fraction-free, which is what makes exhaustive span
     enumeration affordable; it is the one elimination over Q, and every
     kernel is read off it by `_integer_kernel`.
     """
-    v = _echelon_reduce(ech, vec)
-    if v is None:
-        return None
-    lead = _lead(v)
+    lead = _lead(rem)
     out = []
     for c, row in ech:
         if row[lead]:
-            f, g = v[lead], row[lead]
-            row = primitive([f * a - g * b for a, b in zip(row, v)])
+            f, g = rem[lead], row[lead]
+            row = primitive([f * a - g * b for a, b in zip(row, rem)])
         out.append((c, row))
-    # clearing column `lead` moves no other row's pivot, so only v is placed
-    insort(out, (lead, v))
+    # clearing column `lead` moves no other row's pivot, so only rem is placed
+    insort(out, (lead, rem))
     return tuple(out)
 
 
 def _echelon(rows):
-    """The canonical integer echelon of the span of integer rows.  Folding
+    """The canonical integer echelon of the span of integer rows: each row
+    reduced by `_echelon_reduce`, then placed by `_echelon_insert`.  Folding
     stops once its rank is the row width, the identity: the rows after the
     one that filled the rank are never read."""
     ech = ()
     for row in rows:
-        ech = _echelon_insert(ech, row) or ech
+        rem = _echelon_reduce(ech, row)
+        if rem is not None:
+            ech = _echelon_insert(ech, rem)
         if len(ech) == len(row):
             break
     return ech
@@ -138,13 +140,6 @@ def _monic(vector):
     last nonzero entry."""
     d = next(filter(None, reversed(vector)))
     return tuple(Fraction(x, d) for x in vector)
-
-
-def nullspace(rows, ncols):
-    """Canonical basis of the right kernel {v : M v = 0} over Q of rows of
-    ints or Fractions, one vector per free column: entry 1 there, the rows
-    cleared of denominators and the kernel read off their echelon."""
-    return list(map(_monic, _integer_kernel(_echelon(map(_cleared, rows)), ncols)))
 
 
 # ---------------------------------------------------------------------------

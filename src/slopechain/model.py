@@ -409,20 +409,20 @@ def _simplex(m, d):
     return [(k,) + a for a in _simplex(m - 1, d) for k in range(d + 1 - sum(a))]
 
 
-def _symbolic_closure(model: GroupModel, rows) -> Subgroup:
-    """The closure over Q(t) of the span of integer coefficient `rows`, read
-    off integer eliminations at the points a of simplices.  N_a is the n x l
-    integer matrix of the generators specialized at t = a, each coordinate
-    cleared of denominators.
+def _symbolic_closure(model: GroupModel, ech) -> Subgroup:
+    """The closure over Q(t) of Q.L + Q.L0, given by its canonical integer
+    echelon B = `ech`, read off integer eliminations at the points a of
+    simplices.  N_a is the n x l integer matrix of the generators
+    specialized at t = a, each coordinate cleared of denominators.
 
-    Let B be the echelon of L0 + L and r = rk_{Q(t)} iota(L).  The entries of
-    iota(B) are affine-linear in t, so its k-minors have total degree <= k,
-    and a polynomial of total degree <= d that vanishes on the simplex of
-    degree d is zero (Chung & Yao 1977).  So r is the largest rank of N_a B
-    over the simplex of degree min(n, rk B - rk L0), a bound on r.  At each
-    point a of the simplex of degree 2r + 1 where N_a B has rank r, every
-    integer w with w N_a B = 0 gives the condition c -> w N_a c.  The
-    coefficient lattice C of the closure is Z^l cap ker(conditions):
+    Let r = rk_{Q(t)} iota(L).  The entries of iota(B) are affine-linear in
+    t, so its k-minors have total degree <= k, and a polynomial of total
+    degree <= d that vanishes on the simplex of degree d is zero (Chung &
+    Yao 1977).  So r is the largest rank of N_a B over the simplex of degree
+    min(n, rk B - rk L0), a bound on r.  At each point a of the simplex of
+    degree 2r + 1 where N_a B has rank r, every integer w with w N_a B = 0
+    gives the condition c -> w N_a c.  The coefficient lattice C of the
+    closure is Z^l cap ker(conditions):
 
     * C lies in it: at a an r-minor of iota(B) is nonzero, so by Cramer's
       rule iota(c)(a) lies in the column span of N_a B for every c in C.
@@ -437,11 +437,10 @@ def _symbolic_closure(model: GroupModel, rows) -> Subgroup:
     and r = 3, 0.5 s on a 2-core Xeon host, where one fraction-free kernel
     over Q[t] takes 1 ms.
     """
-    base = linalg._echelon(model.kernel_lattice().rows + rows)
-    bound = min(model.n, len(base) - model.kernel_lattice().rank)
+    bound = min(model.n, len(ech) - model.kernel_lattice().rank)
 
     def image_echelon(matrix):
-        return linalg._echelon([sum(map(mul, row, b)) for row in matrix] for _, b in base)
+        return linalg._echelon([sum(map(mul, row, b)) for row in matrix] for _, b in ech)
 
     r = 0
     for a in _simplex(model.m, bound):
@@ -455,13 +454,15 @@ def _symbolic_closure(model: GroupModel, rows) -> Subgroup:
     conditions = ()
     for a in _simplex(model.m, 2 * r + 1):
         matrix = model._specialized_matrix(a)
-        ech = image_echelon(matrix)
-        if len(ech) < r:
+        image = image_echelon(matrix)
+        if len(image) < r:
             continue
-        for w in linalg._integer_kernel(ech, model.n):
+        for w in linalg._integer_kernel(image, model.n):
             cond = [sum(map(mul, w, col)) for col in zip(*matrix)]
-            conditions = linalg._echelon_insert(conditions, cond) or conditions
-        if len(conditions) == model.l - len(base):
+            rem = linalg._echelon_reduce(conditions, cond)
+            if rem is not None:
+                conditions = linalg._echelon_insert(conditions, rem)
+        if len(conditions) == model.l - len(ech):
             break
     coeff = linalg._annihilator([w for _, w in conditions], model.l)
     return Subgroup(r, Sublattice(model.l, coeff), model)
@@ -469,9 +470,8 @@ def _symbolic_closure(model: GroupModel, rows) -> Subgroup:
 
 def _closure(model: GroupModel, rows) -> Subgroup:
     """`closure` of a tuple of integer coefficient rows of length l, unchecked."""
-    if model.m:
-        return _symbolic_closure(model, rows)
-    return _rational_closure(model, linalg._echelon(model.kernel_lattice().rows + rows))
+    close = _symbolic_closure if model.m else _rational_closure
+    return close(model, linalg._echelon(model.kernel_lattice().rows + rows))
 
 
 def closure(model: GroupModel, lattice) -> Subgroup:
@@ -482,15 +482,17 @@ def closure(model: GroupModel, lattice) -> Subgroup:
 
 
 def _coefficient_vectors(model: GroupModel, vectors) -> tuple:
-    """The vectors as integer tuples; DimensionMismatch unless each has l
-    entries."""
-    rows = tuple(tuple(int(x) for x in v) for v in vectors)
+    """The vectors as integer tuples.  ValidationError on "lattice" unless
+    every entry is an int other than a bool or a Fraction with denominator
+    1; DimensionMismatch unless each vector has l entries."""
+    rows = tuple(map(tuple, vectors))
     for row in rows:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+                raise ValidationError("lattice", f"coefficient {x!r} is not an integer")
         if len(row) != model.l:
-            raise DimensionMismatch(
-                f"lattice vector has {len(row)} entries, expected {model.l}"
-            )
-    return rows
+            raise DimensionMismatch(f"lattice vector has {len(row)} entries, expected {model.l}")
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def _prefix_ranks(rows, l):
@@ -547,14 +549,16 @@ def enumerate_closures(model: GroupModel, height=2):
       dim H >= dim T - 1 can only grow into T; it is not expanded, and T is
       emitted once, as the model's prefix closure of Z^l.  This holds
       over Q[t] as well.
-    * Saturation over Q.  With m = 0, iota^{-1}(H + Q.iota(v)) = Q.L + Q.v,
-      since Q.L contains the rational kernel Q.L0 of iota.  So the grown
-      echelon is already closed and is its own key, and
-      `_rational_closure` reads the closure off it, with no elimination in
-      image space.  With symbols the closure can be larger than the grown
-      span; `_symbolic_closure` closes it from the coefficient rows of H and
-      v, and the memo of grown echelons keeps it from being computed again.
+    * One closure step.  The ring's closure closes the grown echelon, of
+      Q.L + Q.v.  Its lattice contains the grown one, so at equal ranks
+      they span one Q-space and the grown echelon is the key; otherwise
+      the key is the echelon of its lattice.  Over Q the ranks are equal:
+      iota^{-1}(H + Q.iota(v)) = Q.L + Q.v, since Q.L contains the kernel
+      Q.L0 of iota, so no elimination runs in image space.  Over Q[t] they
+      are equal when the closure is the saturation; when it is larger, the
+      memo of grown echelons keeps it from being computed again.
     """
+    close = _symbolic_closure if model.m else _rational_closure
     top = model.prefix_closure(model.l)
     zero = model.zero_subgroup()
     start = linalg._echelon(zero.coeff.rows)
@@ -577,12 +581,8 @@ def enumerate_closures(model: GroupModel, height=2):
             grown = linalg._echelon_insert(ech, rem)
             if grown in seen:
                 continue
-            if model.m == 0:
-                key = grown
-                sub = _rational_closure(model, grown)
-            else:
-                sub = _symbolic_closure(model, node.coeff.rows + (v,))
-                key = linalg._echelon(sub.coeff.rows)
+            sub = close(model, grown)
+            key = grown if sub.coeff.rank == len(grown) else linalg._echelon(sub.coeff.rows)
             if key not in seen:
                 nodes.append((key, sub))
             seen.update((grown, key))

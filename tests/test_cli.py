@@ -319,7 +319,12 @@ class TestDisplayFloatsOfExactInputs:
         ("gamma check", {"lambdas": ["1", "1" + "0" * 400]}, 0.0),
         ("gamma check", {"lambdas": ["1", "1/1" + "0" * 400]}, 0.0),
         ("gamma check", {"lambdas": ["1", f"{10 ** 30 + 1}/{10 ** 30}"]}, None),
-    ], ids=["build", "verify", "polygon", "huge_lambda", "tiny_lambda", "equal_logs"])
+        # equal float logs whose float mean is off them: no noise is fitted
+        ("gamma check", {"h_prime": [[1, 0], [0, 1]], "lambdas": [
+            "21/10", f"{21 * 10 ** 29 + 1}/{10 ** 30}", f"{21 * 10 ** 29 + 2}/{10 ** 30}",
+        ]}, None),
+    ], ids=["build", "verify", "polygon", "huge_lambda", "tiny_lambda", "equal_logs",
+            "equal_logs_off_mean"])
     def test_report_written(self, tmp_path, command, extra, want):
         cfg = write_config(tmp_path, {"h_prime": [], "h_dprime": [], **extra})
         code, body = run_to_file(tmp_path, [*command.split(), "-c", cfg])

@@ -20,6 +20,7 @@ from slopechain import (
     ModelConfig,
     NotNested,
     Sublattice,
+    ValidationError,
     build_chain,
     build_model,
     card_mod,
@@ -195,6 +196,15 @@ class TestIntegerColumns:
             assert all(type(c) is F for p in points for c in p)
 
 
+def _refusal(vector):
+    """(error type, message) refusing a coefficient vector of a model with
+    l = 2: by its length, or else by its first entry, the non-integer one in
+    these cases."""
+    if len(vector) != 2:
+        return DimensionMismatch, f"lattice vector has {len(vector)} entries, expected 2"
+    return ValidationError, f"lattice: coefficient {vector[0]!r} is not an integer"
+
+
 class TestCardMod:
     def test_full_over_zero_is_cardinality(self):
         m = plane_model(3, 2)
@@ -207,20 +217,21 @@ class TestCardMod:
         # direct enumeration oracle: points (k, k) need |k| < 2
         assert card_mod(m, 1, diag, m.zero_subgroup()) == 3
 
-    @pytest.mark.parametrize("x_vector", [[0], [0, 0, 5]])
+    @pytest.mark.parametrize("x_vector", [[0], [0, 0, 5], [F(1, 2), 0], [1.9, 0], [True, 0]])
     def test_translate_vector_of_wrong_length(self, x_vector):
-        # l = 2: a short or long vector must not cut the box to its length
+        # l = 2: a short or long vector must not cut the box to its length,
+        # and a non-integer entry must not be truncated to an integer
         m = plane_model(3, 2)
-        with pytest.raises(DimensionMismatch) as err:
+        with pytest.raises((DimensionMismatch, ValidationError)) as err:
             card_translate(m, 1, x_vector, m.full_subgroup())
-        assert str(err.value) == f"lattice vector has {len(x_vector)} entries, expected 2"
+        assert (err.type, str(err.value)) == _refusal(x_vector)
 
-    @pytest.mark.parametrize("vector", [(1,), (1, 0, 0)])
+    @pytest.mark.parametrize("vector", [(1,), (1, 0, 0), (F(1, 2), 0), (1.9, 0)])
     def test_gamma_from_vector_of_wrong_length(self, vector):
         m = plane_model(3, 2)
-        with pytest.raises(DimensionMismatch) as err:
+        with pytest.raises((DimensionMismatch, ValidationError)) as err:
             gamma_from_vectors(m, [(0, 0), vector])
-        assert str(err.value) == f"lattice vector has {len(vector)} entries, expected 2"
+        assert (err.type, str(err.value)) == _refusal(vector)
 
     def test_classes_mod_x_axis(self):
         m = plane_model(3, 2)

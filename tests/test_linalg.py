@@ -47,8 +47,8 @@ class TestRank:
         for _ in range(25):
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
-            m = [[F(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-            kernel = linalg.nullspace(m, cols)
+            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            kernel = linalg._integer_kernel(linalg._echelon(m), cols)
             assert oracles.rank(m) + len(kernel) == cols
 
 
@@ -100,24 +100,30 @@ class TestRatRref:
 
 
 class TestNullspace:
+    """The right kernel over Q, read in integers off the echelon: one vector
+    per free column."""
+
+    @staticmethod
+    def kernel(rows, ncols):
+        return linalg._integer_kernel(linalg._echelon(rows), ncols)
+
     def test_single_row(self):
-        basis = linalg.nullspace([[1, 1]], 2)
-        assert basis == [(F(-1), F(1))]
+        assert self.kernel([[1, 1]], 2) == [[-1, 1]]
 
     def test_identity_empty(self):
-        assert linalg.nullspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == []
+        assert self.kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == []
 
     def test_multiply_back(self):
         m = [[1, 2, 3], [2, 4, 6]]
-        basis = linalg.nullspace(m, 3)
+        basis = self.kernel(m, 3)
         assert len(basis) == 2
         for vec in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
     def test_deterministic(self):
-        m = [[F(1), F(2), F(3), F(5)], [F(0), F(1), F(1), F(1)]]
-        assert linalg.nullspace(m, 4) == linalg.nullspace(m, 4)
+        m = [[1, 2, 3, 5], [0, 1, 1, 1]]
+        assert self.kernel(m, 4) == self.kernel(m, 4)
 
 
 class TestPolyNullspace:
@@ -319,6 +325,24 @@ class TestCarriedPivots:
 
         identity = tuple((i, tuple(int(i == j) for j in range(ncols))) for i in range(ncols))
         assert linalg._echelon(stream()) == identity
+
+    @settings(max_examples=300, deadline=None)
+    @given(_echelons(), st.data())
+    def test_insert_places_the_reduced_remainder(self, case, data):
+        # placing the remainder of v is growing the echelon by v, in either
+        # order of the rows, and gives the Gauss-Jordan RREF scaled to
+        # primitive integer rows; no remainder means v is in the span
+        ech, ncols = case
+        v = data.draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+        rows = [row for _, row in ech]
+        rem = linalg._echelon_reduce(ech, v)
+        if rem is None:
+            assert linalg._echelon(rows + [v]) == linalg._echelon([v] + rows) == ech
+            return
+        grown = linalg._echelon_insert(ech, rem)
+        assert grown == linalg._echelon(rows + [v]) == linalg._echelon([v] + rows)
+        view = [tuple(F(x, row[c]) for x in row) for c, row in grown]
+        assert (view, tuple(c for c, _ in grown)) == oracles.rref(rows + [v], ncols)
 
 
 class TestIntegerKernelsAgainstOracles:

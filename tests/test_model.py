@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 from itertools import product
@@ -27,9 +28,9 @@ from slopechain import (
 )
 from slopechain import linalg
 from slopechain.model import (
+    _closure,
     _prefix_ranks,
     _rational_closure,
-    _symbolic_closure,
     box_primitives,
     image_lines,
 )
@@ -156,6 +157,16 @@ class TestClosure:
             first = closure(m, rows)
             again = closure(m, first.coeff)
             assert (first.dim, first.coeff.rows) == (again.dim, again.coeff.rows)
+
+    @pytest.mark.parametrize("row", [(F(1, 2), 0), (1.9, 0), (True, 0), ("1", 0)])
+    def test_non_integer_coefficients_are_refused(self, row):
+        # not truncated: (1/2, 0) would close to 0 and (1.9, 0) to the x-axis
+        m = rational_model(2, [(1, 0), (0, 1)], ("3", "2"))
+        with pytest.raises(ValidationError) as err:
+            closure(m, [row])
+        assert str(err.value) == f"lattice: coefficient {row[0]!r} is not an integer"
+        # a Fraction with denominator 1 is an integer
+        assert closure(m, [(F(2), 0)]) == closure(m, [(1, 0)])
 
     def test_monotone(self):
         m = rational_model(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)], (9, 5, 2))
@@ -511,8 +522,11 @@ def _old_enumerate_closures_rational(model, height):
             if len(ech) == n:
                 continue
             for rep in lines:
-                grown = linalg._echelon_insert(ech, rep)
-                if grown is not None and grown not in seen:
+                rem = linalg._echelon_reduce(ech, rep)
+                if rem is None:
+                    continue
+                grown = linalg._echelon_insert(ech, rem)
+                if grown not in seen:
                     seen[grown] = None
                     nxt.append(grown)
         frontier = nxt
@@ -639,7 +653,7 @@ class TestSymbolicClosure:
         # integer eliminations at the points of a simplex against one
         # fraction-free kernel over Q[t]
         model, rows = case
-        assert _symbolic_closure(model, tuple(rows)) == oracles.closure(model, rows)
+        assert _closure(model, tuple(map(tuple, rows))) == oracles.closure(model, rows)
 
     def test_growth_family_specializes_each_simplex_point_once(self, monkeypatch):
         # m = 3, n = 6: r = 5 and no condition ever cuts, so the closure visits
@@ -684,12 +698,14 @@ class TestEnumerateClosuresOracle:
         # over Q a grown echelon is already closed: its integer saturation,
         # with the nonzero images of its rows, is the subgroup its images span
         model, height = case
-        grown_echelons = {
-            linalg._echelon_insert(linalg._echelon(sub.coeff.rows), v)
-            for sub in enumerate_closures(model, height)
-            for v in box_primitives(model.l, height)
-        }
-        for grown in grown_echelons - {None}:
+        grown_echelons = set()
+        for sub in enumerate_closures(model, height):
+            ech = linalg._echelon(sub.coeff.rows)
+            for v in box_primitives(model.l, height):
+                rem = linalg._echelon_reduce(ech, v)
+                if rem is not None:
+                    grown_echelons.add(linalg._echelon_insert(ech, rem))
+        for grown in grown_echelons:
             rows = [row for _, row in grown]
             assert _rational_closure(model, grown) == oracles.closure(model, rows)
 
@@ -730,3 +746,67 @@ class TestEnumerateClosuresOracle:
         x_axis = closure(model, [(1, 0, 0)])
         assert x_axis.coeff.rows == ((1, 0, 0), (0, 1, 0))
         assert x_axis in subs
+
+
+class TestOneClosureStep:
+    """Each vector is reduced once, and the walk closes its grown echelon
+    with the closure of the model's ring, on Q and on Q[t] alike."""
+
+    @pytest.mark.parametrize("model, close", [
+        (rational_model(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], (2,) * 4),
+         "_rational_closure"),
+        (build_model(ModelConfig(
+            n=3,
+            generators=((1, 0, 0), ({"coeffs": {"t1": 1}}, 0, 0), (0, 1, 0), (0, 0, 1)),
+            scales=(2,) * 4,
+            symbols=("tau",),
+        )), "_symbolic_closure"),
+    ], ids=["rational", "symbolic"])
+    def test_walk_closes_grown_echelons(self, monkeypatch, model, close):
+        model.prefix_closure(model.l)  # the top closure, not a walk step
+        inserting = []
+        grown_by_walk = []
+        closed = []
+        real_reduce, real_insert = linalg._echelon_reduce, linalg._echelon_insert
+        real_primitive, real_close = linalg.primitive, getattr(model_module, close)
+
+        def reduce(ech, vec):
+            assert not inserting, "_echelon_insert reduced its argument again"
+            return real_reduce(ech, vec)
+
+        def primitive(vector):
+            assert not inserting or tuple(vector) != inserting[-1], "primitive of the remainder"
+            return real_primitive(vector)
+
+        def insert(ech, rem):
+            inserting.append(rem)
+            try:
+                grown = real_insert(ech, rem)
+            finally:
+                inserting.pop()
+            if sys._getframe(1).f_code is enumerate_closures.__code__:
+                grown_by_walk.append(grown)
+            return grown
+
+        def closure_of(model, ech):
+            closed.append(ech is grown_by_walk[-1])
+            return real_close(model, ech)
+
+        def refuse(model, ech):
+            raise AssertionError("the closure of the other ring was called")
+
+        monkeypatch.setattr(linalg, "_echelon_reduce", reduce)
+        monkeypatch.setattr(linalg, "_echelon_insert", insert)
+        monkeypatch.setattr(linalg, "primitive", primitive)
+        monkeypatch.setattr(model_module, close, closure_of)
+        other = {"_rational_closure", "_symbolic_closure"} - {close}
+        monkeypatch.setattr(model_module, other.pop(), refuse)
+        subs = enumerate_closures(model, 1)
+        # every closure the walk ran was handed the echelon it had just grown
+        assert closed and all(closed)
+        monkeypatch.undo()
+        model._cache.clear()
+        if model.m:
+            assert _as_tuples(subs) == _as_tuples(_old_enumerate_closures_symbolic(model, 1))
+        else:
+            assert _as_tuples(subs) == _as_tuples(_old_enumerate_closures_rational(model, 1))
