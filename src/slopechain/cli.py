@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .gamma import card_mod, counting_check, enumerate_gamma
-from .locus import _sized_points, eval_rank, locus_probe, threshold_sweep
+from .locus import _box_rank, locus_probe, threshold_sweep
 from .model import GroupModel, ModelConfig, _parse_coordinate, build_model, closure
 from .polys import Poly, as_fraction
 
@@ -463,9 +463,7 @@ def _require_D(cfg):
 
 def _cmd_locus_rank(cfg, model):
     omega = enumerate_gamma(model, Fraction(1), cfg.limits.enumeration_max)
-    degree, limit = _require_D(cfg), cfg.limits.matrix_max
-    points = _sized_points(model, omega, cfg.T, (degree,), limit)
-    result = eval_rank(model, points, cfg.T, degree, limit)
+    result = _box_rank(model, omega, cfg.T, _require_D(cfg), cfg.limits.matrix_max)
     return {
         "T": cfg.T,
         "D": cfg.D,

@@ -40,6 +40,14 @@ its largest degree, and keeps the position of the first vector that does
 not vanish there: the point is in the degree-D base locus iff it is >=
 nullity(D).
 
+When the generators bear no relation, none of that runs for `locus probe`,
+`locus sweep` or `locus rank`: Gamma(S) is then a product grid in adapted
+coordinates, and `_Grid` reads the rank, the nullity and the membership of
+every degree off closed forms (proved beside their oracle in
+`tests/oracles.py`).  `_members` picks the route from the model alone, and
+both routes answer the one membership interface of the verdict loop.  The
+public functions, which take arbitrary points, always eliminate.
+
 The probe's samples are integer points (q, p) from the draw to the
 evaluation, with q the lcm of the coordinate denominators, so sampling,
 the outside test against Gamma(S) + H and membership form no Fraction; only
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -67,7 +76,7 @@ from .errors import (
     SamplingExhausted,
     SymbolicModelNotSpecialized,
 )
-from .gamma import enumerate_gamma
+from .gamma import box_bound, enumerate_gamma
 from .model import GroupModel
 from .polys import as_fraction
 
@@ -183,14 +192,6 @@ def _check_jet(model: GroupModel, npoints: int, order: int, degrees, limit):
         else:
             lo = mid + 1
     raise MatrixTooLarge(f"jet matrix with {size(lo)} entries exceeds {limit}")
-
-
-def _sized_points(model: GroupModel, omega, order: int, degrees, limit):
-    """The points of the box set `omega`, read only once `_check_jet` has
-    sized the jet matrix of the ascending `degrees` from len(omega): an
-    oversized jet builds no box point."""
-    _check_jet(model, len(omega), order, degrees, limit)
-    return omega.points
 
 
 def _homogenized_exponents(basis: MonomialBasis):
@@ -326,19 +327,105 @@ def _first_outside(kernel: KernelBasis, point) -> int:
 
 
 class _Members:
-    """Base-locus membership of a sweep's sample points in the nested
-    kernels read off `top`, the kernel of its largest degree: one evaluation
-    per distinct sample point (q, p), normalized, serves every degree."""
+    """Nullities and base-locus membership of a sweep's sample points in the
+    nested `kernels` of its ascending degrees: one evaluation per distinct
+    sample point (q, p), normalized, against the kernel of the largest
+    degree, serves every degree."""
 
-    def __init__(self, top: KernelBasis):
-        self.top = top
+    def __init__(self, kernels):
+        self.top = kernels[-1]
+        self.nullities = {k.degree: len(k.integer_vectors) for k in kernels}
         self.first = {}
 
-    def inside(self, kernel: KernelBasis, point) -> bool:
+    def nullity(self, degree) -> int:
+        return self.nullities[degree]
+
+    def inside(self, degree, point) -> bool:
         first = self.first.get(point)
         if first is None:
             first = self.first[point] = _first_outside(self.top, point)
-        return first >= len(kernel.integer_vectors)
+        return first >= self.nullities[degree]
+
+
+class _Grid:
+    """Nullities and base-locus membership for Gamma(S) of a rational model
+    whose generators bear no relation, in closed form up to `degree`.
+
+    Complete the generators by unit vectors to a basis M of Q^n and set
+    y = M^-1 x.  Gamma(S) is the grid of the y with y_j in C_j, where
+    C_j = {-b_j..b_j}, b_j = ceil(S_j) - 1, has d_j = 2 b_j + 1 points for a
+    generator and C_j = {0}, d_j = 1, for a unit vector.  Then (proof in
+    `tests/oracles.py`) the rank at degree D counts the beta in N^n with
+    |beta| <= D and sum_j floor(beta_j / d_j) < T, and x lies in the base
+    locus at D exactly when D < T * min{d_j : y_j not in C_j} (no minimum:
+    infinite), one exit degree per point for every D.
+
+    y is found in integers: the echelon of the rows of [M | I] is [P | R]
+    with P diagonal, so den * M^-1 is an integer matrix A for den the lcm of
+    P, and at the integer point (q, p) of x = p/q, y = A p / (den q).
+    """
+
+    def __init__(self, model: GroupModel, order: int, degree: int):
+        n = self.n = model.n
+        taken = {c for c, _ in linalg._echelon(map(linalg._cleared, model.generators))}
+        basis = [*model.generators,
+                 *(tuple(int(i == c) for i in range(n)) for c in range(n) if c not in taken)]
+        ech = linalg._echelon(
+            linalg._cleared([*(b[i] for b in basis), *(int(i == k) for k in range(n))])
+            for i in range(n)
+        )
+        self.den = math.lcm(*(row[c] for c, row in ech))
+        self.inverse = [[x * (self.den // row[c]) for x in row[n:]] for c, row in ech]
+        self.bounds = [box_bound(s, 1) for s in model.scales] + [0] * (n - model.l)
+        self.order = order
+        self.exits = {}
+        # ways[s, k]: the beta on the coordinates so far with |beta| = s
+        # and sum floor(beta_j / d_j) = k < T
+        ways = {(0, 0): 1}
+        for d in (2 * b + 1 for b in self.bounds):
+            grown = Counter()
+            for (s, k), w in ways.items():
+                for e in range(degree - s + 1):
+                    if k + e // d == order:
+                        break
+                    grown[s + e, k + e // d] += w
+            ways = grown
+        by_degree = [0] * (degree + 1)
+        for (s, _), w in ways.items():
+            by_degree[s] += w
+        self.ranks = list(accumulate(by_degree))
+
+    def nullity(self, degree) -> int:
+        return math.comb(self.n + degree, self.n) - self.ranks[degree]
+
+    def inside(self, degree, point) -> bool:
+        exit_degree = self.exits.get(point)
+        if exit_degree is None:
+            q = self.den * point[0]
+            widths = []
+            for row, b in zip(self.inverse, self.bounds):
+                z = sum(map(mul, row, point[1:]))
+                if z % q or abs(z // q) > b:
+                    widths.append(2 * b + 1)
+            exit_degree = self.exits[point] = self.order * min(widths, default=math.inf)
+        return degree < exit_degree
+
+
+def _is_grid(model: GroupModel) -> bool:
+    """Whether Gamma(S) is a product grid in adapted coordinates: the model
+    is rational and its relation lattice is 0."""
+    return model.m == 0 and model.kernel_lattice().rank == 0
+
+
+def _members(model: GroupModel, omega, order: int, degrees, limit):
+    """The nullity and membership of each of the ascending `degrees` for the
+    box set omega = Gamma(S), sized from len(omega) before anything is
+    built: a `_Grid` when `_is_grid`, else `_Members` of one elimination
+    at the points of omega."""
+    _check_jet(model, len(omega), order, degrees, limit)
+    if _is_grid(model):
+        return _Grid(model, order, degrees[-1])
+    return _Members(_kernels(model, omega.points, order, degrees, limit)[1])
 
 
 def in_base_locus(kernel: KernelBasis, point) -> bool:
@@ -357,19 +444,28 @@ class EvalRank:
     cols: int
 
 
+def _eval_rank(n, npoints, order, degree, nullity) -> EvalRank:
+    rows = npoints * math.comb(n + order - 1, n)
+    cols = math.comb(n + degree, n)
+    rank = cols - nullity
+    return EvalRank(rank, rank == cols, rank == rows, rows, cols)
+
+
 def eval_rank(model: GroupModel, points, order: int, degree: int,
               limit=10 ** 6) -> EvalRank:
     """Rank of the jet evaluation map; injectivity certifies a trivial base
     locus regime, surjectivity the interpolation regime."""
-    jm, (kernel,) = _kernels(model, points, order, (degree,), limit)
-    rank = len(kernel.basis) - len(kernel.integer_vectors)
-    return EvalRank(
-        rank=rank,
-        injective=(rank == len(jm.basis)),
-        surjective=(rank == len(jm.rows)),
-        rows=len(jm.rows),
-        cols=len(jm.basis),
-    )
+    points = tuple(points)
+    _, (kernel,) = _kernels(model, points, order, (degree,), limit)
+    return _eval_rank(model.n, len(points), order, degree, len(kernel.integer_vectors))
+
+
+def _box_rank(model: GroupModel, omega, order: int, degree: int,
+             limit=10 ** 6) -> EvalRank:
+    """`eval_rank` at the points of the box set omega = Gamma(S), by the
+    route `_members` picks."""
+    nullity = _members(model, omega, order, (degree,), limit).nullity(degree)
+    return _eval_rank(model.n, len(omega), order, degree, nullity)
 
 
 def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
@@ -564,20 +660,20 @@ def _draw(rng, n, bound):
     return linalg.primitive((q, *(a * (q // b) for a, b in pairs)))
 
 
-def _witness(members, kernel, points, inside_wanted, memory):
-    """The first sample whose membership in the base locus of `kernel`, as
+def _witness(members, degree, points, inside_wanted, memory):
+    """The first sample whose membership in the base locus at `degree`, as
     `members` decides it, is not `inside_wanted`, or None.  Without `memory`
     it stops at that witness; with it (a sweep's record of earlier
     memberships, by sample point) it evaluates every sample and checks that
     none re-enters the base locus."""
     witness = None
     for p in points:
-        inside = members.inside(kernel, p)
+        inside = members.inside(degree, p)
         if memory is not None:
             if memory.get(p) is False and inside:
                 raise CertificateViolation(
                     "locus_monotonicity",
-                    f"point re-entered the base locus at D={kernel.degree}",
+                    f"point re-entered the base locus at D={degree}",
                 )
             memory[p] = inside
         if inside != inside_wanted and witness is None:
@@ -587,16 +683,16 @@ def _witness(members, kernel, points, inside_wanted, memory):
     return witness
 
 
-def _probe(sampler, chain, members, kernel, memory):
+def _probe(sampler, chain, members, degree, memory):
     """One LocusEntry per chain index, from the sampler's fixed points."""
     entries = []
     for idx, node in enumerate(chain.nodes):
-        lower_witness = _witness(members, kernel, sampler.lower[idx], True, memory)
+        lower_witness = _witness(members, degree, sampler.lower[idx], True, memory)
         outside = sampler.upper[idx]
         if outside is None:
             upper, upper_witness = None, None
         else:
-            upper_witness = _witness(members, kernel, outside, False, memory)
+            upper_witness = _witness(members, degree, outside, False, memory)
             upper = upper_witness is None
         entries.append(LocusEntry(
             idx, node.dim, lower_witness is None, upper,
@@ -624,15 +720,14 @@ def locus_probe(model: GroupModel, chain: Chain, order: int, degree: int,
     upper test is vacuous and reported as None.  More samples in all than
     `enum_limit` are refused first; the jet matrix is sized from the number
     of points of Gamma(S) before any of them is built or any sample is
-    drawn."""
+    drawn, also where `_members` builds none."""
     _require_rational(model)
     epsilon = _epsilon(epsilon)
     _check_samples(chain, samples, enum_limit)
     omega = enumerate_gamma(model, Fraction(1), enum_limit)
-    points = _sized_points(model, omega, order, (degree,), limit)
-    kernel = kernel_basis(model, points, order, degree, limit)
+    members = _members(model, omega, order, (degree,), limit)
     sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
-    return _probe(sampler, chain, _Members(kernel), kernel, None)
+    return _probe(sampler, chain, members, degree, None)
 
 
 def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
@@ -646,13 +741,13 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
     decrease; both are asserted exactly.  Empirical transition degrees are
     reported beside the exact step thresholds T * frak_S_i for comparison
     (display only: the proportionality constants are not effective).  The
-    kernels of all degrees come from one jet matrix at the largest degree and
-    one elimination, sized from the number of points of Gamma(S) before any
-    of them is built or any sample is drawn (more samples in all than
-    `enum_limit` are refused before that); an ascending range of degrees is
-    not listed before its sizes are checked.  Each distinct sample point is
-    evaluated once, against the kernel of the largest degree, for every
-    degree.
+    nullities and memberships of all degrees come from one `_members`: in
+    closed form, or from one jet matrix at the largest degree and one
+    elimination.  The jet matrix is sized from the number of points of
+    Gamma(S) before any of them is built or any sample is drawn (more
+    samples in all than `enum_limit` are refused before that); an ascending
+    range of degrees is not listed before its sizes are checked.  Each
+    distinct sample point is decided once, for every degree.
     """
     _require_rational(model)
     epsilon = _epsilon(epsilon)
@@ -660,26 +755,22 @@ def threshold_sweep(model: GroupModel, chain: Chain, order: int, degrees,
         degrees = sorted(int(d) for d in degrees)
     _check_samples(chain, samples, enum_limit)
     omega = enumerate_gamma(model, Fraction(1), enum_limit)
-    kernels = ()
-    if degrees:
-        points = _sized_points(model, omega, order, degrees, limit)
-        kernels = _kernels(model, points, order, degrees, limit)[1]
+    members = _members(model, omega, order, degrees, limit) if degrees else None
     sampler = _ProbeSamples(model, chain, omega, epsilon, samples, seed, enum_limit)
-    members = _Members(kernels[-1]) if kernels else None
     rows = []
     prev_members: dict = {}
     prev_nullity = -1
     prev_istar = None
     transitions = []
-    for degree, kernel in zip(degrees, kernels):
-        nullity = len(kernel.integer_vectors)
-        rank = len(kernel.basis) - nullity
+    for degree in degrees:
+        nullity = members.nullity(degree)
+        rank = math.comb(model.n + degree, model.n) - nullity
         if nullity < prev_nullity:
             raise CertificateViolation(
                 "locus_monotonicity", f"nullity dropped at D={degree}"
             )
         prev_nullity = nullity
-        entries = _probe(sampler, chain, members, kernel, prev_members)
+        entries = _probe(sampler, chain, members, degree, prev_members)
         verdicts = [(e.lower, e.upper) for e in entries]
         # the first index whose lower verdict holds and upper one holds or is vacuous
         i_star = next(

@@ -15,12 +15,15 @@ kernels from one HNF of [A | I] are kept here too: `primitive`, `lead`,
 relation lattice one tuple at a time, `first_witnesses`, that
 `gamma._first_witnesses` replaced by column-wise chunks, and the value of a
 section at a Fraction point, `evaluate_section`, against which the locus
-tests check the integer evaluation.
+tests check the integer evaluation.  `FatGrid` gives the jet ranks and the
+base loci of a box with independent generators in closed form, by a proof
+that runs no elimination.
 """
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from itertools import product
+from math import ceil, gcd
 from operator import add, mul
 
 from slopechain.model import Subgroup, Sublattice, _relations
@@ -297,3 +300,83 @@ def evaluate_section(basis, coeffs, point) -> Fraction:
                 term *= x ** a
         total += term
     return total
+
+
+class FatGrid:
+    """Jet ranks and base loci of Gamma(S) for a rational model whose
+    generators bear no relation, in closed form.
+
+    Complete the generators gamma_1..gamma_l by unit vectors to a basis M of
+    Q^n (`basis`) and set y = M^-1 x (`coordinates`).  Gamma(S) is the grid
+    C_1 x ... x C_n in y, where C_j = {-b_j..b_j}, b_j = ceil(S_j) - 1, for
+    j <= l and C_j = {0} for j > l; let d_j = |C_j| and
+    f_j = prod_{c in C_j} (y_j - c), monic of degree d_j in y_j alone, and
+    I = (f_1, ..., f_n), the ideal of the grid.  The jet matrix of order T
+    and degree D at the grid has for kernel the polynomials of degree <= D
+    in I^(T), the intersection of the m_p^T over the grid points p.
+
+    Step 1: I^(T) = I^T.  B = Q[y] is free over A = Q[f_1..f_n] (a
+    polynomial ring, since f_j is monic in y_j) with basis the y^r,
+    0 <= r_j < d_j.  So B / I^T = B / (f)^T B is free over A / (f)^T, of
+    dimension N * C(n + T - 1, n) over Q, N = prod d_j the number of grid
+    points.  By the Chinese remainder theorem B / I^(T) is the product of
+    the B / m_p^T, of the same dimension.  I^T lies in I^(T), since I lies
+    in every m_p; so they are equal.  (Powers of a complete intersection
+    are unmixed: Matsumura, Commutative Ring Theory, section 17.)
+
+    Step 2: the nullity.  Write gamma in N^n as a d + r with
+    a_j = floor(gamma_j / d_j) and r_j < d_j, and let g_gamma = f^a y^r.  By
+    step 1 and freeness, the g_gamma are a basis of B and those with
+    |a| >= T a basis of I^T.  The leading form of g_gamma is the monomial
+    y^gamma, so a combination of distinct g_gamma has the degree of its
+    largest gamma: the part of degree <= D of I^T has the basis of the
+    g_gamma with |gamma| <= D and sum_j floor(gamma_j / d_j) >= T.  This
+    count is the nullity (`nullity`); the rank is C(n + D, n) minus it.
+
+    Step 3: the base locus.  x lies in it at degree D when every g_gamma
+    above vanishes at x.  Let J(x) = {j : y_j not in C_j}, where f_j(y)
+    does not vanish.  Taking r = 0, some g_gamma does not vanish at x
+    exactly when some a with |a| >= T, support in J(x) and a.d <= D
+    exists; the least a.d is T min_{j in J(x)} d_j.  So x lies in the base
+    locus exactly when J(x) is empty or D < T min_{j in J(x)} d_j
+    (`inside`).
+    """
+
+    def __init__(self, model):
+        n = model.n
+        gens = [tuple(map(Fraction, g)) for g in model.generators]
+        pivots = rref(gens, n)[1] if gens else ()
+        units = [tuple(Fraction(int(i == c)) for i in range(n))
+                 for c in range(n) if c not in pivots]
+        self.basis = gens + units
+        augmented = [
+            [*(b[i] for b in self.basis), *(Fraction(int(i == k)) for k in range(n))]
+            for i in range(n)
+        ]
+        reduced, pivots = rref(augmented, 2 * n)
+        assert pivots == tuple(range(n)), "the generators are dependent"
+        self.inverse = [row[n:] for row in reduced]
+        self.bounds = [ceil(s) - 1 for s in model.scales] + [0] * len(units)
+        self.widths = [2 * b + 1 for b in self.bounds]
+
+    def point(self, y):
+        """x = M y."""
+        return tuple(sum(c * b[i] for c, b in zip(y, self.basis)) for i in range(len(y)))
+
+    def coordinates(self, x):
+        """y = M^-1 x."""
+        return tuple(sum(a * Fraction(c) for a, c in zip(row, x)) for row in self.inverse)
+
+    def nullity(self, order, degree):
+        return sum(
+            1 for gamma in product(range(degree + 1), repeat=len(self.widths))
+            if sum(gamma) <= degree
+            and sum(g // d for g, d in zip(gamma, self.widths)) >= order
+        )
+
+    def inside(self, order, degree, x):
+        outside = [
+            d for y, b, d in zip(self.coordinates(x), self.bounds, self.widths)
+            if y.denominator != 1 or abs(y) > b
+        ]
+        return not outside or degree < order * min(outside)

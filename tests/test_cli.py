@@ -457,19 +457,33 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "chi_positive"
 
-    def test_internal_self_check_maps_to_one(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _bogus_kernel_read_off(monkeypatch):
         # the kernel read-off of the jet lab returns a non-kernel vector
         def bogus_kernel(rows, ncols):
             return [[1] * ncols]
         monkeypatch.setattr(
             locus, "linalg", SimpleNamespace(**dict(vars(linalg), _integer_kernel=bogus_kernel))
         )
-        cfg = write_config(tmp_path)
+
+    def test_internal_self_check_maps_to_one(self, tmp_path, monkeypatch, capsys):
+        # dependent generators: the probe eliminates, and checks its kernel
+        self._bogus_kernel_read_off(monkeypatch)
+        cfg = write_config(tmp_path, {
+            "generators": [["1", "0"], ["0", "1"], ["1", "1"]], "scales": ["3", "2", "2"],
+        })
         code = cli.run(["locus", "probe", "-c", cfg])
         assert code == 1
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == "InternalInvariantError"
         assert "jet constraint" in error["message"]
+
+    def test_independent_probe_reads_no_kernel(self, tmp_path, monkeypatch):
+        # independent generators: the probe decides in closed form, so the
+        # broken read-off is never reached
+        self._bogus_kernel_read_off(monkeypatch)
+        cfg = write_config(tmp_path, {"epsilon": "1/2"})
+        assert cli.run(["locus", "probe", "-c", cfg]) == 0
 
     def test_sweep_over_matrix_max_fails_at_first_oversized_degree(
             self, tmp_path, monkeypatch, capsys):

@@ -32,6 +32,8 @@ CASES = (
     + [("line_univariate", argv, 0)
        for argv in [("locus", "rank"), ("locus", "probe"), ("locus", "sweep")]]
     + [("plane_probe", ("locus", "probe"), 0), ("plane_probe", ("locus", "sweep"), 0)]
+    + [("plane_dependent", argv, 0)
+       for argv in [("locus", "rank"), ("locus", "probe"), ("locus", "sweep")]]
     + [("rational_zero_generator", argv, 0)
        for argv in CHAIN_COMMANDS + BOX_COMMANDS]
     + [

@@ -5,7 +5,7 @@ from itertools import chain as concat, islice
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from slopechain import (
@@ -431,6 +431,17 @@ class TestProbeSamples:
         assert list(map(points, sampler.upper)) == upper
 
 
+def _sweep_samples(model, chain, omega):
+    """The sample points of the sweeps in `TestThresholdSweep` (epsilon 1/2,
+    30 samples, seed 9), lower then upper per chain node."""
+    sampler = locus._ProbeSamples(model, chain, omega, F(1, 2), 30, 9, 10 ** 7)
+    return [
+        p
+        for lower, upper in zip(sampler.lower, sampler.upper)
+        for p in lower + (upper or ())
+    ]
+
+
 class TestThresholdSweep:
     def test_univariate_double_order(self):
         # Hermite count 2 * 3 = 6: everything up to D = 5, the points after
@@ -460,7 +471,8 @@ class TestThresholdSweep:
         assert nullities == sorted(nullities)
 
     def test_one_power_table_per_sample(self, monkeypatch):
-        m = rational_model(2, [(1, 0), (0, 1)], (3, 2))
+        # e1, e2, e1 + e2: a relation, so the sweep eliminates
+        m = rational_model(2, [(1, 0), (0, 1), (1, 1)], (3, 2, 2))
         chain = build_chain(m)
         calls = []
         powers = locus._homogenized_powers
@@ -469,12 +481,7 @@ class TestThresholdSweep:
         )
         threshold_sweep(m, chain, 1, range(1, 7), F(1, 2), samples=30, seed=9)
         omega = enumerate_gamma(m)
-        sampler = locus._ProbeSamples(m, chain, omega, F(1, 2), 30, 9, 10 ** 7)
-        samples = [
-            p
-            for lower, upper in zip(sampler.lower, sampler.upper)
-            for p in lower + (upper or ())
-        ]
+        samples = _sweep_samples(m, chain, omega)
         # the jet matrix at D = 6 builds one table per box point; the
         # probes of all six degrees build one per distinct sample point, at
         # D = 6, in the order of first evaluation
@@ -485,24 +492,40 @@ class TestThresholdSweep:
 
     @pytest.mark.parametrize("tamper", ["scaled", "reversed"])
     def test_non_nested_kernels_refused(self, monkeypatch, tamper):
-        # three points on the line: nullity 1, 2, 3 at D = 3, 4, 5.  Each
-        # kernel vector is kept divided by its content, which would undo a
+        # three points on the line, from two dependent generators (so the
+        # sweep eliminates): nullity 1, 2, 3 at D = 3, 4, 5.  Each kernel
+        # vector is kept divided by its content, which would undo a
         # positive factor, so the scaling is by a negative one
-        m = line_model(2)
+        m = rational_model(1, [(1,), (2,)], (2, 1))
         chain = build_chain(m)
-        integer_kernel = linalg._integer_kernel
-
-        def tampered(ech, ncols):
-            vectors = integer_kernel(ech, ncols)
-            if ech and ncols < len(ech[0][1]):
-                if tamper == "scaled":
-                    return [[-2 * x for x in v] for v in vectors]
-                return vectors[::-1]
-            return vectors
-
-        monkeypatch.setattr(linalg, "_integer_kernel", tampered)
+        _tamper_kernels(monkeypatch, tamper)
         with pytest.raises(InternalInvariantError, match="not nested"):
             threshold_sweep(m, chain, 1, range(3, 6), F(1, 2), samples=10, seed=1)
+
+    @pytest.mark.parametrize("tamper", ["scaled", "reversed"])
+    def test_independent_sweep_reads_no_kernel(self, monkeypatch, tamper):
+        # the same three points from one generator: the nullities come in
+        # closed form, so the tampered read-off is never reached
+        m = line_model(2)
+        _tamper_kernels(monkeypatch, tamper)
+        report = threshold_sweep(m, build_chain(m), 1, range(3, 6), F(1, 2), samples=10, seed=1)
+        assert [row.nullity for row in report.rows] == [1, 2, 3]
+
+    def test_independent_sweep_builds_no_power_table(self, monkeypatch):
+        # e1, e2: no relation, so each distinct sample gets one exit degree
+        # and no homogenized power table is built
+        m = rational_model(2, [(1, 0), (0, 1)], (3, 2))
+        chain = build_chain(m)
+        calls, grids = [], []
+        powers, grid = locus._homogenized_powers, locus._Grid
+        monkeypatch.setattr(
+            locus, "_homogenized_powers", lambda p, d: calls.append((p, d)) or powers(p, d)
+        )
+        monkeypatch.setattr(locus, "_Grid", lambda *args: grids.append(grid(*args)) or grids[-1])
+        threshold_sweep(m, chain, 1, range(1, 7), F(1, 2), samples=30, seed=9)
+        samples = _sweep_samples(m, chain, enumerate_gamma(m))
+        assert calls == []
+        assert len(grids) == 1 and list(grids[0].exits) == list(dict.fromkeys(samples))
 
     def test_trivial_chain_rank_bookkeeping(self):
         # no generators: Gamma(S) = {0}; with T = 2 the locus is everything
@@ -517,6 +540,22 @@ class TestThresholdSweep:
             # the single box point {0} is a proper locus once sections exist
             assert row.verdicts[0][0] is True
             assert row.verdicts[1][1] is None
+
+
+def _tamper_kernels(monkeypatch, tamper):
+    """Make `linalg._integer_kernel` return, for every column prefix short of
+    the full width, its kernel scaled by -2 or reversed."""
+    integer_kernel = linalg._integer_kernel
+
+    def tampered(ech, ncols):
+        vectors = integer_kernel(ech, ncols)
+        if ech and ncols < len(ech[0][1]):
+            if tamper == "scaled":
+                return [[-2 * x for x in v] for v in vectors]
+            return vectors[::-1]
+        return vectors
+
+    monkeypatch.setattr(linalg, "_integer_kernel", tampered)
 
 
 def _per_degree_in_base_locus(kernel, point):
@@ -537,11 +576,14 @@ class _PerDegreeMembers:
     """Stands in for `locus._Members`: every sample, as a Fraction point,
     evaluated against the kernel of every degree, however often it occurs."""
 
-    def __init__(self, top):
-        pass
+    def __init__(self, kernels):
+        self.kernels = {k.degree: k for k in kernels}
 
-    def inside(self, kernel, point):
-        return _per_degree_in_base_locus(kernel, _fraction_point(point))
+    def nullity(self, degree):
+        return len(self.kernels[degree].vectors)
+
+    def inside(self, degree, point):
+        return _per_degree_in_base_locus(self.kernels[degree], _fraction_point(point))
 
 
 @st.composite
@@ -579,11 +621,13 @@ class TestSweepMembershipAgainstPerDegreeOracle:
     @settings(max_examples=100, deadline=None)
     @given(sweep_cases())
     def test_sweep_and_probe_equal_oracle(self, case):
+        # every model takes the elimination route, independent ones too
         model, order, hi, epsilon, seed = case
         chain = build_chain(model)
         degrees = range(1, hi + 1)
-        got = self._run(model, chain, order, degrees, epsilon, seed)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locus, "_is_grid", lambda model: False)
+            got = self._run(model, chain, order, degrees, epsilon, seed)
             mp.setattr(locus, "_Members", _PerDegreeMembers)
             want = self._run(model, chain, order, degrees, epsilon, seed)
         assert got == want
@@ -648,3 +692,77 @@ class TestIntegerJetsAgainstFractionOracle:
             for x in probes + points:
                 vanishes = all(evaluate_section(basis, v, x) == 0 for v in oracle)
                 assert in_base_locus(kernel, x) == vanishes, (degree, x)
+
+
+@st.composite
+def grid_jets(draw, budget=3 * 10 ** 4):
+    """A rational model whose generators bear no relation (n <= 3, l <= n,
+    entries in -3..3 with some halves, scales <= 6), T <= 3 and D <= 16, its
+    jet matrix at Gamma(S) of at most `budget` entries."""
+    n, l = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    entry = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2)))
+    gens = draw(st.lists(st.tuples(*[entry] * n), min_size=min(l, n), max_size=min(l, n))
+                .filter(lambda g: oracles.rank(g) == len(g)))
+    scales = [draw(st.sampled_from((1, F(3, 2), 2, F(5, 2), 3, 4, 5, 6))) for _ in gens]
+    model, order = rational_model(n, gens, scales), draw(st.integers(1, 3))
+    rows = len(enumerate_gamma(model)) * math.comb(n + order - 1, n)
+    top = max((d for d in range(1, 17) if rows * math.comb(n + d, n) <= budget), default=0)
+    assume(top)
+    return model, order, draw(st.integers(1, top))
+
+
+class TestFatGridAgainstElimination:
+    """The closed forms of `oracles.FatGrid` against the jet elimination, and
+    the library's closed-form route against both."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_jets())
+    def test_nullity_equals_eval_rank(self, case):
+        model, order, degree = case
+        omega, grid = enumerate_gamma(model), oracles.FatGrid(model)
+        assert len(omega) == math.prod(grid.widths)
+        result = eval_rank(model, omega.points, order, degree)
+        assert result.cols - result.rank == grid.nullity(order, degree)
+        assert locus._is_grid(model)
+        assert locus._box_rank(model, omega, order, degree) == result
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_jets(), st.integers(0, 2 ** 32))
+    def test_rule_equals_in_base_locus(self, case, seed):
+        # each y_j on its slice C_j or, mostly off it, a fraction
+        model, order, degree = case
+        rng = random.Random(seed)
+        grid = oracles.FatGrid(model)
+        kernel = kernel_basis(model, enumerate_gamma(model).points, order, degree)
+        library = locus._Grid(model, order, degree)
+        assert library.nullity(degree) == grid.nullity(order, degree)
+        for _ in range(30):
+            y = [rng.randint(-b, b) if rng.random() < 0.6
+                 else F(rng.randint(-9, 9), rng.randint(1, 3)) for b in grid.bounds]
+            x = grid.point(y)
+            inside = grid.inside(order, degree, x)
+            assert in_base_locus(kernel, x) == inside, (y, x)
+            assert library.inside(degree, _integer_point(x, rng.randint(1, 3))) == inside
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_jets(budget=10 ** 4), st.sampled_from((F(1, 2), F(1, 3))),
+           st.integers(0, 2 ** 32))
+    def test_probe_and_sweep_equal_elimination_route(self, case, epsilon, seed):
+        model, order, degree = case
+        chain = build_chain(model)
+
+        def run():
+            try:
+                return (
+                    locus_probe(model, chain, order, degree, epsilon, samples=8, seed=seed),
+                    threshold_sweep(model, chain, order, range(1, degree + 1), epsilon,
+                                    samples=8, seed=seed),
+                )
+            except SamplingExhausted as exc:
+                return str(exc)
+
+        closed = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locus, "_is_grid", lambda model: False)
+            eliminated = run()
+        assert closed == eliminated

@@ -6,8 +6,9 @@ One traced `chain verify` per ring, through `cli.run`, must give the golden
 report and record the closure enumeration; over Q its subgroup inclusions
 and its closures must run no elimination and each left kernel must be one
 HNF, and over Q[t] its closures must multiply no polynomials.  One traced
-`locus sweep` must give the golden report from one jet matrix and one
-elimination in all, and decide membership without calling `in_base_locus`.
+`locus sweep` on dependent generators must give the golden report from one
+jet matrix and one elimination in all, and on independent ones from none;
+neither decides membership by calling `in_base_locus`.
 A traced `gamma enumerate` must count one point per box entry, and a traced
 `gamma count` must make one lattice walk and enumerate no box; modulo a
 nonzero lattice, the walk queues its last intervals and reduces them with
@@ -74,7 +75,7 @@ def test_traced_chain_verify(tmp_path, config):
         assert tracer.child_calls("linalg.left_kernel", "linalg.hnf") == kernels
     # rational closures are saturated in integers and symbolic ones are read
     # off integer specializations: no Fraction elimination, no Poly product
-    assert "linalg.nullspace" not in table
+    assert "linalg.rat_rref" not in table
     if config == "sym_plane":
         assert tracer.counters["polys.mul.calls"] == 0
     # uninstalled: the module binds the plain function again
@@ -82,9 +83,9 @@ def test_traced_chain_verify(tmp_path, config):
 
 
 def test_traced_locus_sweep_eliminates_once(tmp_path):
-    # D = 1..4: one jet matrix at D = 4 and one elimination under the sweep;
-    # the chain build's closures run none
-    tracer = _traced_run(tmp_path, "plane_basic", ("locus", "sweep"))
+    # e1, e2, e1 + e2 and D = 1..6: one jet matrix at D = 6 and one
+    # elimination under the sweep; the chain build's closures run none
+    tracer = _traced_run(tmp_path, "plane_dependent", ("locus", "sweep"))
     table = tracer.layer_table()
     assert table["cli"][0] == 1
     assert table["locus.jet_matrix"][0] == 1
@@ -96,6 +97,17 @@ def test_traced_locus_sweep_eliminates_once(tmp_path):
     assert "locus.kernel_basis" not in table
     # membership is read off one evaluation per sample, not the public test
     assert tracer.child_calls("locus.threshold_sweep", "locus.in_base_locus") == 0
+
+
+@pytest.mark.parametrize("command", [("locus", "sweep"), ("locus", "probe"), ("locus", "rank")])
+def test_traced_independent_locus_eliminates_nothing(tmp_path, command):
+    # e1, e2: rank, nullity and membership in closed form, with no jet
+    # matrix, no elimination and no public membership test
+    table = _traced_run(tmp_path, "plane_basic", command).layer_table()
+    assert table["cli"][0] == 1
+    for name in ("locus.jet_matrix", "linalg.rat_rref", "locus.kernel_basis",
+                 "locus.eval_rank", "locus.in_base_locus"):
+        assert name not in table
 
 
 @pytest.mark.parametrize("action", ["enumerate", "count"])
