@@ -43,7 +43,7 @@ print("\nscale squaring keeps the chain; radicands square:",
 # The certificate re-derives the chain's optimality from scratch: every
 # closure of a small-height sublattice must sit on or below the polygon.
 cert = sc.verify_chain(model, chain, sc.VerifyOptions(height=2, random_count=10))
-print(f"\ncertificate: {len(cert.candidates)} candidate subgroups checked,")
+print(f"\ncertificate: {cert.candidates_checked} candidate subgroups checked,")
 print("  equality cases met:", len(cert.equality_witnesses),
       "| telescoping:", cert.telescoping_ok)
 

@@ -41,7 +41,7 @@ print("mu* =", report.mu_star, "(= 2: twice the generic density)",
 # The certificate enumerates every closure of a height-3 sublattice; in this
 # model they all collapse onto the x-axis, so the check is quick and total.
 cert = sc.verify_chain(model, chain, sc.VerifyOptions(height=3))
-print("certificate candidates:", len(cert.candidates), "all on or below the polygon")
+print("certificate candidates:", cert.candidates_checked, "all on or below the polygon")
 
 # Substituting a concrete rational for tau produces a rational model for the
 # jet lab; a seeded draw picks large-height values to keep ranks honest.

@@ -34,8 +34,9 @@ when anything is off.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import log
 
 from .errors import (
@@ -49,6 +50,7 @@ from .model import (
     GroupModel,
     RankProfile,
     Subgroup,
+    by_lattice,
     closure,
     enumerate_closures,
     rank_profile,
@@ -373,12 +375,35 @@ class CandidateCheck:
 
 @dataclass(frozen=True)
 class ChainCertificate:
-    candidates: tuple[CandidateCheck, ...]
     equality_witnesses: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     scaling_alphas: tuple[int, ...]
     psi_injective: bool
     telescoping_ok: bool
     slopes_strictly_decreasing: bool
+    # {candidate: (rank profile, chi exponents, chi signs)}, in pool order
+    pool: dict = field(compare=False, repr=False)
+
+    @property
+    def candidates_checked(self) -> int:
+        return len(self.pool)
+
+    @cached_property
+    def candidates(self) -> tuple[CandidateCheck, ...]:
+        """One check per candidate, sorted by (dimension, HNF rows); every
+        candidate's lattice is built here, on first read."""
+        return tuple(
+            CandidateCheck(
+                lattice=cand.coeff.rows,
+                dim=cand.dim,
+                gamma_ranks=profile.gamma_ranks,
+                chi_exponents=chi_exps,
+                chi_signs=chi_signs,
+                equality_steps=tuple(i for i, sign in enumerate(chi_signs) if sign == 0),
+            )
+            for cand, (profile, chi_exps, chi_signs) in sorted(
+                self.pool.items(), key=lambda item: by_lattice(item[0])
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -411,15 +436,17 @@ def _chi(dim_k: int, phi_k: PhiValue, lo: ChainNode, hi: ChainNode) -> PhiValue:
 
 
 def _random_lattice_closures(model, options):
+    """The distinct closures of `options.random_count` random lattices, in
+    the order first drawn."""
     rng = random.Random(options.seed)
-    out = []
+    out = {}
     for _ in range(options.random_count):
         k = rng.randint(1, max(1, model.l))
         rows = [
             [rng.randint(-2 * options.height, 2 * options.height) for _ in range(model.l)]
             for _ in range(k)
         ]
-        out.append(closure(model, rows))
+        out[closure(model, rows)] = None
     return out
 
 
@@ -434,6 +461,14 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
     separate chain members from every candidate; the chain must be invariant
     under S_j -> S_j^alpha; and the product of the step radicands must
     telescope to prod S_j^{rk Gamma_j - rk Gamma_{j-1}}.
+
+    phi(K) and every chi_i(K) depend on K's rank profile only, which is read
+    off K's Q-span echelon.  A candidate whose chi signs are all negative
+    and whose profile is no chain member's passes every check, so only the
+    others, the flagged ones, go through the check loop, in the order
+    (dim K, HNF of K's lattice); only they have their lattice built, as the
+    witness a violation or an equality names.  The first failure is
+    therefore the one a loop over every candidate in that order would meet.
 
     Any failure raises CertificateViolation carrying the offending candidate
     and step; with honest inputs that means either a bug or, for symbolic
@@ -450,20 +485,25 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
 
     # chi_i(K) and its sign depend on the position vector (dim K, ranks) only
     segment_excess = {}
-    checks = []
-    equality_witnesses = []
-    for cand in sorted(pool, key=lambda s: (s.dim, s.coeff.rows)):
-        lattice = cand.coeff.rows
+    flagged = []
+    for cand in pool:
         profile = rank_profile(model, cand)
         if profile not in segment_excess:
             phi_k = phi_from_profile(profile)
             chis = [_chi(cand.dim, phi_k, lo, hi) for lo, hi in zip(chain.nodes, chain.nodes[1:])]
             segment_excess[profile] = (
+                profile,
                 tuple(chi.exponents for chi in chis),
                 tuple(phi_sign(model.scales, chi) for chi in chis),
             )
-        chi_exps, chi_signs = segment_excess[profile]
-        equal_steps = []
+        _, _, chi_signs = pool[cand] = segment_excess[profile]
+        if any(sign >= 0 for sign in chi_signs) or profile in chain_profiles:
+            flagged.append(cand)
+
+    equality_witnesses = []
+    for cand in sorted(flagged, key=by_lattice):
+        lattice = cand.coeff.rows
+        profile, _, chi_signs = pool[cand]
         for i, sign in enumerate(chi_signs):
             lo, hi = chain.nodes[i], chain.nodes[i + 1]
             if sign > 0:
@@ -474,7 +514,6 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
                     witness=lattice,
                 )
             if sign == 0:
-                equal_steps.append(i)
                 if not (
                     span_contains(model, cand, lo.subgroup)
                     and span_contains(model, hi.subgroup, cand)
@@ -496,16 +535,6 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
                     step=idx,
                     witness=lattice,
                 )
-        checks.append(
-            CandidateCheck(
-                lattice=lattice,
-                dim=cand.dim,
-                gamma_ranks=profile.gamma_ranks,
-                chi_exponents=chi_exps,
-                chi_signs=chi_signs,
-                equality_steps=tuple(equal_steps),
-            )
-        )
 
     for i in range(chain.r - 1):
         if compare_slopes(model, chain.steps[i].slope, chain.steps[i + 1].slope) <= 0:
@@ -535,12 +564,12 @@ def verify_chain(model: GroupModel, chain: Chain, options: VerifyOptions | None 
         )
 
     return ChainCertificate(
-        candidates=tuple(checks),
         equality_witnesses=tuple(equality_witnesses),
         scaling_alphas=SCALING_ALPHAS,
         psi_injective=True,
         telescoping_ok=True,
         slopes_strictly_decreasing=True,
+        pool=pool,
     )
 
 

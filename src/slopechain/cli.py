@@ -348,6 +348,10 @@ def _cmd_chain_verify(cfg, model):
         raise EnumerationTooLarge(
             f"{box} candidate vectors of height {height} exceed the limit {limit}"
         )
+    if cfg.limits.random_candidates > limit:
+        raise EnumerationTooLarge(
+            f"{cfg.limits.random_candidates} random candidates exceed the limit {limit}"
+        )
     chain = build_chain(model)
     options = VerifyOptions(
         height=height,
@@ -358,7 +362,7 @@ def _cmd_chain_verify(cfg, model):
     return {
         "chain": _chain_payload(model, chain),
         "certificate": {
-            "candidates_checked": len(cert.candidates),
+            "candidates_checked": cert.candidates_checked,
             "equality_witnesses": [
                 {"step": step, "lattice": [list(r) for r in lattice]}
                 for step, lattice in cert.equality_witnesses

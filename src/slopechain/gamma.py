@@ -33,6 +33,7 @@ from .model import (
     GroupModel,
     Subgroup,
     _coefficient_vectors,
+    by_lattice,
     enumerate_closures,
     rank_profile,
     span_contains,
@@ -463,8 +464,9 @@ def distribution_checks(model: GroupModel, chain: Chain, epsilon,
     """
     epsilon = as_fraction(epsilon)
     bracket = DISTRIBUTION_BRACKET
-    # Z^0 has no sublattices, so a generator-free model has no candidates
-    candidates = enumerate_closures(model, height) if model.l else ()
+    # Z^0 has no sublattices, so a generator-free model has no candidates;
+    # entries list them by (dim, HNF rows), and every count walks a lattice
+    candidates = sorted(enumerate_closures(model, height), key=by_lattice) if model.l else ()
     sides = {"upper": {}, "lower": {}}
     for alpha in DISTRIBUTION_ALPHAS:
         powered = model.powered(alpha)

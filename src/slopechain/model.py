@@ -8,12 +8,13 @@ kind is what makes the group-theoretic ranks differ from plain linear algebra
 over Q (a line can carry a rank-2 subgroup).
 
 Connected algebraic subgroups of a vector group are exactly the linear
-subspaces.  A subgroup H is carried as (dimension, coefficient lattice
-iota^{-1}(H) in Z^l), where iota maps an integer vector v to sum v_j gamma_j;
-the two determine H, and spanning points are built from them when read.
-Coefficient lattices are saturated, contain iota^{-1}(0), and are kept in
-Hermite normal form, so subgroup equality is plain equality of
-(dimension, lattice).
+subspaces.  A subgroup H is carried as (dimension, Q-span echelon), where the
+echelon is the canonical integer echelon of Q.iota^{-1}(H) and iota maps an
+integer vector v to sum v_j gamma_j.  The coefficient lattice iota^{-1}(H) is
+saturated and contains iota^{-1}(0), so it is Z^l cap (its Q-span): the
+echelon determines it, and subgroup equality is plain equality of
+(dimension, echelon).  The lattice, in Hermite normal form, and spanning
+points are built from the echelon when read.
 """
 
 from __future__ import annotations
@@ -66,11 +67,30 @@ class Sublattice:
 @dataclass(frozen=True)
 class Subgroup:
     """A connected algebraic subgroup of the vector group, determined by its
-    dimension and its coefficient lattice; `model` only builds `span`."""
+    dimension and `basis`, the canonical integer echelon (`linalg._echelon`
+    pairs) of the Q-span of its coefficient lattice.
+
+    The lattice is Z^l cap (that Q-span), so `basis` names it as well as its
+    HNF does; `coeff` saturates `basis` on first read, unless the closure
+    that made the subgroup had the lattice already (`of_lattice`).  `model`
+    only builds `coeff` and `span`.
+    """
 
     dim: int
-    coeff: Sublattice
+    basis: tuple[tuple[int, tuple[int, ...]], ...]
     model: GroupModel = field(compare=False, repr=False)
+
+    @classmethod
+    def of_lattice(cls, dim: int, coeff: Sublattice, model: GroupModel) -> "Subgroup":
+        """The subgroup of dimension `dim` with the saturated lattice `coeff`."""
+        sub = cls(dim, linalg._echelon(coeff.rows), model)
+        sub.__dict__["coeff"] = coeff
+        return sub
+
+    @cached_property
+    def coeff(self) -> Sublattice:
+        """The coefficient lattice iota^{-1}(H), in HNF: Z^l cap span_Q(basis)."""
+        return Sublattice(self.model.l, linalg._saturation(self.basis, self.model.l))
 
     @cached_property
     def span(self) -> tuple:
@@ -85,7 +105,13 @@ class Subgroup:
         return tuple(pt for pt in map(model.point_of, self.coeff.rows) if any(pt))
 
     def __repr__(self):
-        return f"Subgroup(dim={self.dim}, coeff={[list(r) for r in self.coeff.rows]})"
+        return f"Subgroup(dim={self.dim}, basis={[list(r) for _, r in self.basis]})"
+
+
+def by_lattice(subgroup: Subgroup):
+    """Sort key (dimension, HNF rows): the order in which reports list
+    subgroups.  It builds the lattice of each subgroup it keys."""
+    return subgroup.dim, subgroup.coeff.rows
 
 
 @dataclass(frozen=True)
@@ -177,12 +203,12 @@ class GroupModel:
 
     def zero_subgroup(self) -> Subgroup:
         if "zero" not in self._cache:
-            self._cache["zero"] = Subgroup(0, self.kernel_lattice(), self)
+            self._cache["zero"] = Subgroup.of_lattice(0, self.kernel_lattice(), self)
         return self._cache["zero"]
 
     def full_subgroup(self) -> Subgroup:
         if "full" not in self._cache:
-            self._cache["full"] = Subgroup(self.n, self.prefix_lattice(self.l), self)
+            self._cache["full"] = Subgroup.of_lattice(self.n, self.prefix_lattice(self.l), self)
         return self._cache["full"]
 
     def prefix_lattice(self, j) -> Sublattice:
@@ -392,14 +418,14 @@ def _relations(values):
 def _rational_closure(model: GroupModel, ech) -> Subgroup:
     """The closure over Q of the span of a canonical integer echelon `ech`
     that contains L0 = iota^{-1}(0): iota^{-1}(span iota(L)) is
-    Z^l cap (Q.L + Q.L0), the integer saturation of the echelon, and its
-    dimension is len(ech) - rk L0.  No elimination runs in image space."""
+    Z^l cap (Q.L + Q.L0), so `ech` is its echelon, and its dimension is
+    len(ech) - rk L0.  No elimination runs, in image space or in integers."""
     dim = len(ech) - model.kernel_lattice().rank
     if dim == 0:
         return model.zero_subgroup()
     if dim == model.n:
         return model.full_subgroup()
-    return Subgroup(dim, Sublattice(model.l, linalg._saturation(ech, model.l)), model)
+    return Subgroup(dim, ech, model)
 
 
 def _simplex(m, d):
@@ -432,10 +458,11 @@ def _symbolic_closure(model: GroupModel, ech) -> Subgroup:
       has rank r and N_a c leaves its column span, failing a condition.
 
     The conditions vanish on B, so the walk stops once they have rank
-    l - rk B; C is then the saturation of B.  Otherwise, when C is larger
-    than that saturation, it visits all C(2r+1+m, m) points: 1,716 at m = 6
-    and r = 3, 0.5 s on a 2-core Xeon host, where one fraction-free kernel
-    over Q[t] takes 1 ms.
+    l - rk B; C is then the saturation of B, and B is its echelon.
+    Otherwise, when C is larger than that saturation, it visits all
+    C(2r+1+m, m) points: 1,716 at m = 6 and r = 3, 0.5 s on a 2-core Xeon
+    host, where one fraction-free kernel over Q[t] takes 1 ms; C is then
+    read off the conditions as an HNF, which the subgroup keeps.
     """
     bound = min(model.n, len(ech) - model.kernel_lattice().rank)
 
@@ -463,9 +490,9 @@ def _symbolic_closure(model: GroupModel, ech) -> Subgroup:
             if rem is not None:
                 conditions = linalg._echelon_insert(conditions, rem)
         if len(conditions) == model.l - len(ech):
-            break
+            return Subgroup(r, ech, model)
     coeff = linalg._annihilator([w for _, w in conditions], model.l)
-    return Subgroup(r, Sublattice(model.l, coeff), model)
+    return Subgroup.of_lattice(r, Sublattice(model.l, coeff), model)
 
 
 def _closure(model: GroupModel, rows) -> Subgroup:
@@ -511,9 +538,11 @@ def _prefix_ranks(rows, l):
 def rank_profile(model: GroupModel, subgroup: Subgroup) -> RankProfile:
     """Entry j is rk(Gamma_j intersect H): the rank of the coefficient
     vectors supported on the first j slots that land in H, minus the rank of
-    those that map to zero."""
+    those that map to zero.  A rank of lattice vectors in a rational subspace
+    is a dimension of the lattice's Q-span, so the echelon `basis` gives it;
+    no lattice is built."""
     kern_prefix = model.kernel_prefix_ranks()
-    prefix = _prefix_ranks(subgroup.coeff.rows, model.l)
+    prefix = _prefix_ranks([row for _, row in subgroup.basis], model.l)
     ranks = tuple(a - k for a, k in zip(prefix[1:], kern_prefix[1:]))
     return RankProfile(subgroup.dim, ranks)
 
@@ -534,15 +563,15 @@ def box_primitives(l, height):
 
 def enumerate_closures(model: GroupModel, height=2):
     """All distinct closures of sublattices generated by vectors of entry
-    height <= `height`, each computed once.
+    height <= `height`, each computed once, sorted by (dimension, `basis`).
 
     The walk grows coefficient spans from the echelon of the kernel lattice
     L0, trying one box vector per distinct Q.L0 + Q.v (over Q, one per image
     line).  A closure H, L = iota^{-1}(H), grows by each v outside L to
     Q.L + Q.v, named by the primitive remainder of v, and H + Q.iota(v) has
-    dimension dim H + 1.  Closures are keyed by the echelon of their
-    coefficient lattice, with which they are in bijection.  Two arguments
-    keep the walk in proportion to the closures it finds:
+    dimension dim H + 1.  Closures are keyed by `basis`, the echelon of their
+    coefficient lattice's Q-span, with which they are in bijection.  Two
+    arguments keep the walk in proportion to the closures it finds:
 
     * Co-rank 1.  Every closure lies in the top closure T = closure(Z^l), and
       a closure inside T of dimension dim T is T.  So a node with
@@ -551,43 +580,41 @@ def enumerate_closures(model: GroupModel, height=2):
       over Q[t] as well.
     * One closure step.  The ring's closure closes the grown echelon, of
       Q.L + Q.v.  Its lattice contains the grown one, so at equal ranks
-      they span one Q-space and the grown echelon is the key; otherwise
-      the key is the echelon of its lattice.  Over Q the ranks are equal:
-      iota^{-1}(H + Q.iota(v)) = Q.L + Q.v, since Q.L contains the kernel
-      Q.L0 of iota, so no elimination runs in image space.  Over Q[t] they
-      are equal when the closure is the saturation; when it is larger, the
-      memo of grown echelons keeps it from being computed again.
+      they span one Q-space and the grown echelon is its `basis`.  Over Q
+      the ranks are equal: iota^{-1}(H + Q.iota(v)) = Q.L + Q.v, since Q.L
+      contains the kernel Q.L0 of iota, so no elimination runs, in image
+      space or in integers.  Over Q[t] they are equal when the closure is
+      the saturation; when it is larger, the memo of grown echelons keeps it
+      from being computed again.
     """
     close = _symbolic_closure if model.m else _rational_closure
     top = model.prefix_closure(model.l)
     zero = model.zero_subgroup()
-    start = linalg._echelon(zero.coeff.rows)
     vectors = {}
     for v in box_primitives(model.l, height):
-        rem = linalg._echelon_reduce(start, v)
+        rem = linalg._echelon_reduce(zero.basis, v)
         if rem is not None:
             vectors.setdefault(rem, v)
-    seen = {start}
-    nodes = [(start, zero)]
-    for ech, node in nodes:  # breadth first: found closures are appended
+    seen = {zero.basis}
+    nodes = [zero]
+    for node in nodes:  # breadth first: found closures are appended
         if node.dim >= top.dim - 1:
             continue
         tried = set()
         for v in vectors.values():
-            rem = linalg._echelon_reduce(ech, v)
+            rem = linalg._echelon_reduce(node.basis, v)
             if rem is None or rem in tried:
                 continue
             tried.add(rem)
-            grown = linalg._echelon_insert(ech, rem)
+            grown = linalg._echelon_insert(node.basis, rem)
             if grown in seen:
                 continue
             sub = close(model, grown)
-            key = grown if sub.coeff.rank == len(grown) else linalg._echelon(sub.coeff.rows)
-            if key not in seen:
-                nodes.append((key, sub))
-            seen.update((grown, key))
-    found = [sub for _, sub in nodes] + ([top] if top.dim else [])
-    return tuple(sorted(found, key=lambda s: (s.dim, s.coeff.rows)))
+            if sub.basis not in seen:
+                nodes.append(sub)
+            seen.update((grown, sub.basis))
+    found = nodes + ([top] if top.dim else [])
+    return tuple(sorted(found, key=lambda s: (s.dim, s.basis)))
 
 
 def image_lines(model, height):
@@ -615,9 +642,14 @@ def span_contains(model: GroupModel, container: Subgroup, contained: Subgroup) -
     Every subgroup K other than G is the span of iota(iota^{-1}(K)), so for
     such K, K <= H exactly when iota^{-1}(K) lies in iota^{-1}(H): one way
     because iota^{-1} is monotone, the other because iota(iota^{-1}(K)) then
-    lies in H and spans K.  G has the lattice Z^l, which H shares only when
-    H is G or the closure of Z^l; when the generators do not span G the
-    latter is a proper subgroup, and the dimension check keeps it from
-    containing G.  No elimination runs.
+    lies in H and spans K.  Both lattices are saturated, Z^l cap their
+    Q-spans, so they are nested exactly when their Q-spans are: when every
+    row of `contained.basis` reduces to zero against `container.basis`.  G
+    has the lattice Z^l, which H shares only when H is G or the closure of
+    Z^l; when the generators do not span G the latter is a proper subgroup,
+    and the dimension check keeps it from containing G.  No lattice is
+    built.
     """
-    return contained.dim <= container.dim and container.coeff.contains_lattice(contained.coeff)
+    return contained.dim <= container.dim and all(
+        linalg._echelon_reduce(container.basis, row) is None for _, row in contained.basis
+    )

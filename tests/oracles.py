@@ -17,7 +17,9 @@ relation lattice one tuple at a time, `first_witnesses`, that
 section at a Fraction point, `evaluate_section`, against which the locus
 tests check the integer evaluation.  `FatGrid` gives the jet ranks and the
 base loci of a box with independent generators in closed form, by a proof
-that runs no elimination.
+that runs no elimination.  `verify_candidates` is the candidate loop of
+`chain.verify_chain` before the library read candidates off their Q-span
+echelons: every candidate's lattice is built and the loop visits them all.
 """
 
 from fractions import Fraction
@@ -26,7 +28,22 @@ from itertools import product
 from math import ceil, gcd
 from operator import add, mul
 
-from slopechain.model import Subgroup, Sublattice, _relations
+from slopechain.chain import (
+    CandidateCheck,
+    _chi,
+    _random_lattice_closures,
+    phi_from_profile,
+    phi_sign,
+)
+from slopechain.errors import CertificateViolation
+from slopechain.model import (
+    RankProfile,
+    Subgroup,
+    Sublattice,
+    _prefix_ranks,
+    _relations,
+    enumerate_closures,
+)
 from slopechain.polys import Poly
 
 
@@ -186,13 +203,67 @@ def subgroup(model, points) -> Subgroup:
     coeff = _relations(
         [[reduce(add, map(mul, gen, w)) for w in kernel_dirs] for gen in model.generators]
     )
-    return Subgroup(model.n - len(kernel_dirs), Sublattice(model.l, coeff), model)
+    return Subgroup.of_lattice(model.n - len(kernel_dirs), Sublattice(model.l, coeff), model)
 
 
 def closure(model, rows) -> Subgroup:
     """The closure of the integer coefficient `rows`, by `subgroup` of their
     images."""
     return subgroup(model, [model.point_of(r) for r in rows])
+
+
+def verify_candidates(model, chain, options):
+    """The eager candidate loop of `verify_chain`: every candidate of the
+    pool saturated, sorted by (dim, HNF rows) and checked in that order, its
+    rank profile read off its lattice and inclusion decided by lattice
+    membership.  Raises the first CertificateViolation the loop meets, else
+    returns (candidates checked, equality witnesses, candidate checks)."""
+    pool = dict.fromkeys([
+        *enumerate_closures(model, options.height),
+        *_random_lattice_closures(model, options),
+        *chain.subgroups,
+        model.full_subgroup(),
+    ])
+    kern_prefix = model.kernel_prefix_ranks()
+
+    def profile_of(sub):
+        prefix = _prefix_ranks(sub.coeff.rows, model.l)
+        return RankProfile(sub.dim, tuple(a - k for a, k in zip(prefix[1:], kern_prefix[1:])))
+
+    def inside(big, small):
+        return small.dim <= big.dim and big.coeff.contains_lattice(small.coeff)
+
+    chain_profiles = [profile_of(s) for s in chain.subgroups]
+    checks = []
+    equality_witnesses = []
+    for cand in sorted(pool, key=lambda s: (s.dim, s.coeff.rows)):
+        lattice = cand.coeff.rows
+        profile = profile_of(cand)
+        phi_k = phi_from_profile(profile)
+        chis = [_chi(cand.dim, phi_k, lo, hi) for lo, hi in zip(chain.nodes, chain.nodes[1:])]
+        signs = tuple(phi_sign(model.scales, chi) for chi in chis)
+        equal_steps = []
+        for i, sign in enumerate(signs):
+            lo, hi = chain.nodes[i], chain.nodes[i + 1]
+            if sign > 0:
+                raise CertificateViolation("chi_positive", "", step=i, witness=lattice)
+            if sign == 0:
+                equal_steps.append(i)
+                if not (inside(cand, lo.subgroup) and inside(hi.subgroup, cand)):
+                    raise CertificateViolation("equality_sandwich", "", step=i, witness=lattice)
+                equality_witnesses.append((i, lattice))
+        for idx, (member, cp) in enumerate(zip(chain.subgroups, chain_profiles)):
+            if profile == cp and (cand.dim, lattice) != (member.dim, member.coeff.rows):
+                raise CertificateViolation("psi_injectivity", "", step=idx, witness=lattice)
+        checks.append(CandidateCheck(
+            lattice=lattice,
+            dim=cand.dim,
+            gamma_ranks=profile.gamma_ranks,
+            chi_exponents=tuple(chi.exponents for chi in chis),
+            chi_signs=signs,
+            equality_steps=tuple(equal_steps),
+        ))
+    return len(pool), tuple(equality_witnesses), tuple(checks)
 
 
 def lead(row):

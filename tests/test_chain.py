@@ -1,11 +1,13 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 import slopechain.chain as chain_module
 import slopechain.model as model_module
 from slopechain import (
@@ -40,6 +42,7 @@ from slopechain.chain import (
     RootedRational,
     _chi,
     phi_sign,
+    power_product,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -358,6 +361,98 @@ class TestSegmentExcessPerPositionVector:
         assert err.value.kind == expected["kind"]
         assert err.value.step == expected["step"]
         assert [list(row) for row in err.value.witness] == expected["witness"]
+
+
+# the checks verify_chain runs after its candidate loop
+POST_LOOP_KINDS = {"slope_order", "frak_order", "scaling", "telescoping"}
+
+
+def _tower(model, subgroups):
+    """The chain through `subgroups`, whether or not its slopes decrease."""
+    nodes = tuple(ChainNode(s, s.dim, phi(model, s)) for s in subgroups)
+    steps = []
+    for lo, hi in zip(nodes, nodes[1:]):
+        slope = SlopeValue(hi.phi - lo.phi, hi.dim - lo.dim)
+        frak = RootedRational(power_product(model.scales, slope.numerator.exponents), slope.denominator)
+        steps.append(ChainStep(frak, slope))
+    return Chain(nodes, tuple(steps))
+
+
+def _prefix_towers(model):
+    """Every tower 0 < V_j1 < ... < G of distinct prefix closures V_j."""
+    inner = [
+        s for s in dict.fromkeys(map(model.prefix_closure, range(1, model.l + 1)))
+        if 0 < s.dim < model.n
+    ]
+    for k in range(len(inner) + 1):
+        for members in combinations(inner, k):
+            yield _tower(model, (model.zero_subgroup(), *members, model.full_subgroup()))
+
+
+def _verdict(model, chain, options):
+    """The kind of `verify_chain`'s verdict ("ok" when it certifies), after
+    checking it against the eager reference loop: the same violation kind,
+    step and witness, or else the same candidates and equality witnesses."""
+    try:
+        cert = verify_chain(model, chain, options)
+    except CertificateViolation as err:
+        kind, library = err.kind, (err.kind, err.step, err.witness)
+    else:
+        kind = "ok"
+        library = (cert.candidates_checked, cert.equality_witnesses, cert.candidates)
+    try:
+        reference = oracles.verify_candidates(model, chain, options)
+    except CertificateViolation as err:
+        reference = (err.kind, err.step, err.witness)
+    if kind in POST_LOOP_KINDS:
+        assert isinstance(reference[0], int), "the reference loop raised"
+    else:
+        assert library == reference
+    return kind
+
+
+# scale 1 puts every candidate of the line's model on the first segment, and
+# the other lines leave the sandwich
+SANDWICH = rational_model(2, [(1, -1)], (1,))
+
+
+class TestVerifyAgainstEagerLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_models(), st.integers(1, 2), st.integers(0, 3), st.integers(0, 3))
+    @example(SANDWICH, 1, 0, 0)
+    @example(SANDWICH, 2, 3, 1)
+    def test_rational_prefix_towers(self, model, height, random_count, seed):
+        options = VerifyOptions(height=height, random_count=random_count, seed=seed)
+        for chain in _prefix_towers(model):
+            _verdict(model, chain, options)
+
+    def test_towers_reach_every_loop_verdict(self):
+        models = [
+            SANDWICH,
+            rational_model(3, [(0, 2, -2), (1, -1, -2)], (2, 1)),
+            rational_model(2, [(1, 0), (0, 1)], (100, 10)),
+        ]
+        kinds = {
+            _verdict(model, chain, VerifyOptions(height=1))
+            for model in models for chain in _prefix_towers(model)
+        }
+        assert kinds == {"ok", "chi_positive", "equality_sandwich"}
+
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in GOLDEN.glob("sym_*.json")
+    ))
+    def test_symbolic_goldens(self, name):
+        cfg = cli.parse_config((GOLDEN / f"{name}.json").read_text())
+        model = build_model(cfg.model)
+        options = VerifyOptions(
+            height=cfg.limits.candidate_height,
+            random_count=cfg.limits.random_candidates,
+            seed=cfg.seed,
+        )
+        kind = _verdict(model, build_chain(model), options)
+        assert kind == ("chi_positive" if name == "sym_two_symbols" else "ok")
+        for chain in _prefix_towers(model):
+            _verdict(model, chain, options)
 
 
 class TestDerivedDataInOnePlace:

@@ -591,6 +591,26 @@ class TestExitCodes:
         assert error["code"] == "EnumerationTooLarge"
         assert "343" in error["message"]
 
+    def test_random_candidates_are_refused_before_any_draw(self, tmp_path, capsys):
+        # 10^8 random candidates exceed enumeration_max = 10^7; the draws
+        # would run for minutes
+        golden = Path(__file__).resolve().parent / "golden" / "plane_basic.json"
+        argv = ["chain", "verify", "-c", str(golden), "--limit"]
+        start = perf_counter()
+        code = cli.run(argv + ["random_candidates=100000000"])
+        assert perf_counter() - start < 1
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "EnumerationTooLarge"
+        assert error["message"] == "100000000 random candidates exceed the limit 10000000"
+        # the limit itself is allowed
+        limit = ["--limit", "enumeration_max=30"]
+        code, _ = run_to_file(tmp_path, argv + ["random_candidates=30"] + limit)
+        assert code == 0
+        assert cli.run(argv + ["random_candidates=31"] + limit) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["message"] == "31 random candidates exceed the limit 30"
+
     def test_validation_error_maps_to_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(BASE, epsilon="2")))

@@ -561,7 +561,9 @@ def _old_enumerate_closures_symbolic(model, height):
 
 
 def _as_tuples(subgroups):
-    return [(s.dim, s.coeff.rows, s.span) for s in subgroups]
+    """(dim, lattice, span) of each subgroup, in the library's order of
+    `enumerate_closures`, (dim, basis)."""
+    return [(s.dim, s.coeff.rows, s.span) for s in sorted(subgroups, key=lambda s: (s.dim, s.basis))]
 
 
 @st.composite
@@ -746,6 +748,36 @@ class TestEnumerateClosuresOracle:
         x_axis = closure(model, [(1, 0, 0)])
         assert x_axis.coeff.rows == ((1, 0, 0), (0, 1, 0))
         assert x_axis in subs
+
+
+def _check_span_contains(model, subgroups):
+    """`span_contains` on echelons against lattice membership, on every
+    ordered pair of `subgroups`."""
+    for big in subgroups:
+        for small in subgroups:
+            nested = small.dim <= big.dim and big.coeff.contains_lattice(small.coeff)
+            assert span_contains(model, big, small) == nested
+
+
+class TestSpanContainsOnEchelons:
+    @settings(max_examples=40, deadline=None)
+    @given(rational_enumeration_cases())
+    @example((PLANE_IMAGES, 1))  # G and the top plane share the lattice Z^3
+    @example((ONE_NONZERO, 2))
+    @example((ALL_ZERO, 2))
+    def test_rational_closures(self, case):
+        model, height = case
+        subs = enumerate_closures(model, height)
+        assert list(subs) == sorted(subs, key=lambda s: (s.dim, s.basis))
+        _check_span_contains(model, (*subs, model.full_subgroup()))
+
+    @settings(max_examples=20, deadline=None)
+    @given(models_with_lattice())
+    def test_symbolic_closures(self, case):
+        model, rows = case
+        subs = enumerate_closures(model, 1)
+        assert list(subs) == sorted(subs, key=lambda s: (s.dim, s.basis))
+        _check_span_contains(model, (*subs, closure(model, rows), model.full_subgroup()))
 
 
 class TestOneClosureStep:
