@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from . import __version__
 from .chain import (
@@ -253,7 +254,7 @@ def _point_json(point):
 
 
 _escape = json.encoder.encode_basestring_ascii
-_STR, _INT, _ROWS = {str}, {int}, {list, tuple}
+_STR, _INT = {str}, {int}
 
 
 def _json_text(value, pad="\n"):
@@ -262,16 +263,13 @@ def _json_text(value, pad="\n"):
 
     With an indent `json` writes through its Python encoder, one generator
     step per element, which is most of the cost of a large report.  Here a
-    list of only str or only int, such as one row of a point matrix, is
+    list of only str or only int, such as one row of a small matrix, is
     written with one `str.join` over a C map (strings go through the escaper
-    `json` itself uses), and a matrix (a list of non-empty list or tuple
-    rows whose cells are all str or all int, such as the points or the
-    witnesses of a box set) with one join over the rows' joins, with no
-    Python call per row; dicts with string keys, other lists and scalars are
+    `json` itself uses); dicts with string keys, other lists and scalars are
     written directly, so a small report is not slower either.  Anything else
-    (empty or non-str-keyed containers, other tuples, NaN, subclasses) is
-    written by `json.dumps` and re-indented: JSON text holds no raw newline
-    outside its layout.
+    (empty or non-str-keyed containers, tuples, NaN, subclasses) is written
+    by `json.dumps` and re-indented: JSON text holds no raw newline outside
+    its layout.  Large matrices are not written here but by `_matrix_chunks`.
     """
     kind = type(value)
     if kind is list and value:
@@ -281,11 +279,6 @@ def _json_text(value, pad="\n"):
             cells = map(_escape, value)
         elif kinds == _INT:
             cells = map(repr, value)
-        elif kinds <= _ROWS and all(value) and (fmt := _cell_format(value)):
-            cell = inner + "  "
-            rows = map((',' + cell).join, map(map, repeat(fmt), value))
-            joined = f"{inner}],{inner}[{cell}".join(rows)
-            return f"[{inner}[{cell}{joined}{inner}]{pad}]"
         else:
             cells = [_json_text(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(cells)}{pad}]"
@@ -304,11 +297,61 @@ def _json_text(value, pad="\n"):
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
-def _cell_format(rows):
-    """The writer of every cell of `rows` when the cells are all str or all
-    int, else None."""
-    kinds = set(map(type, chain.from_iterable(rows)))
-    return _escape if kinds == _STR else repr if kinds == _INT else None
+class _Columns(NamedTuple):
+    """A matrix of `count` rows given by its columns, written as the JSON
+    list of its rows: `cells[j]` maps a slice of column j to the JSON text
+    of each of its cells."""
+
+    columns: tuple
+    cells: tuple
+    count: int
+
+
+# cells of a `_Columns` matrix formatted and joined at once: a report is
+# written in blocks of max(1, _BLOCK_CELLS // width) rows
+_BLOCK_CELLS = 1 << 16
+
+
+def _report_chunks(report):
+    """`_json_text(report)` of a report dict with str keys, in chunks: one
+    string per top-level key, except for a `_Columns` value, which
+    `_matrix_chunks` writes in blocks, so the whole text never exists."""
+    if not report:
+        yield "{}"
+        return
+    sep, pad = "{", "\n  "
+    for key, value in sorted(report.items()):
+        if type(value) is _Columns:
+            yield f"{sep}{pad}{_escape(key)}: "
+            yield from _matrix_chunks(value, pad)
+        else:
+            yield f"{sep}{pad}{_escape(key)}: {_json_text(value, pad)}"
+        sep = ","
+    yield "\n}"
+
+
+def _matrix_chunks(matrix, pad):
+    """`_json_text` of the rows of a `_Columns` matrix, whose lines start
+    with `pad`, one block of rows per chunk.  Per block, the cells of each
+    column slice are formatted by one call, and the rows, zipped from the
+    slices, are joined once each and then once together."""
+    columns, cells, count = matrix
+    inner = pad + "  "
+    if not count:
+        yield "[]"
+    elif not columns:
+        yield f"[{inner}{(',' + inner).join(repeat('[]', count))}{pad}]"
+    else:
+        cell = inner + "  "
+        sep, next_row = "," + cell, f"{inner}],{inner}[{cell}"
+        rows = max(1, _BLOCK_CELLS // len(columns))
+        head = f"[{inner}[{cell}"
+        for lo in range(0, count, rows):
+            block = zip(*(fmt(col[lo:lo + rows]) for col, fmt in zip(columns, cells)))
+            yield head
+            yield next_row.join(map(sep.join, block))
+            head = next_row
+        yield f"{inner}]{pad}]"
 
 
 # ---------------------------------------------------------------------------
@@ -387,34 +430,35 @@ def _cmd_mu(cfg, model):
 
 
 def _column_text(nums, den):
-    """str(Fraction(v, den)) of each integer v: "p/q" in lowest terms, or
-    "p" when den divides v, by one gcd and no Fraction."""
+    """The JSON text of str(Fraction(v, den)) of each integer v: "p/q" in
+    lowest terms, or "p" when den divides v, by one gcd and no Fraction."""
     if den == 1:
-        return map(str, nums)
+        return [f'"{v}"' for v in nums]
     return [
-        str(v // den) if g == den else f"{v // g}/{den // g}"
+        f'"{v // den}"' if g == den else f'"{v // g}/{den // g}"'
         for v, g in zip(nums, map(math.gcd, nums, repeat(den)))
     ]
 
 
-def _points_json(omega):
-    """The rows of `_point_json` of the box set's points.  Over Q they are
-    written from the integer columns of the points (`GammaSet.columns`), with
-    no Fraction per coordinate; over Q[t] from the points themselves."""
-    if omega.columns is None:
-        return [_point_json(p) for p in omega.points]
-    return list(zip(*(_column_text(*col) for col in omega.columns)))
-
-
 def _cmd_gamma_enumerate(cfg, model):
-    """The box set Gamma(lambda S): its points, written by `_points_json`,
-    and one witness tuple per point."""
+    """The box set Gamma(lambda S): its points and one witness tuple per
+    point.  Over Q the points are written from their integer columns
+    (`GammaSet.columns`), with no Fraction per coordinate; over Q[t] from
+    the points themselves.  The witnesses are written from their columns."""
     omega = enumerate_gamma(model, cfg.lam, cfg.limits.enumeration_max)
+    count = len(omega)
+    if omega.columns is None:
+        points = [_point_json(p) for p in omega.points]
+    else:
+        nums, dens = zip(*omega.columns)
+        cells = tuple(functools.partial(_column_text, den=d) for d in dens)
+        points = _Columns(nums, cells, count)
+    witnesses = omega.witness_columns
     return {
         "lambda": str(cfg.lam),
-        "cardinality": len(omega),
-        "points": _points_json(omega),
-        "witnesses": list(omega.witnesses),
+        "cardinality": count,
+        "points": points,
+        "witnesses": _Columns(witnesses, (functools.partial(map, repr),) * len(witnesses), count),
     }
 
 
@@ -647,8 +691,7 @@ def run(argv) -> int:
                 },
             }
             report.update(payload)
-            # the newline is written on its own, not appended to a copy
-            parts = (_json_text(report), "\n")
+            parts = chain(_report_chunks(report), ("\n",))
         out_path = args.out or cfg.out
         if out_path:
             with open(out_path, "w") as fh:
@@ -687,7 +730,7 @@ def _emit_error(exc, args):
             body["error"]["step"] = exc.step
         if exc.witness is not None:
             body["error"]["witness"] = [list(r) for r in exc.witness]
-    sys.stdout.writelines((_json_text(body), "\n"))
+    sys.stdout.writelines(chain(_report_chunks(body), ("\n",)))
 
 
 def main(argv=None) -> int:

@@ -6,11 +6,15 @@ iota.  Members are group points, not coefficient tuples: tuples are reduced
 modulo the relation lattice iota^{-1}(0) to canonical coset representatives,
 so dependent or repeated generators never inflate a count.  Tuples are
 reduced in fixed-size chunks, column by column, with one C-level map per
-column and HNF row (`linalg.lattice_reduce_columns`), and not at all when
-the relation lattice is 0.  A box set keeps one in-box witness tuple per
-point and builds the points themselves only when they are read, over Q as
-integer columns over each coordinate's cleared denominator; sum/difference
-sets work on witnesses.  Coset counts enumerate no box: they walk the points
+column and HNF row (`linalg.lattice_reduce_columns`).  When the relation
+lattice is 0, each tuple is its own representative and the box in
+`itertools.product` order is already sorted, so the box set is built by
+repetition of each side's range, with no tuple and no reduction.  A box set
+keeps one in-box witness tuple per point, as l integer columns, and builds
+every other view (the tuples, the (representative, witness) pairs, the
+points) only when it is read, the points over Q as integer columns over
+each coordinate's cleared denominator; sum/difference sets work on
+witnesses.  Coset counts enumerate no box: they walk the points
 of the coefficient lattice of H' in the box, coordinate by coordinate of its
 Hermite normal form, and queue the last intervals of the walk to reduce them
 `_CHUNK` points at a time.
@@ -23,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations_with_replacement, islice, product, repeat
+from itertools import chain, combinations_with_replacement, islice, product, repeat
 from operator import add, itemgetter, mul
 
 from . import linalg
@@ -43,24 +47,27 @@ from .polys import as_fraction
 
 @dataclass(frozen=True)
 class GammaSet:
-    """Deduplicated box points with one in-box witness tuple per point.
+    """Deduplicated box points with one in-box witness tuple per point, in
+    the order of their canonical representatives mod iota^{-1}(0).
 
-    `entries` is sorted by canonical representative; each entry is
-    (representative mod kernel, witness coefficient tuple).  Both forms of
-    the points are built on first read, in entry order: `columns` (rational
-    models only, None over Q[t]) holds per coordinate the integer numerators
-    of the points over that coordinate's cleared denominator, and the
-    denominator; `points` holds iota of each witness as a tuple of scalars,
-    Fractions over Q.
+    The witnesses are held as l integer columns (`witness_columns`, entry j
+    holding coefficient j of every witness) with their `count`, which
+    `len()` reads.  Every other form is a view built on first read, in the
+    same order: `witnesses`, the tuples; `entries`, the pairs
+    (representative, witness); `columns` (rational models only, None over
+    Q[t]), per coordinate the integer numerators of the points over that
+    coordinate's cleared denominator, and the denominator; `points`, iota
+    of each witness as a tuple of scalars, Fractions over Q.
     """
 
     lam: Fraction
-    entries: tuple
+    witness_columns: tuple
+    count: int
     model: GroupModel = field(compare=False, repr=False)
 
     @cached_property
     def columns(self):
-        return _integer_columns(self.model, self.witnesses)
+        return _integer_columns(self.model, self.witness_columns, self.count)
 
     @cached_property
     def points(self):
@@ -68,31 +75,45 @@ class GammaSet:
 
     @cached_property
     def witnesses(self):
-        return tuple(map(itemgetter(1), self.entries))
+        if not self.witness_columns:
+            return ((),) * self.count
+        return tuple(zip(*self.witness_columns))
+
+    @cached_property
+    def entries(self):
+        kernel = self.model.kernel_lattice()
+        if not kernel.rows:
+            return tuple(zip(self.witnesses, self.witnesses))
+        reps = zip(*linalg.lattice_reduce_columns(
+            kernel.rows, kernel.pivots, self.witness_columns
+        ))
+        return tuple(zip(reps, self.witnesses))
 
     def __len__(self):
-        return len(self.entries)
+        return self.count
 
 
-def _integer_columns(model: GroupModel, witnesses):
-    """iota of each witness of a rational model as integer columns, or None
-    for a symbolic model.  Per coordinate: (that coordinate of every point
-    as a numerator over the column's cleared denominator, the denominator),
-    with the column as `GroupModel._cleared_columns` clears it.
+def _integer_columns(model: GroupModel, witness_columns, count):
+    """iota of the `count` witnesses given by their `witness_columns`, for
+    a rational model as integer columns, or None for a symbolic model.  Per
+    coordinate: (that coordinate of every point as a numerator over the
+    column's cleared denominator, the denominator), with the column as
+    `GroupModel._cleared_columns` clears it.
 
     Each column is built with one C-level vector add over all witnesses per
-    nonzero generator entry, with no Fraction per coordinate.
+    nonzero generator entry, with no Fraction per coordinate; a coordinate
+    read off one generator with entry 1 is that witness column itself.
     """
     if model.m:
         return None
-    by_generator = list(zip(*witnesses))
     columns = []
     for nums, den in model._cleared_columns():
-        acc = [0] * len(witnesses)
-        for c, coefficients in zip(nums, by_generator):
+        acc = None
+        for c, coefficients in zip(nums, witness_columns):
             if c:
-                acc = list(map(add, acc, map(mul, coefficients, repeat(c))))
-        columns.append((acc, den))
+                term = coefficients if c == 1 else list(map(mul, coefficients, repeat(c)))
+                acc = term if acc is None else list(map(add, acc, term))
+        columns.append(([0] * count if acc is None else acc, den))
     return tuple(columns)
 
 
@@ -121,6 +142,16 @@ def _box_bounds(model: GroupModel, lam) -> list[int]:
 
 
 def enumerate_gamma(model: GroupModel, lam=Fraction(1), limit=10 ** 7) -> GammaSet:
+    """Gamma(lam S): the box |n_j| < lam S_j, deduplicated as group points.
+
+    The box size is checked against `limit` before anything is allocated.
+    When the relation lattice iota^{-1}(0) is 0, each tuple is its own
+    representative, and `itertools.product` order is the sorted order, so
+    the witness columns are built by repetition: column j repeats each
+    value of its range once per tuple of the later sides, and that run once
+    per tuple of the earlier ones, with no tuple, dict or sort.  Otherwise
+    the box tuples are reduced by `_first_witnesses`.
+    """
     lam = as_fraction(lam)
     bounds = _box_bounds(model, lam)
     size = math.prod(2 * b + 1 for b in bounds)
@@ -128,12 +159,22 @@ def enumerate_gamma(model: GroupModel, lam=Fraction(1), limit=10 ** 7) -> GammaS
         raise EnumerationTooLarge(
             f"box of {size} tuples exceeds the limit {limit}"
         )
-    return _gamma_set(model, lam, product(*(range(-b, b + 1) for b in bounds)))
+    if model.kernel_lattice().rows:
+        tuples = product(*(range(-b, b + 1) for b in bounds))
+        return _gamma_set(model, lam, _first_witnesses(model, tuples))
+    columns, outer, inner = [], 1, size
+    for b in bounds:
+        inner //= 2 * b + 1
+        runs = map(repeat, range(-b, b + 1), repeat(inner))
+        columns.append(tuple(chain.from_iterable(runs)) * outer)
+        outer *= 2 * b + 1
+    return GammaSet(lam, tuple(columns), size, model)
 
 
 def gamma_from_vectors(model: GroupModel, vectors, lam=Fraction(1)) -> GammaSet:
     """Build a GammaSet from explicit coefficient tuples (mostly for tests)."""
-    return _gamma_set(model, as_fraction(lam), _coefficient_vectors(model, vectors))
+    vectors = _coefficient_vectors(model, vectors)
+    return _gamma_set(model, as_fraction(lam), _first_witnesses(model, vectors))
 
 
 # witnesses, or queued points of the lattice walk, reduced per
@@ -165,9 +206,12 @@ def _first_witnesses(model: GroupModel, witnesses) -> dict:
     return seen
 
 
-def _gamma_set(model: GroupModel, lam, witnesses) -> GammaSet:
-    entries = tuple(sorted(_first_witnesses(model, witnesses).items()))
-    return GammaSet(lam, entries, model)
+def _gamma_set(model: GroupModel, lam, first: dict) -> GammaSet:
+    """The GammaSet of the `_first_witnesses` dict `first`: its witnesses
+    sorted by representative, as columns."""
+    kept = list(map(first.__getitem__, sorted(first)))
+    columns = tuple(tuple(map(itemgetter(j), kept)) for j in range(model.l))
+    return GammaSet(lam, columns, len(kept), model)
 
 
 def card_mod(model: GroupModel, lam, h_prime: Subgroup, h_dprime: Subgroup,
@@ -296,7 +340,7 @@ def combine(model: GroupModel, omega: GammaSet, count: int, mode: str, limit=10 
         raise ValueError(f"mode must be sumset or diffset, got {mode!r}")
     if count < 1:
         raise ValueError(f"need at least one summand, got {count}")
-    base = len(omega.entries)
+    base = len(omega)
     n_sums = math.comb(base + count - 1, count) if base else 0
     if n_sums > limit:
         raise EnumerationTooLarge(f"{n_sums} sums exceed the limit {limit}")
@@ -313,8 +357,7 @@ def combine(model: GroupModel, omega: GammaSet, count: int, mode: str, limit=10 
         sums = _first_witnesses(model, (
             tuple(a - b for a, b in zip(wa, wb)) for wa in kept for wb in kept
         ))
-    witnesses = [w for _, w in sorted(sums.items())]
-    return _points(model, witnesses, _integer_columns(model, witnesses))
+    return _gamma_set(model, None, sums).points
 
 
 # ---------------------------------------------------------------------------

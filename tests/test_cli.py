@@ -1,8 +1,12 @@
+import functools
 import json
+import random
+import re
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -386,6 +390,11 @@ _json_values = st.recursive(
 )
 
 
+def _written(report):
+    """The report text as `cli.run` writes it, chunk by chunk."""
+    return "".join(cli._report_chunks(report))
+
+
 class TestJsonText:
     """The report writer against `json.dumps(sort_keys=True, indent=2)`."""
 
@@ -403,11 +412,82 @@ class TestJsonText:
     @example({"a": [[True, False], [True]], "b": [[1, True]], "c": [[1.5, 2.0], [-0.0]]})
     @example({"a": [[[1, 2], [3, 4]], [["x"]], [[]]]})
     def test_equals_json_dumps(self, value):
-        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_non_string_keys_fall_back(self):
         value = {"a": {1: [[1, 2]], 0: "x"}}
-        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pool=st.lists(st.integers(), min_size=1, max_size=8)
+        | st.lists(_texts, min_size=1, max_size=8),
+        width=st.integers(1, 300),
+        block=st.integers(1, 64),
+        offset=st.sampled_from((-1, 0, 1)),
+        seed=st.integers(0, 2 ** 32),
+    )
+    @example(pool=['"\u00e9\x01', "x"], width=2, block=4, offset=-1, seed=0)  # one row
+    @example(pool=[-1, 0, 2 ** 70], width=300, block=7, offset=1, seed=1)  # block < width
+    def test_columns_equal_json_dumps_of_rows(self, pool, width, block, offset, seed):
+        # row counts block - 1, block and block + 1 (at least 1), with
+        # block = max(1, _BLOCK_CELLS // width) rows
+        count = max(1, max(1, block // width) + offset)
+        rng = random.Random(seed)
+        columns = tuple([rng.choice(pool) for _ in range(count)] for _ in range(width))
+        cells = functools.partial(map, cli._escape if type(pool[0]) is str else repr)
+        matrix = cli._Columns(columns, (cells,) * width, count)
+        rows = [list(row) for row in zip(*columns)]
+        with mock.patch.object(cli, "_BLOCK_CELLS", block):
+            text = _written({"m": matrix, "a": [1], "z": "x"})
+        assert text == json.dumps({"m": rows, "a": [1], "z": "x"}, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("columns, count, want", [
+        ((), 1, [[]]),
+        ((), 3, [[], [], []]),
+        (([], []), 0, []),
+    ])
+    def test_empty_columns_and_rows(self, columns, count, want):
+        matrix = cli._Columns(columns, (repr,) * len(columns), count)
+        assert _written({"m": matrix}) == json.dumps({"m": want}, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("width", [1, 3, 4, 10, 25])
+    def test_no_chunk_exceeds_a_block(self, monkeypatch, width):
+        # every cell is 7, so a chunk's cells are its 7s
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 10)
+        count = 23
+        columns = tuple([7] * count for _ in range(width))
+        matrix = cli._Columns(columns, (functools.partial(map, repr),) * width, count)
+        chunks = list(cli._matrix_chunks(matrix, "\n  "))
+        block = max(1, 10 // width) * width
+        assert max(chunk.count("7") for chunk in chunks) == min(block, count * width)
+        assert sum(chunk.count("7") for chunk in chunks) == count * width
+        want = json.dumps([[7] * width] * count, indent=2).replace("\n", "\n  ")
+        assert "".join(chunks) == want
+
+    @pytest.mark.parametrize("config", ["plane_basic", "fractional_unsorted"])
+    def test_enumerate_report_is_written_in_blocks(self, tmp_path, monkeypatch, config):
+        # 6 cells a block: no chunk of the points or the witnesses holds more
+        # than 6 cells, and the bytes are the golden's
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 6)
+        cells_per_chunk = []
+        real = cli._matrix_chunks
+
+        def recorded(matrix, pad):
+            for chunk in real(matrix, pad):
+                cells_per_chunk.append(len(re.findall(r'"[^"]*"|-?\d+', chunk)))
+                yield chunk
+
+        monkeypatch.setattr(cli, "_matrix_chunks", recorded)
+        golden = Path(__file__).resolve().parent / "golden"
+        out = tmp_path / "report"
+        code = cli.run(["gamma", "enumerate", "-c", str(golden / f"{config}.json"), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (golden / f"{config}.gamma_enumerate.out").read_bytes()
+        report = json.loads(out.read_text())
+        cells = sum(len(row) for key in ("points", "witnesses") for row in report[key])
+        assert sum(cells_per_chunk) == cells > 6
+        assert max(cells_per_chunk) <= 6
 
     def test_rational_points_stay_fractions(self):
         # integer generators clear to denominator 1, the point_of shortcut

@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import random
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from slopechain import (
@@ -163,9 +164,17 @@ def _model_specs(draw):
     return n, gens, scales
 
 
+def _enumerate_text(model, lam):
+    """The `gamma enumerate` payload of Gamma(lam S) as the report writer
+    writes it."""
+    cfg = SimpleNamespace(lam=lam, limits=cli.Limits())
+    return "".join(cli._report_chunks(cli._cmd_gamma_enumerate(cfg, model)))
+
+
 class TestIntegerColumns:
-    """Box points over Q from integer columns, against `point_of` and the
-    `_scalar_json` text of each of its coordinates."""
+    """Box points over Q from integer columns, against `point_of`, and the
+    report text written from them, against the `_scalar_json` text of each
+    coordinate of `point_of`."""
 
     @settings(max_examples=60, deadline=None)
     @given(spec=_model_specs(), lam=st.sampled_from([F(1, 2), F(1), F(2)]))
@@ -178,9 +187,12 @@ class TestIntegerColumns:
     def test_text_rows_equal_point_of(self, spec, lam):
         model = rational_model(*spec)
         omega = enumerate_gamma(model, lam)
-        assert cli._points_json(omega) == [
-            tuple(cli._scalar_json(c) for c in model.point_of(w)) for w in omega.witnesses
-        ]
+        assert _enumerate_text(model, lam) == json.dumps({
+            "lambda": str(lam),
+            "cardinality": len(omega),
+            "points": [[cli._scalar_json(c) for c in model.point_of(w)] for w in omega.witnesses],
+            "witnesses": [list(w) for w in omega.witnesses],
+        }, sort_keys=True, indent=2)
         assert omega.points == tuple(map(model.point_of, omega.witnesses))
         # sum and difference sets of a few points, through the same columns
         few = gamma_from_vectors(model, omega.witnesses[:8])
@@ -515,6 +527,81 @@ class TestColumnReductionAgainstOracle:
         want = tuple(sorted(oracles.first_witnesses(model, box_tuples(model, 2)).items()))
         assert len(omega) == 44919 > 10 * gamma._CHUNK
         assert omega.entries == want
+
+
+@st.composite
+def free_cases(draw):
+    """(config, lambda): a rational or one-symbol model with n <= 3 and
+    l <= 3 generators whose relation lattice is 0, half-integer scales and
+    lambda in {1/3, 1, 2}, with every box side at most BOX_SIDE[l]."""
+    n, l, m = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 1))
+    entry = st.sampled_from((0, 1, -1, 2, F(1, 2), F(-1, 3)))
+
+    def coordinate():
+        if not m:
+            return draw(entry)
+        return Poly.const(draw(entry), 1) + Poly.symbol(1, 1) * draw(entry)
+
+    gens = tuple(tuple(coordinate() for _ in range(n)) for _ in range(l))
+    lam = draw(st.sampled_from((F(1, 3), F(1), F(2))))
+    sides = [F(k, 2) for k in range(2, 42) if 2 * box_bound(F(k, 2), lam) + 1 <= BOX_SIDE.get(l, 1)]
+    scales = tuple(draw(st.sampled_from(sides)) for _ in range(l))
+    config = ModelConfig(n=n, generators=gens, scales=scales, symbols=("tau",) if m else ())
+    assume(not build_model(config).kernel_lattice().rows)
+    return config, lam
+
+
+class TestRepetitionRoute:
+    """With relation lattice 0, `enumerate_gamma` builds the witness
+    columns by repetition: the same box set as the box tuples reduced one by
+    one (`gamma_from_vectors` over `itertools.product`), in product order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(free_cases())
+    @example((ModelConfig(n=2, generators=(), scales=()), F(2)))  # l = 0
+    @example((ModelConfig(n=1, generators=((1,), (F(1, 2),)), scales=(F(5, 2), F(3, 2))), F(1, 3)))
+    def test_equals_reduced_box(self, case):
+        config, lam = case
+        model = build_model(config)
+        omega = enumerate_gamma(model, lam)
+        want = gamma_from_vectors(model, box_tuples(model, lam), lam)
+        assert len(omega) == len(want) == math.prod(
+            2 * box_bound(s, lam) + 1 for s in model.scales
+        )
+        assert "entries" not in omega.__dict__ and "witnesses" not in omega.__dict__
+        assert omega.witnesses == want.witnesses == tuple(box_tuples(model, lam))
+        assert omega.entries == want.entries
+        assert omega.witness_columns == want.witness_columns
+        assert omega.columns == want.columns
+        assert omega.points == want.points
+        assert omega == want and hash(omega) == hash(want)
+
+    @pytest.mark.parametrize("symbols", [(), ("tau",)])
+    def test_no_generators(self, symbols):
+        model = build_model(ModelConfig(n=2, generators=(), scales=(), symbols=symbols))
+        omega = enumerate_gamma(model)
+        assert len(omega) == 1 and omega.witness_columns == ()
+        assert omega.witnesses == ((),) and omega.entries == (((), ()),)
+        assert omega.points == (model.point_of(()),)
+        report = json.loads(_enumerate_text(model, F(1)))
+        assert report["witnesses"] == [[]] and report["points"] == [["0", "0"]]
+
+    @pytest.mark.parametrize("generators", [
+        ((1, 0), (0, 1), (1, 1), (F(1, 2), 3)),   # relation lattice of rank 2
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),   # relation lattice 0
+    ])
+    def test_huge_box_is_refused_before_any_column(self, generators):
+        # 1999^4 > 10^13 tuples: nothing of the box may be built
+        def no_box(*args):
+            raise AssertionError("box built before the size check")
+
+        model = build_model(ModelConfig(
+            n=len(generators[0]), generators=generators, scales=(1000,) * 4
+        ))
+        with mock.patch.object(gamma, "product", no_box), \
+                mock.patch.object(gamma, "repeat", no_box):
+            with pytest.raises(EnumerationTooLarge, match="box of 15968023992001 tuples"):
+                enumerate_gamma(model)
 
 
 class TestCombine:
