@@ -442,17 +442,18 @@ def _column_text(nums, den):
 
 def _cmd_gamma_enumerate(cfg, model):
     """The box set Gamma(lambda S): its points and one witness tuple per
-    point.  Over Q the points are written from their integer columns
-    (`GammaSet.columns`), with no Fraction per coordinate; over Q[t] from
-    the points themselves.  The witnesses are written from their columns."""
+    point.  Over Q the points are written from their integer columns over
+    the model's denominator D (`GammaSet.columns`), every column by one
+    cell formatter, with no Fraction per coordinate; over Q[t] from the
+    points themselves.  The witnesses are written from their columns."""
     omega = enumerate_gamma(model, cfg.lam, cfg.limits.enumeration_max)
     count = len(omega)
     if omega.columns is None:
         points = [_point_json(p) for p in omega.points]
     else:
-        nums, dens = zip(*omega.columns)
-        cells = tuple(functools.partial(_column_text, den=d) for d in dens)
-        points = _Columns(nums, cells, count)
+        den, columns = omega.columns
+        cell = functools.partial(_column_text, den=den)
+        points = _Columns(columns, (cell,) * len(columns), count)
     witnesses = omega.witness_columns
     return {
         "lambda": str(cfg.lam),

@@ -13,11 +13,11 @@ repetition of each side's range, with no tuple and no reduction.  A box set
 keeps one in-box witness tuple per point, as l integer columns, and builds
 every other view (the tuples, the (representative, witness) pairs, the
 points) only when it is read, the points over Q as integer columns over
-each coordinate's cleared denominator; sum/difference sets work on
-witnesses.  Coset counts enumerate no box: they walk the points
-of the coefficient lattice of H' in the box, coordinate by coordinate of its
-Hermite normal form, and queue the last intervals of the walk to reduce them
-`_CHUNK` points at a time.
+the model's one denominator D; sum/difference sets work on witnesses.
+Coset counts enumerate no box: they walk the points of the coefficient
+lattice of H' in the box, coordinate by coordinate of its Hermite normal
+form, and queue the last intervals of the walk to reduce them `_CHUNK`
+points at a time.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class GammaSet:
     `len()` reads.  Every other form is a view built on first read, in the
     same order: `witnesses`, the tuples; `entries`, the pairs
     (representative, witness); `columns` (rational models only, None over
-    Q[t]), per coordinate the integer numerators of the points over that
-    coordinate's cleared denominator, and the denominator; `points`, iota
-    of each witness as a tuple of scalars, Fractions over Q.
+    Q[t]), (D, columns) with D the model's denominator and per coordinate
+    the integer numerators of the points over D; `points`, iota of each
+    witness as a tuple of scalars, Fractions over Q.
     """
 
     lam: Fraction
@@ -95,10 +95,9 @@ class GammaSet:
 
 def _integer_columns(model: GroupModel, witness_columns, count):
     """iota of the `count` witnesses given by their `witness_columns`, for
-    a rational model as integer columns, or None for a symbolic model.  Per
-    coordinate: (that coordinate of every point as a numerator over the
-    column's cleared denominator, the denominator), with the column as
-    `GroupModel._cleared_columns` clears it.
+    a rational model as (D, columns), or None for a symbolic model: D and
+    the generators' columns as `GroupModel._cleared_columns` gives them,
+    and per coordinate that coordinate of every point as a numerator over D.
 
     Each column is built with one C-level vector add over all witnesses per
     nonzero generator entry, with no Fraction per coordinate; a coordinate
@@ -106,27 +105,29 @@ def _integer_columns(model: GroupModel, witness_columns, count):
     """
     if model.m:
         return None
+    den, generator_columns = model._cleared_columns()
     columns = []
-    for nums, den in model._cleared_columns():
+    for nums in generator_columns:
         acc = None
         for c, coefficients in zip(nums, witness_columns):
             if c:
                 term = coefficients if c == 1 else list(map(mul, coefficients, repeat(c)))
                 acc = term if acc is None else list(map(add, acc, term))
-        columns.append(([0] * count if acc is None else acc, den))
-    return tuple(columns)
+        columns.append([0] * count if acc is None else acc)
+    return den, tuple(columns)
 
 
 def _points(model: GroupModel, witnesses, columns):
-    """iota of each witness: over Q the rows of the integer `columns` of
-    these witnesses as Fractions, exactly `model.point_of` of each witness;
-    over Q[t] (`columns` None) `model.point_of` itself."""
+    """iota of each witness: over Q the rows of the integer `columns`
+    (D, columns) of these witnesses as Fractions over D, exactly
+    `model.point_of` of each witness; over Q[t] (`columns` None)
+    `model.point_of` itself."""
     if columns is None:
         return tuple(map(model.point_of, witnesses))
-    return tuple(zip(*(
-        map(Fraction, nums) if den == 1 else map(Fraction, nums, repeat(den))
-        for nums, den in columns
-    )))
+    den, columns = columns
+    if den == 1:
+        return tuple(zip(*(map(Fraction, nums) for nums in columns)))
+    return tuple(zip(*(map(Fraction, nums, repeat(den)) for nums in columns)))
 
 
 def box_bound(scale, lam) -> int:

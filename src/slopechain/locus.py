@@ -272,8 +272,8 @@ def jet_matrix(model: GroupModel, points, order: int, degree: int,
 
 
 def _kernels(model: GroupModel, points, order: int, degrees, limit):
-    """The jet matrix at the largest of the ascending `degrees` and the
-    canonical KernelBasis of every degree, from one elimination.
+    """The canonical KernelBasis of every one of the ascending `degrees`,
+    from one elimination of the jet matrix at the largest.
 
     Every size is checked before anything is built, so an oversized range
     fails at its first oversized degree.  Each degree's kernel is read off
@@ -302,14 +302,14 @@ def _kernels(model: GroupModel, points, order: int, degrees, limit):
     for terms in kernels[-1]._terms:
         if any(_dot(row, terms) for row in jm.rows):
             raise InternalInvariantError("kernel vector fails a jet constraint")
-    return jm, kernels
+    return kernels
 
 
 def kernel_basis(model: GroupModel, points, order: int, degree: int,
                  limit=10 ** 6) -> KernelBasis:
     """Canonical basis of sections vanishing to order `order` at all points.
     Every basis vector is re-checked against every jet constraint."""
-    return _kernels(model, points, order, (degree,), limit)[1][0]
+    return _kernels(model, points, order, (degree,), limit)[0]
 
 
 def _first_outside(kernel: KernelBasis, point) -> int:
@@ -425,7 +425,7 @@ def _members(model: GroupModel, omega, order: int, degrees, limit):
     _check_jet(model, len(omega), order, degrees, limit)
     if _is_grid(model):
         return _Grid(model, order, degrees[-1])
-    return _Members(_kernels(model, omega.points, order, degrees, limit)[1])
+    return _Members(_kernels(model, omega.points, order, degrees, limit))
 
 
 def in_base_locus(kernel: KernelBasis, point) -> bool:
@@ -456,7 +456,7 @@ def eval_rank(model: GroupModel, points, order: int, degree: int,
     """Rank of the jet evaluation map; injectivity certifies a trivial base
     locus regime, surjectivity the interpolation regime."""
     points = tuple(points)
-    _, (kernel,) = _kernels(model, points, order, (degree,), limit)
+    (kernel,) = _kernels(model, points, order, (degree,), limit)
     return _eval_rank(model.n, len(points), order, degree, len(kernel.integer_vectors))
 
 
@@ -501,35 +501,27 @@ def translate_section(basis: MonomialBasis, coeffs, shift) -> tuple:
 # membership in Gamma(S) + H
 
 
-def _integer_rows(columns):
-    """The integer rows of a rational box set's `columns`, over the column
-    denominators; the factors lifting each column to their lcm L; and L."""
-    nums, dens = zip(*columns)
-    den = math.lcm(*dens)
-    return list(zip(*nums)), [den // d for d in dens], den
-
-
 def _outside_translates(omega, subgroup):
     """The predicates "x lies outside omega + span(H)" for the box set
     `omega` of a rational model: one on the integer rows of a box set of the
-    same model (numerators over the column denominators of `omega.columns`),
+    same model (numerators over its denominator D, as in `omega.columns`),
     one on integer points (e, w) of x = w/e, e > 0.
 
     Two vectors lie in one translate of span(H) exactly when they have the
     same canonical representative mod span(H): the vector with the pivot
     columns of the span's fully reduced integer echelon eliminated, row k
     subtracted x[c_k] / lead_k times.  Representatives are kept times
-    K = lcm(column denominators) * lcm(leads), so for a box point every
-    division is exact.  A point w/e is reduced as K w, and its
-    representative times K is that over e, an integer vector only if e
-    divides it; so any positive multiple of (e, w) gives the same verdict.
-    The representatives of `omega` are built once, so each query is one
-    reduction and one set lookup, whatever the dimension of H.
+    K = D * lcm(leads), so for a box point every division is exact.  A
+    point w/e is reduced as K w, and its representative times K is that
+    over e, an integer vector only if e divides it; so any positive multiple
+    of (e, w) gives the same verdict.  The representatives of `omega` are
+    built once, so each query is one reduction and one set lookup, whatever
+    the dimension of H.
     """
     echelon = linalg._echelon(map(linalg._cleared, subgroup.span))
-    rows, lifts, den = _integer_rows(omega.columns)
+    den, columns = omega.columns
     leads = math.lcm(*(row[c] for c, row in echelon))
-    scale, lifts = den * leads, [f * leads for f in lifts]
+    scale = den * leads
 
     def reduced(z):
         for c, row in echelon:
@@ -539,9 +531,9 @@ def _outside_translates(omega, subgroup):
         return tuple(z)
 
     def lifted(row):
-        return reduced(list(map(mul, row, lifts)))
+        return reduced(list(map(mul, row, repeat(leads))))
 
-    reps = set(map(lifted, rows))
+    reps = set(map(lifted, zip(*columns)))
 
     def outside_point(point):
         e = point[0]
@@ -594,45 +586,42 @@ class _ProbeSamples:
     and reused across degrees so that membership verdicts are comparable.
 
     Each sample is an integer point (q, p) of p/q, normalized as
-    `_homogenized` gives it, and is built in integers from the draw on.  A
-    lower sample is a row of Gamma((1-eps)S) moved by a/b (b in 1..4) along
-    each spanning point of H, over the common denominator lcm(column
-    denominators) * lcm(span denominators) * 12.  The upper samples are the
-    rows of Gamma(2S) outside Gamma(S) + H, filtered as integer rows, then
-    random draws outside it.  `_fraction_point` gives the point p/q of a
-    sample that a report prints.
+    `_homogenized` gives it, and is built in integers from the draw on.
+    Every box set and span point is read over the model's denominator D (a
+    span point is an integer combination of generators, or a unit vector).
+    A lower sample is a row of Gamma((1-eps)S) moved by a/b (b in 1..4)
+    along each spanning point of H, over the common denominator 12 * D * D.
+    The upper samples are the rows of Gamma(2S) outside Gamma(S) + H,
+    filtered as integer rows over D, then random draws outside it.
+    `_fraction_point` gives the point p/q of a sample that a report prints.
     """
 
     def __init__(self, model, chain, omega, epsilon, samples, seed, limit):
         rng = random.Random(seed)
-        eps_rows, eps_lifts, eps_den = _integer_rows(
-            enumerate_gamma(model, 1 - epsilon, limit).columns
-        )
-        two_rows, two_lifts, two_den = _integer_rows(
-            enumerate_gamma(model, Fraction(2), limit).columns
-        )
+        den, eps_columns = enumerate_gamma(model, 1 - epsilon, limit).columns
+        eps_rows = list(zip(*eps_columns))
+        two_rows = list(zip(*enumerate_gamma(model, Fraction(2), limit).columns[1]))
         top = max(int(math.ceil(model.scales[0])) if model.l else 1, 1)
         coord_bound = 2 * top + 2
+        unit = 12 * den
 
         self.lower = []
         self.upper = []
         for node_idx, sub in enumerate(node.subgroup for node in chain.nodes):
-            span_den = math.lcm(*(x.denominator for row in sub.span for x in row))
-            lifts, unit = [12 * span_den * f for f in eps_lifts], 12 * eps_den
             support = [
-                [(i, x.numerator * (span_den // x.denominator)) for i, x in enumerate(row) if x]
+                [(i, x.numerator * (den // x.denominator)) for i, x in enumerate(row) if x]
                 for row in sub.span
             ]
             pts = []
             for _ in range(samples):
-                coords = list(map(mul, eps_rows[rng.randrange(len(eps_rows))], lifts))
+                coords = list(map(mul, eps_rows[rng.randrange(len(eps_rows))], repeat(unit)))
                 for entries in support:
                     a, b = rng.randint(-9, 9), rng.randint(1, 4)
                     if a:
                         f = a * (unit // b)
                         for i, x in entries:
                             coords[i] += f * x
-                pts.append(linalg.primitive((unit * span_den, *coords)))
+                pts.append(linalg.primitive((unit * den, *coords)))
             self.lower.append(tuple(pts))
 
             if sub.dim == model.n:
@@ -641,7 +630,7 @@ class _ProbeSamples:
             draws = (_draw(rng, model.n, coord_bound) for _ in range(50 * samples))
             outside_row, outside_point = _outside_translates(omega, sub)
             found = [
-                linalg.primitive((two_den, *map(mul, row, two_lifts)))
+                linalg.primitive((den, *row))
                 for row in islice(filter(outside_row, two_rows), samples)
             ]
             found.extend(islice(filter(outside_point, draws), samples - len(found)))

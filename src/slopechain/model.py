@@ -158,15 +158,14 @@ class GroupModel:
         """iota(v) = sum v_j gamma_j.
 
         Over Q each coordinate is one integer dot product of v with the
-        generators' column cleared to a common denominator, then one Fraction,
-        with no gcd where that denominator is 1.
+        generators' column over the model's denominator D, then one Fraction,
+        with no gcd where D is 1.
         """
         if self.m == 0:
-            return tuple(
-                Fraction(sum(map(mul, nums, vector))) if den == 1
-                else Fraction(sum(map(mul, nums, vector)), den)
-                for nums, den in self._cleared_columns()
-            )
+            den, columns = self._cleared_columns()
+            if den == 1:
+                return tuple(Fraction(sum(map(mul, nums, vector))) for nums in columns)
+            return tuple(Fraction(sum(map(mul, nums, vector)), den) for nums in columns)
         coords = list(self.zero_point())
         for c, gen in zip(vector, self.generators):
             if c:
@@ -175,24 +174,24 @@ class GroupModel:
         return tuple(coords)
 
     def _cleared_columns(self):
-        """Per coordinate of a rational model: (integer numerators of the
-        generators' entries over their common denominator, that denominator)."""
+        """(D, columns) of a rational model: D the lcm of the denominators of
+        all generator entries, and per coordinate the integer numerators of
+        the generators' entries over D."""
         if "cleared" not in self._cache:
-            columns = []
-            for i in range(self.n):
-                col = [gen[i] for gen in self.generators]
-                den = math.lcm(*(x.denominator for x in col))
-                columns.append((tuple(linalg._cleared(col)), den))
-            self._cache["cleared"] = tuple(columns)
+            den = math.lcm(*(x.denominator for gen in self.generators for x in gen))
+            self._cache["cleared"] = den, tuple(
+                tuple(gen[i].numerator * (den // gen[i].denominator) for gen in self.generators)
+                for i in range(self.n)
+            )
         return self._cache["cleared"]
 
     def _specialized_matrix(self, point):
         """N_a: the generators specialized at the integer point t = a, as
-        integer rows, one per coordinate, cleared of denominators."""
+        integer rows, one per coordinate, over the specialized model's D."""
         key = ("specialized", point)
         if key not in self._cache:
             flat = specialize(self, dict(zip(range(1, self.m + 1), point)))
-            self._cache[key] = tuple(nums for nums, _ in flat._cleared_columns())
+            self._cache[key] = flat._cleared_columns()[1]
         return self._cache[key]
 
     def kernel_lattice(self) -> Sublattice:
@@ -439,7 +438,7 @@ def _symbolic_closure(model: GroupModel, ech) -> Subgroup:
     """The closure over Q(t) of Q.L + Q.L0, given by its canonical integer
     echelon B = `ech`, read off integer eliminations at the points a of
     simplices.  N_a is the n x l integer matrix of the generators
-    specialized at t = a, each coordinate cleared of denominators.
+    specialized at t = a, over one common denominator.
 
     Let r = rk_{Q(t)} iota(L).  The entries of iota(B) are affine-linear in
     t, so its k-minors have total degree <= k, and a polynomial of total

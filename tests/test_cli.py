@@ -1,7 +1,10 @@
 import functools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -14,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from slopechain import GammaSet, ModelConfig, build_model, cli, enumerate_gamma, linalg, locus
 from slopechain.errors import CertificateViolation, ParseError, ValidationError
 from slopechain.model import _parse_coordinate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 BASE = {
@@ -699,6 +704,59 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "ValidationError"
 
 
+def _without(key):
+    return {k: v for k, v in BASE.items() if k != key}
+
+
+class TestRefusals:
+    """Each refused config or command exits 1 with a JSON error on stdout
+    that names the field, and writes nothing to stderr."""
+
+    @pytest.mark.parametrize("config, command, code, head", [
+        pytest.param(dict(BASE, limits={"bogus": 1}), ["chain", "build"], "ValidationError",
+                     "limits.bogus: unknown limit", id="limit-unknown"),
+        pytest.param(dict(BASE, limits=[1]), ["chain", "build"], "ValidationError",
+                     "limits: must be an object", id="limits-list"),
+        pytest.param([BASE], ["chain", "build"], "ParseError",
+                     "config must be a JSON object", id="config-list"),
+        pytest.param(_without("n"), ["chain", "build"], "ValidationError",
+                     "n: missing required key", id="n-missing"),
+        pytest.param(_without("generators"), ["chain", "build"], "ValidationError",
+                     "generators: missing required key", id="generators-missing"),
+        pytest.param(_without("scales"), ["chain", "build"], "ValidationError",
+                     "scales: missing required key", id="scales-missing"),
+        pytest.param(dict(BASE, generators=["1", "0"]), ["chain", "build"], "ValidationError",
+                     "generators: must be a list of coordinate lists", id="generators-flat"),
+        pytest.param(dict(BASE, generators="1"), ["chain", "build"], "ValidationError",
+                     "generators: must be a list of coordinate lists", id="generators-string"),
+        pytest.param(dict(BASE, D=0), ["chain", "build"], "ValidationError",
+                     "D: must be an integer >= 1", id="D-zero"),
+        pytest.param(dict(BASE, **{"lambda": "0"}), ["chain", "build"], "ValidationError",
+                     "lambda: must be positive", id="lambda-zero"),
+        pytest.param(dict(BASE, **{"lambda": "-1/2"}), ["chain", "build"], "ValidationError",
+                     "lambda: must be positive", id="lambda-negative"),
+        pytest.param(dict(BASE, lambdas=[]), ["chain", "build"], "ValidationError",
+                     "lambdas: must be a non-empty list", id="lambdas-empty"),
+        pytest.param(dict(BASE, lambdas=["1", "0"]), ["chain", "build"], "ValidationError",
+                     "lambdas: must be a non-empty list", id="lambdas-zero"),
+        pytest.param(dict(BASE, out=5), ["chain", "build"], "ValidationError",
+                     "out: must be a path string", id="out-number"),
+        pytest.param(dict(BASE, h_prime=[[1, 0]]), ["gamma", "count"], "ValidationError",
+                     "h_dprime: required for this command", id="h_dprime-missing"),
+        pytest.param(_without("D"), ["locus", "rank"], "ValidationError",
+                     "D: required for this command", id="D-missing"),
+    ])
+    def test_refused_with_a_json_error(self, tmp_path, capsys, config, command, code, head):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.run(command + ["-c", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == code
+        assert error["message"].startswith(head)
+
+
 class TestInputOutputErrors:
     """File errors are JSON errors on stdout, coded by the exception class,
     with exit code 1 and nothing on stderr."""
@@ -737,3 +795,28 @@ class TestInputOutputErrors:
         error = self._error(capsys, ["chain", "build", "-c", str(path)])
         assert error["code"] == "ParseError"
         assert "UTF-8" in error["message"]
+
+
+class TestConsoleEntryPoint:
+    """`python -m slopechain.cli`, which runs `cli.main` on sys.argv."""
+
+    def _run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "slopechain.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_writes_the_golden_report(self, tmp_path):
+        out = tmp_path / "report"
+        golden = ROOT / "tests" / "golden"
+        proc = self._run("chain", "build", "-c", str(golden / "plane_basic.json"),
+                         "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
+        assert out.read_bytes() == (golden / "plane_basic.chain_build.out").read_bytes()
+
+    def test_missing_config_is_a_json_error(self, tmp_path):
+        proc = self._run("chain", "build", "-c", str(tmp_path / "none.json"))
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["code"] == "FileNotFoundError"

@@ -628,6 +628,18 @@ class TestCombine:
         target = {p for p in enumerate_gamma(m3).points}
         assert set(sums) <= target
 
+    @pytest.mark.parametrize("count, mode, limit, error, match", [
+        (2, "product", 10 ** 7, ValueError, "^mode must be sumset or diffset, got 'product'$"),
+        (0, "sumset", 10 ** 7, ValueError, "^need at least one summand, got 0$"),
+        (2, "sumset", 14, EnumerationTooLarge, "^15 sums exceed the limit 14$"),
+        (2, "diffset", 15, EnumerationTooLarge, "^81 differences exceed the limit 15$"),
+    ])
+    def test_refusals(self, count, mode, limit, error, match):
+        # Gamma(S) = {-2..2}: 15 sums of two, 9 distinct, 81 differences
+        m = rational_model(1, [(1,)], ("3",))
+        with pytest.raises(error, match=match):
+            combine(m, enumerate_gamma(m), count, mode, limit)
+
 
 class TestCountingCheck:
     def test_box_count_example(self):

@@ -36,6 +36,10 @@ CASES = (
        for argv in [("locus", "rank"), ("locus", "probe"), ("locus", "sweep")]]
     + [("rational_zero_generator", argv, 0)
        for argv in CHAIN_COMMANDS + BOX_COMMANDS]
+    + [(name, argv, 0)
+       for name in ("fractional_dependent", "fractional_independent")
+       for argv in [("locus", "rank"), ("locus", "probe"), ("locus", "sweep"),
+                    ("gamma", "enumerate")]]
     + [
         ("bad_epsilon", ("chain", "build"), 1),
         ("too_large", ("locus", "rank"), 1),

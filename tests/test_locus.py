@@ -177,6 +177,10 @@ class TestEvalRank:
         r = eval_rank(m, [], 1, 2)
         assert r.rank == 0 and r.surjective and not r.injective
 
+    def test_order_zero_refused(self):
+        with pytest.raises(ValueError, match="^order and degree must be >= 1$"):
+            eval_rank(line_model(2), [(F(0),)], 0, 2)
+
 
 class TestTranslateSection:
     def test_linear(self):
@@ -272,8 +276,8 @@ def _fraction_outside(points, subgroup):
 
 
 def _rows(gamma_set):
-    """The integer rows of a rational box set, over its column denominators."""
-    return list(zip(*(nums for nums, _ in gamma_set.columns)))
+    """The integer rows of a rational box set, over the model's denominator."""
+    return list(zip(*gamma_set.columns[1]))
 
 
 def _integer_point(x, scale=1):
@@ -462,6 +466,26 @@ class TestThresholdSweep:
         stars = {row.degree: row.i_star for row in report.rows}
         assert stars == {1: 2, 2: 2, 3: 1, 4: 1, 5: 0, 6: 0}
         assert report.transitions == ((1, 2), (3, 1), (5, 0))
+
+    @pytest.mark.parametrize("model", [
+        rational_model(2, [(1, 0), (0, 1), (1, 1)], (3, 2, 2)),     # eliminates
+        rational_model(2, [(F(1, 2), 1), (F(1, 3), 0)], (3, 2)),    # closed form
+    ])
+    def test_unsorted_degrees_sweep_the_sorted_range(self, model):
+        chain = build_chain(model)
+        want = threshold_sweep(model, chain, 1, range(1, 6), F(1, 2), samples=10, seed=3)
+        got = threshold_sweep(model, chain, 1, [4, 1, 5, 3, 2], F(1, 2), samples=10, seed=3)
+        assert [row.degree for row in got.rows] == [1, 2, 3, 4, 5]
+        assert got == want
+
+    @pytest.mark.parametrize("epsilon", [0, 1, 2, F(-1, 2)])
+    def test_epsilon_outside_the_open_unit_interval_refused(self, epsilon):
+        m = line_model(3)
+        chain = build_chain(m)
+        with pytest.raises(ValueError, match=r"^epsilon must be in \(0,1\)"):
+            threshold_sweep(m, chain, 1, range(1, 3), epsilon)
+        with pytest.raises(ValueError, match=r"^epsilon must be in \(0,1\)"):
+            locus_probe(m, chain, 1, 2, epsilon)
 
     def test_nullity_monotone(self):
         m = line_model(3)
@@ -675,7 +699,7 @@ class TestIntegerJetsAgainstFractionOracle:
     def test_sweep_kernels_equal_per_degree_oracle(self, case):
         n, order, degrees, points, probes = case
         m = rational_model(n, [], ())
-        _, kernels = locus._kernels(m, points, order, list(degrees), 10 ** 6)
+        kernels = locus._kernels(m, points, order, list(degrees), 10 ** 6)
         for degree, kernel in zip(degrees, kernels):
             basis = monomial_basis(n, degree)
             rows = [

@@ -69,6 +69,18 @@ class TestBuildModel:
         with pytest.raises(DimensionMismatch):
             rational_model(2, [(1, 0, 0)], ("3",))
 
+    def test_ambient_dimension_below_one_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^ambient dimension must be >= 1, got 0$"):
+            rational_model(0, [], ())
+
+    def test_scale_count_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^1 scales for 2 generators$"):
+            rational_model(1, [(1,), (2,)], ("3",))
+
+    def test_power_below_one_rejected(self):
+        with pytest.raises(InvalidScale, match="^power 0 must be >= 1$"):
+            rational_model(1, [(1,)], ("3",)).powered(0)
+
     def test_duplicate_symbol(self):
         with pytest.raises(DuplicateSymbol):
             build_model(ModelConfig(
