@@ -9,12 +9,14 @@ over Q (a line can carry a rank-2 subgroup).
 
 Connected algebraic subgroups of a vector group are exactly the linear
 subspaces.  A subgroup H is carried as (dimension, Q-span echelon), where the
-echelon is the canonical integer echelon of Q.iota^{-1}(H) and iota maps an
-integer vector v to sum v_j gamma_j.  The coefficient lattice iota^{-1}(H) is
-saturated and contains iota^{-1}(0), so it is Z^l cap (its Q-span): the
-echelon determines it, and subgroup equality is plain equality of
-(dimension, echelon).  The lattice, in Hermite normal form, and spanning
-points are built from the echelon when read.
+echelon is the canonical integer echelon of Q.iota^{-1}(H), its coefficient
+columns reversed, and iota maps an integer vector v to sum v_j gamma_j.  The
+coefficient lattice iota^{-1}(H) is saturated and contains iota^{-1}(0), so
+it is Z^l cap (its Q-span): the echelon determines it, and subgroup equality
+is plain equality of (dimension, echelon).  Each pivot marks the last nonzero
+coefficient of its row, so rank profiles are pivot counts.  The lattice, in
+Hermite normal form, and spanning points are built from the echelon when
+read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 
 from . import linalg
@@ -68,12 +70,15 @@ class Sublattice:
 class Subgroup:
     """A connected algebraic subgroup of the vector group, determined by its
     dimension and `basis`, the canonical integer echelon (`linalg._echelon`
-    pairs) of the Q-span of its coefficient lattice.
+    pairs) of the Q-span of its coefficient lattice with the coefficient
+    columns reversed: the rows of `basis` are coefficient vectors read from
+    slot l down to slot 1, and the pivot c of a row marks its last nonzero
+    coefficient, slot l - c.
 
     The lattice is Z^l cap (that Q-span), so `basis` names it as well as its
-    HNF does; `coeff` saturates `basis` on first read, unless the closure
-    that made the subgroup had the lattice already (`of_lattice`).  `model`
-    only builds `coeff` and `span`.
+    HNF does; `coeff` saturates `basis` on first read, unless the subgroup
+    was made from its lattice (`of_lattice`).  `model` only builds `coeff`
+    and `span`.
     """
 
     dim: int
@@ -83,14 +88,17 @@ class Subgroup:
     @classmethod
     def of_lattice(cls, dim: int, coeff: Sublattice, model: GroupModel) -> "Subgroup":
         """The subgroup of dimension `dim` with the saturated lattice `coeff`."""
-        sub = cls(dim, linalg._echelon(coeff.rows), model)
+        sub = cls(dim, linalg._echelon(row[::-1] for row in coeff.rows), model)
         sub.__dict__["coeff"] = coeff
         return sub
 
     @cached_property
     def coeff(self) -> Sublattice:
-        """The coefficient lattice iota^{-1}(H), in HNF: Z^l cap span_Q(basis)."""
-        return Sublattice(self.model.l, linalg._saturation(self.basis, self.model.l))
+        """The coefficient lattice iota^{-1}(H), in HNF: Z^l cap span_Q(basis),
+        saturated in the reversed columns, turned back and put in HNF."""
+        l = self.model.l
+        rows = [row[::-1] for row in linalg._saturation(self.basis, l)]
+        return Sublattice(l, linalg.hnf(rows, l))
 
     @cached_property
     def span(self) -> tuple:
@@ -105,7 +113,7 @@ class Subgroup:
         return tuple(pt for pt in map(model.point_of, self.coeff.rows) if any(pt))
 
     def __repr__(self):
-        return f"Subgroup(dim={self.dim}, basis={[list(r) for _, r in self.basis]})"
+        return f"Subgroup(dim={self.dim}, basis={[list(r[::-1]) for _, r in self.basis]})"
 
 
 def by_lattice(subgroup: Subgroup):
@@ -187,11 +195,12 @@ class GroupModel:
 
     def _specialized_matrix(self, point):
         """N_a: the generators specialized at the integer point t = a, as
-        integer rows, one per coordinate, over the specialized model's D."""
+        integer rows, one per coordinate, over the specialized model's D, with
+        the generators in reverse order, the column order of `Subgroup.basis`."""
         key = ("specialized", point)
         if key not in self._cache:
             flat = specialize(self, dict(zip(range(1, self.m + 1), point)))
-            self._cache[key] = flat._cleared_columns()[1]
+            self._cache[key] = tuple(row[::-1] for row in flat._cleared_columns()[1])
         return self._cache[key]
 
     def kernel_lattice(self) -> Sublattice:
@@ -225,8 +234,10 @@ class GroupModel:
         return self._cache[key]
 
     def kernel_prefix_ranks(self):
+        """Entry j (0 <= j <= l) is rk(iota^{-1}(0) cap Z^j x 0), counted off
+        the zero subgroup's echelon."""
         if "kernel_prefix" not in self._cache:
-            self._cache["kernel_prefix"] = _prefix_ranks(self.kernel_lattice().rows, self.l)
+            self._cache["kernel_prefix"] = _pivot_counts(self.zero_subgroup().basis, self.l)
         return self._cache["kernel_prefix"]
 
     def _rescaled(self, scales, permutation, provenance) -> "GroupModel":
@@ -415,10 +426,11 @@ def _relations(values):
 
 
 def _rational_closure(model: GroupModel, ech) -> Subgroup:
-    """The closure over Q of the span of a canonical integer echelon `ech`
-    that contains L0 = iota^{-1}(0): iota^{-1}(span iota(L)) is
-    Z^l cap (Q.L + Q.L0), so `ech` is its echelon, and its dimension is
-    len(ech) - rk L0.  No elimination runs, in image space or in integers."""
+    """The closure over Q of the span of a canonical integer echelon `ech`,
+    in the columns of `Subgroup.basis`, that contains L0 = iota^{-1}(0):
+    iota^{-1}(span iota(L)) is Z^l cap (Q.L + Q.L0), so `ech` is its echelon,
+    and its dimension is len(ech) - rk L0.  No elimination runs, in image
+    space or in integers."""
     dim = len(ech) - model.kernel_lattice().rank
     if dim == 0:
         return model.zero_subgroup()
@@ -438,7 +450,9 @@ def _symbolic_closure(model: GroupModel, ech) -> Subgroup:
     """The closure over Q(t) of Q.L + Q.L0, given by its canonical integer
     echelon B = `ech`, read off integer eliminations at the points a of
     simplices.  N_a is the n x l integer matrix of the generators
-    specialized at t = a, over one common denominator.
+    specialized at t = a, over one common denominator, its columns in the
+    order of B's (`GroupModel._specialized_matrix`), so that rows of N_a
+    pair with rows of B and conditions are read in that order too.
 
     Let r = rk_{Q(t)} iota(L).  The entries of iota(B) are affine-linear in
     t, so its k-minors have total degree <= k, and a polynomial of total
@@ -460,8 +474,9 @@ def _symbolic_closure(model: GroupModel, ech) -> Subgroup:
     l - rk B; C is then the saturation of B, and B is its echelon.
     Otherwise, when C is larger than that saturation, it visits all
     C(2r+1+m, m) points: 1,716 at m = 6 and r = 3, 0.5 s on a 2-core Xeon
-    host, where one fraction-free kernel over Q[t] takes 1 ms; C is then
-    read off the conditions as an HNF, which the subgroup keeps.
+    host, where one fraction-free kernel over Q[t] takes 1 ms; the Q-span of
+    C is then the kernel of the conditions, read off their echelon in
+    integers, and its echelon is the subgroup's.
     """
     bound = min(model.n, len(ech) - model.kernel_lattice().rank)
 
@@ -490,14 +505,13 @@ def _symbolic_closure(model: GroupModel, ech) -> Subgroup:
                 conditions = linalg._echelon_insert(conditions, rem)
         if len(conditions) == model.l - len(ech):
             return Subgroup(r, ech, model)
-    coeff = linalg._annihilator([w for _, w in conditions], model.l)
-    return Subgroup.of_lattice(r, Sublattice(model.l, coeff), model)
+    return Subgroup(r, linalg._echelon(linalg._integer_kernel(conditions, model.l)), model)
 
 
 def _closure(model: GroupModel, rows) -> Subgroup:
     """`closure` of a tuple of integer coefficient rows of length l, unchecked."""
     close = _symbolic_closure if model.m else _rational_closure
-    return close(model, linalg._echelon(model.kernel_lattice().rows + rows))
+    return close(model, linalg._echelon(row[::-1] for row in model.kernel_lattice().rows + rows))
 
 
 def closure(model: GroupModel, lattice) -> Subgroup:
@@ -521,28 +535,31 @@ def _coefficient_vectors(model: GroupModel, vectors) -> tuple:
     return tuple(tuple(map(int, row)) for row in rows)
 
 
-def _prefix_ranks(rows, l):
-    """Entry j (0 <= j <= l) is rk(L intersect Z^j x 0) for the lattice L
-    spanned by the integer `rows`.
-
-    That intersection is the kernel of cutting L to coordinates j..l-1, so its
-    rank is rk L minus the rank of the cut rows.  One echelon of the
-    column-reversed rows gives every cut at once: its rank is the number of
-    pivots below l - j.
-    """
-    ech = linalg._echelon(row[::-1] for row in rows)
-    return tuple(len(ech) - sum(c < l - j for c, _ in ech) for j in range(l + 1))
+def _pivot_counts(basis, l):
+    """Entry j (0 <= j <= l) is dim(span_Q(basis) cap Q^j x 0) for an echelon
+    in the columns of `Subgroup.basis`: the number of its pivots at or past
+    l - j."""
+    counts = [0] * (l + 1)
+    for c, _ in basis:
+        counts[l - c] += 1
+    return tuple(accumulate(counts))
 
 
 def rank_profile(model: GroupModel, subgroup: Subgroup) -> RankProfile:
     """Entry j is rk(Gamma_j intersect H): the rank of the coefficient
     vectors supported on the first j slots that land in H, minus the rank of
-    those that map to zero.  A rank of lattice vectors in a rational subspace
-    is a dimension of the lattice's Q-span, so the echelon `basis` gives it;
-    no lattice is built."""
-    kern_prefix = model.kernel_prefix_ranks()
-    prefix = _prefix_ranks([row for _, row in subgroup.basis], model.l)
-    ranks = tuple(a - k for a, k in zip(prefix[1:], kern_prefix[1:]))
+    those that map to zero.
+
+    A rank of lattice vectors in a rational subspace is a dimension of the
+    lattice's Q-span, and the echelon `basis` reads that span from slot l
+    down, so the pivot of each row marks the row's last nonzero coefficient,
+    slot l - c.  A combination of rows lies in Q^j x 0 exactly when every
+    row it uses has its last nonzero coefficient in the first j slots, so
+    dim(span cap Q^j x 0) is the number of pivots at or past l - j.  The
+    profile is that count minus the zero subgroup's; no elimination runs
+    and no lattice is built."""
+    counts = _pivot_counts(subgroup.basis, model.l)
+    ranks = tuple(a - k for a, k in zip(counts[1:], model.kernel_prefix_ranks()[1:]))
     return RankProfile(subgroup.dim, ranks)
 
 
@@ -562,14 +579,18 @@ def box_primitives(l, height):
 
 def enumerate_closures(model: GroupModel, height=2):
     """All distinct closures of sublattices generated by vectors of entry
-    height <= `height`, each computed once, sorted by (dimension, `basis`).
+    height <= `height`, each computed once, sorted by (dimension, `basis`),
+    `basis` being the echelon of the column-reversed Q-span.
 
     The walk grows coefficient spans from the echelon of the kernel lattice
     L0, trying one box vector per distinct Q.L0 + Q.v (over Q, one per image
     line).  A closure H, L = iota^{-1}(H), grows by each v outside L to
     Q.L + Q.v, named by the primitive remainder of v, and H + Q.iota(v) has
     dimension dim H + 1.  Closures are keyed by `basis`, the echelon of their
-    coefficient lattice's Q-span, with which they are in bijection.  Two
+    coefficient lattice's Q-span with the columns reversed, with which they
+    are in bijection.  The walk works in those reversed columns throughout:
+    reversing the columns maps the box onto itself, so its primitive vectors,
+    read in reversed columns, still give one per line of the box.  Two
     arguments keep the walk in proportion to the closures it finds:
 
     * Co-rank 1.  Every closure lies in the top closure T = closure(Z^l), and

@@ -20,6 +20,9 @@ base loci of a box with independent generators in closed form, by a proof
 that runs no elimination.  `verify_candidates` is the candidate loop of
 `chain.verify_chain` before the library read candidates off their Q-span
 echelons: every candidate's lattice is built and the loop visits them all.
+`rank_profile` reads a profile off one elimination of the lattice's
+column-reversed rows (`_prefix_ranks`), where the library counts the pivots
+of its key.
 """
 
 from fractions import Fraction
@@ -40,7 +43,6 @@ from slopechain.model import (
     RankProfile,
     Subgroup,
     Sublattice,
-    _prefix_ranks,
     _relations,
     enumerate_closures,
 )
@@ -78,6 +80,27 @@ def rref(rows, ncols):
 
 def rat_rank(rows, ncols) -> int:
     return len(rref(rows, ncols)[1])
+
+
+def _prefix_ranks(rows, l):
+    """Entry j (0 <= j <= l) is rk(L intersect Z^j x 0) for the lattice L
+    spanned by the integer `rows`.
+
+    That intersection is the kernel of cutting L to coordinates j..l-1, so its
+    rank is rk L minus the rank of the cut rows.  One RREF of the
+    column-reversed rows gives every cut at once: its rank is the number of
+    pivots below l - j.
+    """
+    _, pivots = rref([row[::-1] for row in rows], l)
+    return tuple(len(pivots) - sum(c < l - j for c in pivots) for j in range(l + 1))
+
+
+def rank_profile(model, sub) -> RankProfile:
+    """rk(Gamma_j cap H) for j = 1..l from `_prefix_ranks` of H's lattice
+    minus that of iota^{-1}(0), with no reading of `sub.basis`."""
+    prefix = _prefix_ranks(sub.coeff.rows, model.l)
+    kern = _prefix_ranks(model.kernel_lattice().rows, model.l)
+    return RankProfile(sub.dim, tuple(a - k for a, k in zip(prefix[1:], kern[1:])))
 
 
 def rank(rows) -> int:
@@ -224,21 +247,16 @@ def verify_candidates(model, chain, options):
         *chain.subgroups,
         model.full_subgroup(),
     ])
-    kern_prefix = model.kernel_prefix_ranks()
-
-    def profile_of(sub):
-        prefix = _prefix_ranks(sub.coeff.rows, model.l)
-        return RankProfile(sub.dim, tuple(a - k for a, k in zip(prefix[1:], kern_prefix[1:])))
 
     def inside(big, small):
         return small.dim <= big.dim and big.coeff.contains_lattice(small.coeff)
 
-    chain_profiles = [profile_of(s) for s in chain.subgroups]
+    chain_profiles = [rank_profile(model, s) for s in chain.subgroups]
     checks = []
     equality_witnesses = []
     for cand in sorted(pool, key=lambda s: (s.dim, s.coeff.rows)):
         lattice = cand.coeff.rows
-        profile = profile_of(cand)
+        profile = rank_profile(model, cand)
         phi_k = phi_from_profile(profile)
         chis = [_chi(cand.dim, phi_k, lo, hi) for lo, hi in zip(chain.nodes, chain.nodes[1:])]
         signs = tuple(phi_sign(model.scales, chi) for chi in chis)

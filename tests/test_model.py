@@ -28,8 +28,8 @@ from slopechain import (
 )
 from slopechain import linalg
 from slopechain.model import (
+    Subgroup,
     _closure,
-    _prefix_ranks,
     _rational_closure,
     box_primitives,
     image_lines,
@@ -275,7 +275,7 @@ class TestPrefixRanks:
             expected = tuple(
                 len(_prefix_sublattice(rows, cols, j)) for j in range(cols + 1)
             )
-            assert _prefix_ranks(rows, cols) == expected
+            assert oracles._prefix_ranks(rows, cols) == expected
 
     def test_rank_profile_matches_prefix_sublattice(self):
         rng = random.Random(24)
@@ -608,6 +608,15 @@ ONE_NONZERO = rational_model(3, [(0, 0, 0), (1, 2, -1)], (2,) * 2)
 ALL_ZERO = rational_model(2, [(0, 0), (0, 0)], (2,) * 2)
 NO_GENERATORS = rational_model(3, [], ())
 
+# (1, 0) and (t1, 0) span one line over Q(t1): the closure of (1, 0, 0) is
+# larger than its saturation, the grown coefficient span
+SWALLOWING = build_model(ModelConfig(
+    n=2,
+    generators=((1, 0), ({"coeffs": {"t1": 1}}, 0), (0, 1)),
+    scales=(2, 2, 2),
+    symbols=("tau",),
+))
+
 
 @st.composite
 def rational_closure_cases(draw):
@@ -712,15 +721,16 @@ class TestEnumerateClosuresOracle:
         # over Q a grown echelon is already closed: its integer saturation,
         # with the nonzero images of its rows, is the subgroup its images span
         model, height = case
+        # echelons in the key's columns, the coefficient columns reversed
         grown_echelons = set()
         for sub in enumerate_closures(model, height):
-            ech = linalg._echelon(sub.coeff.rows)
+            ech = linalg._echelon(row[::-1] for row in sub.coeff.rows)
             for v in box_primitives(model.l, height):
-                rem = linalg._echelon_reduce(ech, v)
+                rem = linalg._echelon_reduce(ech, v[::-1])
                 if rem is not None:
                     grown_echelons.add(linalg._echelon_insert(ech, rem))
         for grown in grown_echelons:
-            rows = [row for _, row in grown]
+            rows = [row[::-1] for _, row in grown]
             assert _rational_closure(model, grown) == oracles.closure(model, rows)
 
     @settings(max_examples=20, deadline=None)
@@ -746,15 +756,8 @@ class TestEnumerateClosuresOracle:
         )
 
     def test_closure_larger_than_grown_span(self):
-        # (1, 0) and (t1, 0) span the same line over Q(t1), so closing
-        # Q.(1, 0, 0) swallows (0, 1, 0): the closure is larger than the
-        # grown coefficient span
-        model = build_model(ModelConfig(
-            n=2,
-            generators=((1, 0), ({"coeffs": {"t1": 1}}, 0), (0, 1)),
-            scales=(2, 2, 2),
-            symbols=("tau",),
-        ))
+        # closing Q.(1, 0, 0) swallows (0, 1, 0)
+        model = SWALLOWING
         subs = enumerate_closures(model, 1)
         assert _as_tuples(subs) == _as_tuples(_old_enumerate_closures_symbolic(model, 1))
         x_axis = closure(model, [(1, 0, 0)])
@@ -854,3 +857,108 @@ class TestOneClosureStep:
             assert _as_tuples(subs) == _as_tuples(_old_enumerate_closures_symbolic(model, 1))
         else:
             assert _as_tuples(subs) == _as_tuples(_old_enumerate_closures_rational(model, 1))
+
+
+def _check_profiles(model, subgroups):
+    for sub in subgroups:
+        assert rank_profile(model, sub) == oracles.rank_profile(model, sub)
+
+
+class TestRankProfileCountsPivots:
+    """`rank_profile` counts the pivots of the column-reversed key against
+    one elimination of each lattice's column-reversed rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_enumeration_cases())
+    @example((PLANE_IMAGES, 2))
+    @example((ONE_NONZERO, 2))
+    @example((ALL_ZERO, 2))
+    @example((NO_GENERATORS, 2))
+    def test_rational_closures(self, case):
+        # every closure, each rebuilt from its points by the oracle (through
+        # `Subgroup.of_lattice`), the zero subgroup and G
+        model, height = case
+        subs = enumerate_closures(model, height)
+        rebuilt = [oracles.subgroup(model, sub.span) for sub in subs]
+        _check_profiles(model, (*subs, *rebuilt, model.zero_subgroup(), model.full_subgroup()))
+
+    @settings(max_examples=20, deadline=None)
+    @given(models_with_lattice(symbols=(1, 2)))
+    @example((SWALLOWING, [(1, 0, 0)]))
+    @example(growth_model(2, 3))
+    def test_symbolic_closures(self, case):
+        # one and two symbols: the height-1 closures, the closure of the
+        # drawn rows and the oracle's, the zero subgroup and G
+        model, rows = case
+        subs = (
+            *enumerate_closures(model, 1),
+            closure(model, rows),
+            oracles.closure(model, rows),
+            model.zero_subgroup(),
+            model.full_subgroup(),
+        )
+        _check_profiles(model, subs)
+
+    def test_closure_larger_than_its_saturation(self):
+        sub = closure(SWALLOWING, [(1, 0, 0)])
+        assert sub.coeff.rows == ((1, 0, 0), (0, 1, 0))
+        assert rank_profile(SWALLOWING, sub).gamma_ranks == (1, 2, 2)
+        _check_profiles(SWALLOWING, [sub, oracles.closure(SWALLOWING, [(1, 0, 0)])])
+
+
+@st.composite
+def integer_spans(draw):
+    """l <= 5 and up to l + 1 integer rows of width l, entries in [-6, 6]."""
+    l = draw(st.integers(1, 5))
+    return l, draw(st.lists(st.tuples(*[st.integers(-6, 6)] * l), max_size=l + 1))
+
+
+class TestLatticeFromReversedKey:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_spans())
+    # the reversed rows (2, 1) and (4, 0, 3) have pivot entries 2 and 4: the
+    # saturation takes the annihilator route
+    @example((2, [(1, 2)]))
+    @example((3, [(3, 0, 4), (0, 1, 0)]))
+    def test_coeff_is_the_saturation_of_the_first_pivot_echelon(self, case):
+        # the lattice read back from the key equals the saturation of the
+        # echelon of the same span in coefficient order
+        l, rows = case
+        model = rational_model(1, [(1,)] * l, (2,) * l)
+        key = linalg._echelon(row[::-1] for row in rows)
+        sub = Subgroup(len(key), key, model)
+        assert sub.coeff.rows == linalg._saturation(linalg._echelon(rows), l)
+
+    def test_repr_prints_rows_in_coefficient_order(self):
+        model = rational_model(1, [(1,)] * 3, (2,) * 3)
+        sub = Subgroup(1, linalg._echelon([(0, 1, 2)[::-1]]), model)
+        assert repr(sub) == "Subgroup(dim=1, basis=[[0, 1, 2]])"
+
+
+class TestRankProfileRunsNoElimination:
+    """Rank profiles are pivot counts: no echelon is built, reduced or grown
+    while they are read, on Q and on Q[t] alike."""
+
+    @pytest.mark.parametrize("model", [
+        rational_model(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], (2,) * 4),
+        build_model(ModelConfig(
+            n=3,
+            generators=((1, 0, 0), ({"coeffs": {"t1": 1}}, 0, 0), (0, 1, 0), (0, 0, 1)),
+            scales=(2,) * 4,
+            symbols=("tau",),
+        )),
+    ], ids=["rational", "symbolic"])
+    def test_no_echelon_call(self, monkeypatch, model):
+        model._cache.clear()
+        subs = (*enumerate_closures(model, 1), model.full_subgroup(), closure(model, [(1, 0, 0, 0)]))
+        expected = [oracles.rank_profile(model, sub) for sub in subs]
+
+        def refuse(*args):
+            raise AssertionError("rank_profile ran an elimination")
+
+        for name in ("_echelon", "_echelon_reduce", "_echelon_insert"):
+            monkeypatch.setattr(linalg, name, refuse)
+        # the kernel's pivot counts are first read here, under the guard
+        profiles = [rank_profile(model, sub) for sub in subs]
+        monkeypatch.undo()
+        assert profiles == expected
