@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .chain import (
@@ -36,7 +36,7 @@ from .errors import (
     SlopechainError,
     ValidationError,
 )
-from .gamma import card_mod, counting_check, enumerate_gamma
+from .gamma import _integer_columns, card_mod, counting_check, enumerate_gamma
 from .locus import _box_rank, locus_probe, threshold_sweep
 from .model import GroupModel, ModelConfig, _parse_coordinate, build_model, closure
 from .polys import Poly, as_fraction
@@ -297,31 +297,39 @@ def _json_text(value, pad="\n"):
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
-class _Columns(NamedTuple):
-    """A matrix of `count` rows given by its columns, written as the JSON
-    list of its rows: `cells[j]` maps a slice of column j to the JSON text
-    of each of its cells."""
+class _Matrix(NamedTuple):
+    """A matrix of `count` rows and `width` columns, written as the JSON
+    list of its rows: `rows(lo, hi, sep)` gives the text of rows lo..hi-1,
+    the cells of each joined by `sep`, so that no more than one block of
+    rows is formatted, or built, at once."""
 
-    columns: tuple
-    cells: tuple
+    rows: Callable
+    width: int
     count: int
 
 
-# cells of a `_Columns` matrix formatted and joined at once: a report is
-# written in blocks of max(1, _BLOCK_CELLS // width) rows
+def _column_rows(columns, cells, lo, hi, sep):
+    """`_Matrix.rows` of the matrix with these `columns`: the slice lo..hi
+    of each column formatted by one call of `cells`, and the cells of each
+    row, zipped from the slices, joined once."""
+    return map(sep.join, zip(*(cells(col[lo:hi]) for col in columns)))
+
+
+# cells of a `_Matrix` formatted and joined at once: a report is written
+# in blocks of max(1, _BLOCK_CELLS // width) rows
 _BLOCK_CELLS = 1 << 16
 
 
 def _report_chunks(report):
     """`_json_text(report)` of a report dict with str keys, in chunks: one
-    string per top-level key, except for a `_Columns` value, which
+    string per top-level key, except for a `_Matrix` value, which
     `_matrix_chunks` writes in blocks, so the whole text never exists."""
     if not report:
         yield "{}"
         return
     sep, pad = "{", "\n  "
     for key, value in sorted(report.items()):
-        if type(value) is _Columns:
+        if type(value) is _Matrix:
             yield f"{sep}{pad}{_escape(key)}: "
             yield from _matrix_chunks(value, pad)
         else:
@@ -331,25 +339,23 @@ def _report_chunks(report):
 
 
 def _matrix_chunks(matrix, pad):
-    """`_json_text` of the rows of a `_Columns` matrix, whose lines start
-    with `pad`, one block of rows per chunk.  Per block, the cells of each
-    column slice are formatted by one call, and the rows, zipped from the
-    slices, are joined once each and then once together."""
-    columns, cells, count = matrix
+    """`_json_text` of the rows of a `_Matrix`, whose lines start with
+    `pad`, one block of rows per chunk: the rows of each block are asked of
+    `matrix.rows` and joined once."""
+    rows, width, count = matrix
     inner = pad + "  "
     if not count:
         yield "[]"
-    elif not columns:
+    elif not width:
         yield f"[{inner}{(',' + inner).join(repeat('[]', count))}{pad}]"
     else:
         cell = inner + "  "
         sep, next_row = "," + cell, f"{inner}],{inner}[{cell}"
-        rows = max(1, _BLOCK_CELLS // len(columns))
+        block = max(1, _BLOCK_CELLS // width)
         head = f"[{inner}[{cell}"
-        for lo in range(0, count, rows):
-            block = zip(*(fmt(col[lo:lo + rows]) for col, fmt in zip(columns, cells)))
+        for lo in range(0, count, block):
             yield head
-            yield next_row.join(map(sep.join, block))
+            yield next_row.join(rows(lo, min(lo + block, count), sep))
             head = next_row
         yield f"{inner}]{pad}]"
 
@@ -430,36 +436,49 @@ def _cmd_mu(cfg, model):
 
 
 def _column_text(nums, den):
-    """The JSON text of str(Fraction(v, den)) of each integer v: "p/q" in
-    lowest terms, or "p" when den divides v, by one gcd and no Fraction."""
-    if den == 1:
-        return [f'"{v}"' for v in nums]
+    """The JSON text of str(Fraction(v, den)) of each integer v, for
+    den > 1: "p/q" in lowest terms, or "p" when den divides v, by one gcd
+    and no Fraction."""
     return [
         f'"{v // den}"' if g == den else f'"{v // g}/{den // g}"'
         for v, g in zip(nums, map(math.gcd, nums, repeat(den)))
     ]
 
 
+def _point_rows(model, witness_columns, lo, hi, sep):
+    """`_Matrix.rows` of the points over Q of a box set: rows lo..hi-1 from
+    the slices lo..hi of its `witness_columns`, as integer columns over the
+    model's denominator D (`gamma._integer_columns`).  When D = 1 each row
+    is written by one call of a row template of quoted cells; otherwise each
+    column by `_column_text`, and the cells of each row joined."""
+    den, columns = _integer_columns(model, [w[lo:hi] for w in witness_columns], hi - lo)
+    if den == 1:
+        return map(sep.join(['"{}"'] * len(columns)).format, *columns)
+    return map(sep.join, zip(*(_column_text(nums, den) for nums in columns)))
+
+
 def _cmd_gamma_enumerate(cfg, model):
     """The box set Gamma(lambda S): its points and one witness tuple per
-    point.  Over Q the points are written from their integer columns over
-    the model's denominator D (`GammaSet.columns`), every column by one
-    cell formatter, with no Fraction per coordinate; over Q[t] from the
-    points themselves.  The witnesses are written from their columns."""
+    point.  Both matrices are written from the witness columns a block at a
+    time: over Q the points of a block are built from the slices of the
+    witness columns inside the writer (`_point_rows`), so they are never
+    held for the whole set, with no Fraction per coordinate; over Q[t] they
+    are written from the points themselves."""
     omega = enumerate_gamma(model, cfg.lam, cfg.limits.enumeration_max)
     count = len(omega)
-    if omega.columns is None:
+    witnesses = omega.witness_columns
+    if model.m:
         points = [_point_json(p) for p in omega.points]
     else:
-        den, columns = omega.columns
-        cell = functools.partial(_column_text, den=den)
-        points = _Columns(columns, (cell,) * len(columns), count)
-    witnesses = omega.witness_columns
+        points = _Matrix(functools.partial(_point_rows, model, witnesses), model.n, count)
+    cells = functools.partial(map, repr)
     return {
         "lambda": str(cfg.lam),
         "cardinality": count,
         "points": points,
-        "witnesses": _Columns(witnesses, (functools.partial(map, repr),) * len(witnesses), count),
+        "witnesses": _Matrix(
+            functools.partial(_column_rows, witnesses, cells), len(witnesses), count
+        ),
     }
 
 

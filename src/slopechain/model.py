@@ -275,9 +275,10 @@ class GroupModel:
         )
 
 
-def _parse_coordinate(raw) -> Poly:
+def _parse_coordinate(raw):
     """Accept Fraction/int/"p/q"/Poly/{"const":..,"coeffs":{"t<k>":..}} with
-    k >= 1 and return an affine-linear Poly as wide as the largest symbol
+    k >= 1: a rational (Fraction, int, str) is returned as a Fraction, and a
+    Poly or dict as an affine-linear Poly as wide as the largest symbol
     index it names; anything else, including a Poly term of degree > 1, is a
     ValidationError on "generators"."""
     if isinstance(raw, Poly):
@@ -286,7 +287,7 @@ def _parse_coordinate(raw) -> Poly:
         return raw
     try:
         if not isinstance(raw, dict):
-            return Poly.const(raw, 0)
+            return as_fraction(raw)
         coeffs = raw.get("coeffs") or {}
         if not isinstance(coeffs, dict):
             raise TypeError(f"coeffs must be an object, got {coeffs!r}")
@@ -307,14 +308,19 @@ def _parse_coordinate(raw) -> Poly:
         raise ValidationError("generators", str(exc)) from None
 
 
-def _max_symbol(poly: Poly) -> int:
-    return max((i + 1 for mon in poly.terms for i, e in enumerate(mon) if e), default=0)
+def _max_symbol(value) -> int:
+    if not isinstance(value, Poly):
+        return 0
+    return max((i + 1 for mon in value.terms for i, e in enumerate(mon) if e), default=0)
 
 
-def _coordinate(poly: Poly, m: int):
-    """A parsed coordinate as the model stores it: a Fraction when m = 0,
-    else a Poly over exactly m symbols (none beyond t_m may occur)."""
-    terms = {mon[:m] + (0,) * (m - len(mon)): c for mon, c in poly.terms.items()}
+def _coordinate(value, m: int):
+    """A coordinate parsed by `_parse_coordinate` as the model stores it: a
+    Fraction when m = 0, else a Poly over exactly m symbols (none beyond t_m
+    may occur)."""
+    if not isinstance(value, Poly):
+        return value if m == 0 else Poly.const(value, m)
+    terms = {mon[:m] + (0,) * (m - len(mon)): c for mon, c in value.terms.items()}
     return terms.get((), Fraction(0)) if m == 0 else Poly(terms)
 
 

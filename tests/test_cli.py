@@ -215,6 +215,22 @@ class TestCommands:
         assert cli.run(argv + ["enumeration_max=14"]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "EnumerationTooLarge"
 
+    def test_gamma_check_fit_far_from_the_rank_is_no_violation(self, tmp_path):
+        # two lambdas on small boxes: the counts 75 and 685 give a float fit
+        # of about 3.19 against the exact rank 2; the fit is display-only, so
+        # the exact rank, counts and ratios are reported with exit code 0
+        cfg = write_config(tmp_path, {
+            "generators": [[-2, -1], [1, -2], [0, 2]], "scales": [3, 2, 3],
+            "h_prime": [[1, 0, 0], [0, 1, 0]], "h_dprime": [], "lambdas": ["1", "2"],
+        })
+        code, body = run_to_file(tmp_path, ["gamma", "check", "-c", cfg])
+        assert code == 0
+        report = json.loads(body)
+        assert report["rank"] == 2
+        assert round(report["fitted_exponent_approx"], 3) == 3.191
+        assert [row["count"] for row in report["sweep"]] == [75, 685]
+        assert report["ratio_bounds"] == ["25/3", "685/36"]  # count / (lambda^2 * 9)
+
     def test_locus_rank(self, tmp_path):
         cfg = write_config(tmp_path, {"D": 2})
         code, body = run_to_file(tmp_path, ["locus", "rank", "-c", cfg])
@@ -441,7 +457,7 @@ class TestJsonText:
         rng = random.Random(seed)
         columns = tuple([rng.choice(pool) for _ in range(count)] for _ in range(width))
         cells = functools.partial(map, cli._escape if type(pool[0]) is str else repr)
-        matrix = cli._Columns(columns, (cells,) * width, count)
+        matrix = cli._Matrix(functools.partial(cli._column_rows, columns, cells), width, count)
         rows = [list(row) for row in zip(*columns)]
         with mock.patch.object(cli, "_BLOCK_CELLS", block):
             text = _written({"m": matrix, "a": [1], "z": "x"})
@@ -453,7 +469,8 @@ class TestJsonText:
         (([], []), 0, []),
     ])
     def test_empty_columns_and_rows(self, columns, count, want):
-        matrix = cli._Columns(columns, (repr,) * len(columns), count)
+        rows = functools.partial(cli._column_rows, columns, functools.partial(map, repr))
+        matrix = cli._Matrix(rows, len(columns), count)
         assert _written({"m": matrix}) == json.dumps({"m": want}, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("width", [1, 3, 4, 10, 25])
@@ -462,7 +479,8 @@ class TestJsonText:
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 10)
         count = 23
         columns = tuple([7] * count for _ in range(width))
-        matrix = cli._Columns(columns, (functools.partial(map, repr),) * width, count)
+        rows = functools.partial(cli._column_rows, columns, functools.partial(map, repr))
+        matrix = cli._Matrix(rows, width, count)
         chunks = list(cli._matrix_chunks(matrix, "\n  "))
         block = max(1, 10 // width) * width
         assert max(chunk.count("7") for chunk in chunks) == min(block, count * width)

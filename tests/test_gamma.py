@@ -273,6 +273,20 @@ class TestCardMod:
         full = m.full_subgroup()
         assert card_mod(m, 1, full, m.zero_subgroup()) >= card_mod(m, 1, full, x_axis)
 
+    @pytest.mark.parametrize("subgroup", ["full", "diagonal", "zero"])
+    def test_subgroup_modulo_itself_is_one_class_with_no_walk(self, monkeypatch, subgroup):
+        # every point of Gamma(S) cap H, 0 among them, lies in the class H;
+        # the 15-tuple box is over the limit 1, which the walk would exceed
+        m = plane_model(3, 2)
+        h = {"full": m.full_subgroup(), "diagonal": closure(m, [(1, 1)]),
+             "zero": m.zero_subgroup()}[subgroup]
+        assert box_card_mod(enumerate_gamma(m).witnesses, h, h) == 1
+        if subgroup != "zero":
+            with pytest.raises(EnumerationTooLarge):
+                _count_classes([-2, -1], [2, 1], h.coeff, h.coeff, 1)
+        monkeypatch.setattr(gamma, "_count_classes", lambda *args: pytest.fail("walked"))
+        assert card_mod(m, 1, h, h, limit=1) == 1
+
     def test_walk_limit(self):
         # G mod 0 on the 5 x 3 box: 5 first coordinates, then one counted
         # interval each, so 10 steps
@@ -330,6 +344,60 @@ class TestCardMod:
         assert m.zero_subgroup().coeff.rows
         with mock.patch.object(gamma, "_CHUNK", chunk):
             assert card_mod(m, 2, m.full_subgroup(), m.zero_subgroup()) == 44919
+
+
+def box_classes(lo, hi, outer, inner):
+    """The box walk oracle of `_count_classes`: the integer points of the
+    box lo..hi in the lattice `outer`, identified modulo `inner`."""
+    box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return len({inner.reduce(v) for v in box if outer.contains(v)})
+
+
+def _lattice(ncols, *rows):
+    return Sublattice(ncols, tuple(map(tuple, linalg.hnf(rows, ncols))))
+
+
+# (lo, hi, L', L'', steps) for `_count_classes`, each last level a slab
+_SLAB_CASES = {
+    # the last row (0, 1, 0) leaves column 2 at 0, and the row before moves
+    # it: column 0 gives c_1 the 7 values -3..3, column 2 cuts them to -1..1,
+    # and each keeps the last interval -2..2; 7 + 3 steps modulo 0, and
+    # 7 + 3 * 5 modulo the lattice of (0, 2, 0)
+    "still_column": ([-3, -2, -1], [3, 2, 1], _lattice(3, (1, 0, 1), (0, 1, 0)), _lattice(3), 10),
+    "still_column_mod_line": (
+        [-3, -2, -1], [3, 2, 1], _lattice(3, (1, 0, 1), (0, 1, 0)), _lattice(3, (0, 2, 0)), 22,
+    ),
+    # negative entries: column 2 is -2 c_1, cutting the 6 values -3..2 of
+    # c_1 to -2..1, and the last row moves column 3 by -1 per step; each c_1
+    # keeps the last interval -1..1, so 6 + 4 * 3 steps modulo a line
+    "still_column_negative": (
+        [-3, -4, -3, -2], [2, 5, 4, 1], _lattice(4, (1, 0, -2, 0), (0, 3, 0, -1)),
+        _lattice(4, (2, 3, -4, -1)), 18,
+    ),
+    # one row: the root is a level with the one value 0, so the zero column
+    # 1 must hold 0, and column 2 cuts c to -2..2; one step modulo 0, the
+    # interval's 5 points modulo the lattice of (2, 0, 4)
+    "one_row": ([-3, -1, -4], [3, 1, 4], _lattice(3, (1, 0, 2)), _lattice(3), 1),
+    "one_row_mod_line": ([-3, -1, -4], [3, 1, 4], _lattice(3, (1, 0, 2)), _lattice(3, (2, 0, 4)), 5),
+    "one_row_out_of_box": ([-3, 1, -4], [3, 2, 4], _lattice(3, (1, 0, 2)), _lattice(3), 0),
+}
+
+
+class TestSlabs:
+    """The last level of `_count_classes`, resolved a slab at a time, against
+    the box walk, with the exact step count: a limit equal to it passes and
+    one less raises."""
+
+    @pytest.mark.parametrize("case", _SLAB_CASES.values(), ids=_SLAB_CASES)
+    @pytest.mark.parametrize("chunk", [1, gamma._CHUNK])
+    def test_count_and_steps(self, case, chunk):
+        lo, hi, outer, inner, steps = case
+        want = box_classes(lo, hi, outer, inner)
+        with mock.patch.object(gamma, "_CHUNK", chunk):
+            assert _count_classes(lo, hi, outer, inner, steps) == want
+            if steps:
+                with pytest.raises(EnumerationTooLarge):
+                    _count_classes(lo, hi, outer, inner, steps - 1)
 
 
 def box_card_mod(witnesses, h_prime, h_dprime):
