@@ -44,6 +44,7 @@ from .errors import (
     SamplingExhausted,
     SlopechainError,
     SymbolicModelNotSpecialized,
+    UsageError,
     ValidationError,
 )
 from .gamma import (

@@ -5,7 +5,9 @@ config and seed).  Exact quantities appear as "p/q" strings or integer
 exponent vectors; any floating value is display-only, lives under a key
 ending in "_approx", and sits next to the exact field it approximates.
 
-Exit codes: 0 success, 2 exact certificate violation, 1 any other error.
+Exit codes: 0 success, 2 exact certificate violation, 1 any other error,
+a command line that names no command or gives it options it does not take
+(`UsageError`) among them; `-h` prints help and exits 0.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import (
     EnumerationTooLarge,
     ParseError,
     SlopechainError,
+    UsageError,
     ValidationError,
 )
 from .gamma import _integer_columns, card_mod, counting_check, enumerate_gamma
@@ -212,7 +215,7 @@ def parse_config(text: str) -> RunConfig:
                 _fail(key, "must be a path string")
             setattr(cfg, key, raw[key])
 
-    cfg.echo = _echo_config(raw, model_cfg)
+    cfg.echo = _echo_config(raw, cfg)
     return cfg
 
 
@@ -235,17 +238,17 @@ def _scalar_json(value):
     return {"const": str(const), "coeffs": {f"t{i}": str(c) for i, c in sorted(coeffs.items())}}
 
 
-def _echo_config(raw, model_cfg):
-    echo = {}
-    for key, value in raw.items():
-        if key in ("scales", "lambdas"):
-            echo[key] = [str(_exact(key, v)) for v in value]
-        elif key in ("epsilon", "lambda"):
-            echo[key] = str(_exact(key, value))
-        elif key == "generators":
-            echo[key] = [[_scalar_json(c) for c in gen] for gen in model_cfg.generators]
-        else:
-            echo[key] = value
+def _echo_config(raw, cfg):
+    """The config as a report echoes it: `raw`, with every rational and
+    coordinate written canonically from the value `parse_config` parsed."""
+    echo = dict(raw)
+    echo["generators"] = [[_scalar_json(c) for c in gen] for gen in cfg.model.generators]
+    echo["scales"] = list(map(str, cfg.model.scales))
+    if "lambdas" in raw:
+        echo["lambdas"] = list(map(str, cfg.lambdas))
+    for key, value in (("epsilon", cfg.epsilon), ("lambda", cfg.lam)):
+        if key in raw:
+            echo[key] = str(value)
     return echo
 
 
@@ -636,10 +639,10 @@ def _cmd_polygon_export(cfg, model):
     return "\n".join(lines) + "\n"
 
 
+# {(group, action or None): handler}, in the order of the help text
 _COMMANDS = {
     ("chain", "build"): _cmd_chain_build,
     ("chain", "verify"): _cmd_chain_verify,
-    ("mu", None): _cmd_mu,
     ("gamma", "enumerate"): _cmd_gamma_enumerate,
     ("gamma", "count"): _cmd_gamma_count,
     ("gamma", "check"): _cmd_gamma_check,
@@ -647,7 +650,16 @@ _COMMANDS = {
     ("locus", "probe"): _cmd_locus_probe,
     ("locus", "sweep"): _cmd_locus_sweep,
     ("polygon", "export"): _cmd_polygon_export,
+    ("mu", None): _cmd_mu,
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the parser of each of its subcommands, whose
+    usage errors raise `UsageError` instead of exiting with code 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_common(parser):
@@ -662,33 +674,47 @@ def _add_common(parser):
 
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    """The full parser, and the table {`_COMMANDS` key: the parser of that
+    command's options}, filled as the full parser is built."""
+    parser = _Parser(
         prog="slopechain",
         description="exact subgroup chains, box-point counting, base-locus probes",
     )
     sub = parser.add_subparsers(dest="group", required=True)
-    groups = {
-        "chain": ("build", "verify"),
-        "gamma": ("enumerate", "count", "check"),
-        "locus": ("rank", "probe", "sweep"),
-        "polygon": ("export",),
-    }
-    for group, actions in groups.items():
-        gp = sub.add_parser(group)
-        gsub = gp.add_subparsers(dest="action", required=True)
-        for action in actions:
-            _add_common(gsub.add_parser(action))
-    _add_common(sub.add_parser("mu"))
-    return parser
+    actions = {}
+    commands = {}
+    for group, action in _COMMANDS:
+        if action is None:
+            commands[group, action] = sub.add_parser(group)
+            continue
+        if group not in actions:
+            actions[group] = sub.add_parser(group).add_subparsers(dest="action", required=True)
+        commands[group, action] = actions[group].add_parser(action)
+    for command in commands.values():
+        _add_common(command)
+    return parser, commands
+
+
+def _parse_argv(argv):
+    """The `_COMMANDS` key and the options of a command line.  The options
+    are parsed by the command's own parser alone; a command line that does
+    not start with command words goes through the full parser, which writes
+    the help and the usage errors."""
+    parser, commands = _build_parser()
+    argv = list(argv)
+    key = tuple(argv[:2])
+    if key not in commands:
+        key = (*argv[:1], None)
+    if key in commands:
+        words = 1 if key[1] is None else 2
+        return key, commands[key].parse_args(argv[words:])
+    args = parser.parse_args(argv)
+    return (args.group, getattr(args, "action", None)), args
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    group = args.group
-    action = getattr(args, "action", None)
-    handler = _COMMANDS[(group, action)]
     try:
+        (group, action), args = _parse_argv(argv)
         cfg = parse_config(_read_text(args.config))
         if args.seed is not None:
             cfg.seed = cfg.echo["seed"] = _seed(_override("seed", args.seed))
@@ -696,7 +722,7 @@ def run(argv) -> int:
             key, _, value = override.partition("=")
             setattr(cfg.limits, key, _limit(key, _override(f"limits.{key}", value)))
         model = build_model(cfg.model)
-        payload = handler(cfg, model)
+        payload = _COMMANDS[group, action](cfg, model)
         if isinstance(payload, str):
             parts = (payload,)
         else:
@@ -720,13 +746,10 @@ def run(argv) -> int:
             sys.stdout.writelines(parts)
         return 0
     except CertificateViolation as exc:
-        _emit_error(exc, args)
+        _emit_error(exc)
         return 2
-    except SlopechainError as exc:
-        _emit_error(exc, args)
-        return 1
-    except OSError as exc:
-        _emit_error(exc, args)
+    except (SlopechainError, OSError) as exc:
+        _emit_error(exc)
         return 1
 
 
@@ -739,7 +762,7 @@ def _read_text(path) -> str:
         raise ParseError(f"config is not UTF-8 text: {exc.reason}") from None
 
 
-def _emit_error(exc, args):
+def _emit_error(exc):
     body = {
         "schema": SCHEMA,
         "error": {"code": type(exc).__name__, "message": str(exc)},

@@ -79,3 +79,8 @@ class ValidationError(SlopechainError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+class UsageError(SlopechainError):
+    """A command line that names no command, or gives a command options it
+    does not take."""

@@ -594,16 +594,23 @@ class _ProbeSamples:
     The upper samples are the rows of Gamma(2S) outside Gamma(S) + H,
     filtered as integer rows over D, then random draws outside it.
     `_fraction_point` gives the point p/q of a sample that a report prints.
+
+    Every draw is read from `getrandbits` by `_below`, whose stream is
+    `random.Random(seed).randrange`'s, so the samples are those that
+    `randrange` and `randint` draws would give.
     """
 
     def __init__(self, model, chain, omega, epsilon, samples, seed, limit):
-        rng = random.Random(seed)
+        bits = random.Random(seed).getrandbits
         den, eps_columns = enumerate_gamma(model, 1 - epsilon, limit).columns
         eps_rows = list(zip(*eps_columns))
         two_rows = list(zip(*enumerate_gamma(model, Fraction(2), limit).columns[1]))
         top = max(int(math.ceil(model.scales[0])) if model.l else 1, 1)
         coord_bound = 2 * top + 2
         unit = 12 * den
+        head, count = unit * den, len(eps_rows)
+        # the move a/b along a span point is a * steps[b] over unit
+        steps = [None, unit, unit // 2, unit // 3, unit // 4]
 
         self.lower = []
         self.upper = []
@@ -614,20 +621,20 @@ class _ProbeSamples:
             ]
             pts = []
             for _ in range(samples):
-                coords = list(map(mul, eps_rows[rng.randrange(len(eps_rows))], repeat(unit)))
+                coords = list(map(mul, eps_rows[_below(bits, count)], repeat(unit)))
                 for entries in support:
-                    a, b = rng.randint(-9, 9), rng.randint(1, 4)
+                    a, b = _below(bits, 19) - 9, _below(bits, 4) + 1
                     if a:
-                        f = a * (unit // b)
+                        f = a * steps[b]
                         for i, x in entries:
                             coords[i] += f * x
-                pts.append(linalg.primitive((unit * den, *coords)))
+                pts.append(linalg.primitive((head, *coords)))
             self.lower.append(tuple(pts))
 
             if sub.dim == model.n:
                 self.upper.append(None)
                 continue
-            draws = (_draw(rng, model.n, coord_bound) for _ in range(50 * samples))
+            draws = (_draw(bits, model.n, coord_bound) for _ in range(50 * samples))
             outside_row, outside_point = _outside_translates(omega, sub)
             found = [
                 linalg.primitive((den, *row))
@@ -641,10 +648,25 @@ class _ProbeSamples:
             self.upper.append(tuple(found))
 
 
-def _draw(rng, n, bound):
+def _below(getrandbits, n):
+    """A draw from range(n), n > 0, read from `getrandbits` as
+    `random.Random.randrange(n)` reads it: k = n.bit_length() bits at a
+    time, drawn again while the value is n or more.  So randrange(n) is
+    `_below(rng.getrandbits, n)` and randint(a, b) is
+    `a + _below(rng.getrandbits, b - a + 1)`, draw for draw."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _draw(bits, n, bound):
     """A random point of coordinates a/b, |a| <= bound and b in 1..3 (a
-    drawn before b), as an integer point (q, p)."""
-    pairs = [(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(n)]
+    drawn before b, both by `_below` from `bits`), as an integer point
+    (q, p)."""
+    width = 2 * bound + 1
+    pairs = [(_below(bits, width) - bound, _below(bits, 3) + 1) for _ in range(n)]
     q = math.lcm(*(b for _, b in pairs))
     return linalg.primitive((q, *(a * (q // b) for a, b in pairs)))
 

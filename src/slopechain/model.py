@@ -59,9 +59,6 @@ class Sublattice:
     def contains(self, vector) -> bool:
         return not any(self.reduce(vector))
 
-    def contains_lattice(self, other: "Sublattice") -> bool:
-        return all(self.contains(row) for row in other.rows)
-
     def reduce(self, vector) -> tuple[int, ...]:
         return linalg.lattice_reduce(self.rows, self.pivots, vector)
 

@@ -22,7 +22,7 @@ that runs no elimination.  `verify_candidates` is the candidate loop of
 echelons: every candidate's lattice is built and the loop visits them all.
 `rank_profile` reads a profile off one elimination of the lattice's
 column-reversed rows (`_prefix_ranks`), where the library counts the pivots
-of its key.
+of its key, and `contains_lattice` decides inclusion of lattices row by row.
 """
 
 from fractions import Fraction
@@ -235,6 +235,11 @@ def closure(model, rows) -> Subgroup:
     return subgroup(model, [model.point_of(r) for r in rows])
 
 
+def contains_lattice(big, small) -> bool:
+    """Whether the Sublattice `big` contains every row of `small`."""
+    return all(big.contains(row) for row in small.rows)
+
+
 def verify_candidates(model, chain, options):
     """The eager candidate loop of `verify_chain`: every candidate of the
     pool saturated, sorted by (dim, HNF rows) and checked in that order, its
@@ -249,7 +254,7 @@ def verify_candidates(model, chain, options):
     ])
 
     def inside(big, small):
-        return small.dim <= big.dim and big.coeff.contains_lattice(small.coeff)
+        return small.dim <= big.dim and contains_lattice(big.coeff, small.coeff)
 
     chain_profiles = [rank_profile(model, s) for s in chain.subgroups]
     checks = []

@@ -63,6 +63,24 @@ class TestParseConfig:
             cli.parse_config(json.dumps(dict(BASE, bogus=1)))
         assert err.value.field == "bogus"
 
+    @pytest.mark.parametrize("extra, echo", [
+        ({"scales": ["6/4", " 3 "], "lambdas": ["+2", "04", 3], "epsilon": "2/4", "lambda": "6/4"},
+         {"scales": ["3/2", "3"], "lambdas": ["2", "4", "3"], "epsilon": "1/2", "lambda": "3/2"}),
+        ({"scales": ["+2", "04"], "lambdas": [" 3 ", "6/4"], "epsilon": " 1/3 ", "lambda": " 3 "},
+         {"scales": ["2", "4"], "lambdas": ["3", "3/2"], "epsilon": "1/3", "lambda": "3"}),
+        ({"scales": [5, "10/4"], "lambdas": [1, "+8/2"], "epsilon": "+3/9", "lambda": 7},
+         {"scales": ["5", "5/2"], "lambdas": ["1", "4"], "epsilon": "1/3", "lambda": "7"}),
+        ({"scales": ["04", 2], "epsilon": "002/008", "lambda": "+2"},
+         {"scales": ["4", "2"], "epsilon": "1/4", "lambda": "2"}),
+    ])
+    def test_echo_is_canonical(self, tmp_path, extra, echo):
+        # odd spellings of rationals are echoed in lowest terms, as "p/q" or "p"
+        cfg = cli.parse_config(json.dumps(dict(BASE, **extra)))
+        assert {key: cfg.echo[key] for key in extra} == echo
+        code, out = run_to_file(tmp_path, ["mu", "-c", write_config(tmp_path, extra)])
+        assert code == 0
+        assert json.loads(out)["config"] == {**BASE, **extra, **echo}
+
     def test_epsilon_boundary(self):
         with pytest.raises(ValidationError) as err:
             cli.parse_config(json.dumps(dict(BASE, epsilon="1")))
@@ -292,6 +310,23 @@ class TestCommands:
 class TestParser:
     def test_built_once_per_process(self):
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("key", list(cli._COMMANDS))
+    @pytest.mark.parametrize("options", [
+        ["--config=x"],
+        ["-cx"],
+        ["--conf", "x"],
+        ["-c", "x", "--limit", "enumeration_max=5", "--limit", "sample_count=3"],
+        ["--seed", "1", "-c", "x", "--seed", "2", "--out", "o"],
+    ])
+    def test_command_parser_parses_as_the_full_parser(self, key, options):
+        argv = [word for word in key if word] + options
+        parser, _ = cli._build_parser()
+        full = vars(parser.parse_args(argv))
+        assert (full.pop("group"), full.pop("action", None)) == key
+        # the command's own parser alone, so no group or action is set
+        command, args = cli._parse_argv(argv)
+        assert command == key and vars(args) == full
 
     @pytest.mark.parametrize(
         "override",
@@ -775,6 +810,42 @@ class TestRefusals:
         assert error["message"].startswith(head)
 
 
+class TestUsageErrors:
+    """A command line that names no command, or gives a command options it
+    does not take, is a JSON UsageError on stdout with exit code 1 and
+    nothing on stderr; -h prints help and exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "slopechain: argument group: invalid choice: 'bogus'"),
+        ([], "slopechain: the following arguments are required: group"),
+        (["chain"], "slopechain chain: the following arguments are required: action"),
+        (["chain", "build"],
+         "slopechain chain build: the following arguments are required: -c/--config"),
+        (["mu", "-c", "cfg.json", "--bogus"], "slopechain mu: unrecognized arguments: --bogus"),
+        (["gamma", "count", "-c", "cfg.json", "--limt", "x"],
+         "slopechain gamma count: unrecognized arguments: --limt x"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "UsageError"
+        assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: slopechain [-h]"),
+        (["chain", "-h"], "usage: slopechain chain [-h]"),
+        (["locus", "sweep", "--help"], "usage: slopechain locus sweep [-h]"),
+    ])
+    def test_help_exits_zero(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage) and captured.err == ""
+
+
 class TestInputOutputErrors:
     """File errors are JSON errors on stdout, coded by the exception class,
     with exit code 1 and nothing on stderr."""
@@ -833,6 +904,16 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == proc.stderr == ""
         assert out.read_bytes() == (golden / "plane_basic.chain_build.out").read_bytes()
+
+    def test_usage_error_is_a_json_error(self):
+        proc = self._run("bogus")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["code"] == "UsageError"
+
+    def test_help_exits_zero(self):
+        proc = self._run("-h")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: slopechain")
 
     def test_missing_config_is_a_json_error(self, tmp_path):
         proc = self._run("chain", "build", "-c", str(tmp_path / "none.json"))

@@ -411,6 +411,24 @@ class TestIntegerRepresentatives:
 
 
 class TestProbeSamples:
+    def test_draws_read_the_randrange_stream(self):
+        # randrange(n) and randint(a, b) against `_below` on one interleaved
+        # stream: every width 1..70, and powers of two (and their
+        # neighbours) up to 2^70, where a draw of n.bit_length() bits is
+        # rejected most often
+        widths = [*range(1, 71), *(2 ** k + d for k in range(1, 71) for d in (-1, 0, 1))]
+        for seed in range(100):
+            pick = random.Random(-seed - 1)
+            ours, reference = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                n = pick.choice(widths)
+                if pick.random() < 0.5:
+                    assert locus._below(ours.getrandbits, n) == reference.randrange(n)
+                else:
+                    a = pick.randint(-9, 9)
+                    assert a + locus._below(ours.getrandbits, n) == reference.randint(a, a + n - 1)
+            assert ours.getstate() == reference.getstate()
+
     @settings(max_examples=60, deadline=None)
     @given(probe_models(), st.integers(0, 2 ** 32), st.sampled_from((F(1, 2), F(1, 3))))
     def test_sparse_shifts_equal_dense_update(self, model, seed, epsilon):
